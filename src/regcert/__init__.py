@@ -13,7 +13,7 @@ from .parser import (Parametrisation, ParseError, format_file,
                      format_polynomial, parse_ideal_file)
 from .reports import VerificationReport
 from .resolution import (BettiTable, betti_table, check_flat_betti,
-                         koszul_homology_rank, regularity, t_invariants)
+                         regularity, t_invariants)
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     PolyRing, PowerMap, apply_power_map, make_ring,
                     s_polynomial)
@@ -33,7 +33,7 @@ __all__ = [
     "eliminate", "field_of_characteristic", "format_file",
     "format_polynomial", "g_cap", "groebner_basis", "hilbert_function",
     "ideal_equal", "image_ideal", "initial_ideal", "is_strongly_stable",
-    "kernel_of_map", "koszul_homology_rank", "lex_segment_ideal",
+    "kernel_of_map", "lex_segment_ideal",
     "macaulay_rep", "make_ring", "normal_form",
     "passes_buchberger_criterion", "parse_ideal_file", "regularity",
     "s_polynomial", "segment_closure_check", "stable_regularity",

@@ -1,8 +1,9 @@
 """The regcert command line tool.
 
 Subcommands: kernel, reg, lex, gtable, and verify {regflat, poweli,
-regbound, main}.  Exit codes: 0 all checks pass, 1 at least one failure,
-2 inconclusive, 64 usage error.
+regbound, main}.  Each takes only the flags its handler reads (COMMANDS);
+any other flag is a usage error.  Exit codes: 0 all checks pass, 1 at
+least one failure, 2 inconclusive, 64 usage error.
 """
 
 import argparse
@@ -11,17 +12,18 @@ import sys
 
 from .groebner import kernel_of_map
 from .monomials import compute_G, g_cap
-from .parser import (ParseError, Parametrisation, format_polynomial,
+from .parser import (Parametrisation, format_monomial, format_polynomial,
                      parse_ideal_file)
 from .reports import FAIL, INCONCLUSIVE, PASS
 from .resolution import regularity
 from .rings import BlockOrder, DegRevLexOrder, LexOrder
-from .scalars import DEFAULT_PRIME
+from .scalars import field_of_characteristic
 from .verify import (DEFAULT_CUTOFF, lex_ideal_of_presentation, verify_main,
                      verify_main_trials, verify_poweli_trials,
                      verify_regbound, verify_regbound_trials, verify_regflat)
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 64
+TRIALS, SEED = 5, 0
 
 
 class _Usage(Exception):
@@ -33,22 +35,61 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _parse_range(text):
+def _positive(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
+def _characteristic(text):
+    try:
+        field_of_characteristic(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"characteristic must be 0 or prime, not {text!r}") from None
+    return int(text)
+
+
+def _range(text):
     """'2' -> [2]; '1..3' -> [1, 2, 3]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, _, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected N or LO..HI, not {text!r}") from None
 
 
-def _resolve_order(name, ring):
-    if name == "lex":
-        return LexOrder()
-    if name == "degrevlex":
-        return DegRevLexOrder()
+def _order(name, kept):
+    """The term order named by --order, or None; elim keeps `kept`
+    variables."""
     if name == "elim":
-        return BlockOrder(ring.kept)
-    raise _Usage(f"unknown order {name!r}")
+        return BlockOrder(kept)
+    return {"lex": LexOrder(), "degrevlex": DegRevLexOrder()}.get(name)
+
+
+def _load(args, flag):
+    """Parse the file of --ideal or --param at the field of --char."""
+    with open(getattr(args, flag), encoding="utf-8") as fh:
+        ring, obj, _ = parse_ideal_file(fh.read(), char=args.char)
+    if isinstance(obj, Parametrisation) != (flag == "param"):
+        kind = "a parametrisation" if flag == "param" else "an ideal"
+        raise _Usage(f"--{flag} expects {kind} file")
+    return ring, obj
+
+
+def _trials(args):
+    """(trials, seed) of the seeded random instance stream."""
+    return (TRIALS if args.trials is None else args.trials,
+            SEED if args.seed is None else args.seed)
+
+
+def _not_with(args, names, reason):
+    """Usage error for flags this mode of a command does not read."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise _Usage(f"{', '.join(given)} not used {reason}")
 
 
 def _emit(report, args, out):
@@ -71,37 +112,9 @@ def _emit(report, args, out):
             INCONCLUSIVE: EXIT_INCONCLUSIVE}[report.status]
 
 
-def _reparse_with_char(path, char):
-    """Reload a file, overriding the characteristic clause."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    ring, obj, order = parse_ideal_file(text)
-    if char is None or char == ring.char:
-        return ring, obj, order
-    import re
-    if re.search(r"\bchar\b", text):
-        text = re.sub(r"char\s+\d+", f"char {char}", text, count=1)
-    elif text.lstrip().startswith("param"):
-        text = text.replace(";", f"; char {char} ;", 1)
-    else:
-        text = text.replace(";", f"; char {char} ;", 1)
-    return parse_ideal_file(text)
-
-
 def cmd_kernel(args, out):
-    if not args.param:
-        raise _Usage("--param FILE is required")
-    ring, obj, _ = _reparse_with_char(args.param, args.char)
-    if not isinstance(obj, Parametrisation):
-        raise _Usage("--param expects a parametrisation file")
-    order = None
-    if args.order:
-        order = (LexOrder() if args.order == "lex"
-                 else BlockOrder(obj.n) if args.order == "elim"
-                 else None)
-        if order is None:
-            raise _Usage("kernel needs an elimination order (lex or elim)")
-    G = kernel_of_map(list(obj.f), order=order)
+    _, param = _load(args, "param")
+    G = kernel_of_map(list(param.f), order=_order(args.order, param.n))
     gens = [format_polynomial(g) for g in G.elements]
     if args.json:
         print(json.dumps({"ring": list(G.ring.names), "kernel": gens},
@@ -117,17 +130,12 @@ def cmd_kernel(args, out):
 
 
 def cmd_reg(args, out):
-    if not args.ideal:
-        raise _Usage("--ideal FILE is required")
-    ring, J, _ = _reparse_with_char(args.ideal, args.char)
-    if isinstance(J, Parametrisation):
-        raise _Usage("reg expects an ideal file")
+    ring, J = _load(args, "ideal")
     if not J.homogeneous:
         raise _Usage("reg requires a homogeneous ideal")
     if J.is_zero():
         raise _Usage("regularity of the zero ideal is undefined")
-    order = _resolve_order(args.order, ring) if args.order else None
-    r = regularity(J, order)
+    r = regularity(J, _order(args.order, ring.kept))
     if args.json:
         print(json.dumps({"regularity": r, "field": ring.char}), file=out)
     else:
@@ -136,22 +144,16 @@ def cmd_reg(args, out):
 
 
 def cmd_lex(args, out):
-    if not args.ideal:
-        raise _Usage("--ideal FILE is required")
-    ring, J, _ = _reparse_with_char(args.ideal, args.char)
-    if isinstance(J, Parametrisation):
-        raise _Usage("lex expects an ideal file")
+    ring, J = _load(args, "ideal")
     if not J.homogeneous:
         raise _Usage("lex requires a homogeneous ideal")
-    cutoff = args.cutoff or DEFAULT_CUTOFF
-    L, complete = lex_ideal_of_presentation(J, cutoff)
-    from .parser import format_monomial
+    L, complete = lex_ideal_of_presentation(J, args.cutoff)
     gens = [format_monomial(ring, m) for m in L.gens]
     if args.json:
         print(json.dumps({"lex_generators": gens, "complete": complete},
                          indent=2), file=out)
     else:
-        status = "" if complete else f" (truncated at degree {cutoff})"
+        status = "" if complete else f" (truncated at degree {args.cutoff})"
         print(f"lex segment ideal{status}:", file=out)
         for g in gens:
             print(f"  {g}", file=out)
@@ -159,13 +161,10 @@ def cmd_lex(args, out):
 
 
 def cmd_gtable(args, out):
-    ns = _parse_range(args.n or "1..3")
-    ds = _parse_range(args.d or "2..3")
-    ms = _parse_range(args.m or "1..2")
     rows = []
-    for n in ns:
-        for d in ds:
-            for m in ms:
+    for n in args.n:
+        for d in args.d:
+            for m in args.m:
                 rows.append({"n": n, "d": d, "m": m,
                              "G": compute_G(n, d, m),
                              "cap": g_cap(n, d, m)})
@@ -179,97 +178,107 @@ def cmd_gtable(args, out):
     return EXIT_PASS
 
 
-def cmd_verify(args, out):
-    char = DEFAULT_PRIME if args.char is None else args.char
-    if args.lemma == "regflat":
-        if not args.ideal:
-            raise _Usage("verify regflat needs --ideal FILE")
-        _, J, _ = _reparse_with_char(args.ideal, args.char)
-        if isinstance(J, Parametrisation):
-            raise _Usage("verify regflat expects an ideal file")
-        report = verify_regflat(J, args.d or 2)
-    elif args.lemma == "poweli":
-        report = verify_poweli_trials(args.trials, args.seed, char=char)
-    elif args.lemma == "regbound":
-        if args.ideal:
-            _, J, _ = _reparse_with_char(args.ideal, args.char)
-            if isinstance(J, Parametrisation):
-                raise _Usage("verify regbound expects an ideal file")
-            report = verify_regbound(J, J.ring.kept,
-                                     cutoff=args.cutoff or DEFAULT_CUTOFF)
-        else:
-            report = verify_regbound_trials(args.trials, args.seed,
-                                            char=char)
-    elif args.lemma == "main":
-        if args.param:
-            _, param, _ = _reparse_with_char(args.param, args.char)
-            if not isinstance(param, Parametrisation):
-                raise _Usage("verify main expects a parametrisation file")
-            report = verify_main(param, cutoff=args.cutoff)
-        else:
-            if not (args.n and args.m and args.d):
-                raise _Usage("verify main needs --param FILE or --n/--m/--d")
-            report = verify_main_trials(int(args.n), int(args.m),
-                                        int(args.d), args.trials, args.seed,
-                                        char=char, cutoff=args.cutoff)
+def cmd_regflat(args, out):
+    _, J = _load(args, "ideal")
+    return _emit(verify_regflat(J, args.d), args, out)
+
+
+def cmd_poweli(args, out):
+    return _emit(verify_poweli_trials(*_trials(args), char=args.char),
+                 args, out)
+
+
+def cmd_regbound(args, out):
+    if args.ideal:
+        _not_with(args, ["trials", "seed"], "with --ideal")
+        _, J = _load(args, "ideal")
+        cutoff = DEFAULT_CUTOFF if args.cutoff is None else args.cutoff
+        report = verify_regbound(J, J.ring.kept, cutoff=cutoff)
     else:
-        raise _Usage(f"unknown verify target {args.lemma!r}")
+        _not_with(args, ["cutoff"], "without --ideal")
+        report = verify_regbound_trials(*_trials(args), char=args.char)
     return _emit(report, args, out)
+
+
+def cmd_main(args, out):
+    if args.param:
+        _not_with(args, ["n", "m", "d", "trials", "seed"], "with --param")
+        _, param = _load(args, "param")
+        report = verify_main(param, cutoff=args.cutoff)
+    else:
+        if None in (args.n, args.m, args.d):
+            raise _Usage("verify main needs --param FILE or --n/--m/--d")
+        report = verify_main_trials(args.n, args.m, args.d, *_trials(args),
+                                    char=args.char, cutoff=args.cutoff)
+    return _emit(report, args, out)
+
+
+FLAGS = {
+    "ideal": {"metavar": "FILE"},
+    "param": {"metavar": "FILE"},
+    "char": {"type": _characteristic},
+    "cutoff": {"type": _positive},
+    "trials": {"type": _positive},
+    "seed": {"type": int},
+    "n": {"type": _positive},
+    "m": {"type": _positive},
+    "d": {"type": _positive},
+}
+_RANGE = {"type": _range}
+
+# command -> (handler, {flag: settings beyond FLAGS}); every command also
+# takes --json and --out FILE
+COMMANDS = {
+    "kernel": (cmd_kernel, {"param": {"required": True}, "char": {},
+                            "order": {"choices": ["lex", "elim"]}}),
+    "reg": (cmd_reg, {"ideal": {"required": True}, "char": {},
+                      "order": {"choices": ["lex", "degrevlex", "elim"]}}),
+    "lex": (cmd_lex, {"ideal": {"required": True}, "char": {},
+                      "cutoff": {"default": DEFAULT_CUTOFF}}),
+    "gtable": (cmd_gtable, {"n": dict(_RANGE, default="1..3"),
+                            "d": dict(_RANGE, default="2..3"),
+                            "m": dict(_RANGE, default="1..2")}),
+    "verify regflat": (cmd_regflat, {"ideal": {"required": True},
+                                     "char": {}, "d": {"default": 2}}),
+    "verify poweli": (cmd_poweli, {"trials": {}, "seed": {}, "char": {}}),
+    "verify regbound": (cmd_regbound, {"ideal": {}, "cutoff": {},
+                                       "trials": {}, "seed": {},
+                                       "char": {}}),
+    "verify main": (cmd_main, {"param": {}, "cutoff": {}, "n": {}, "m": {},
+                               "d": {}, "trials": {}, "seed": {},
+                               "char": {}}),
+}
 
 
 def build_parser():
     p = _Parser(prog="regcert",
                 description="Exact regularity certificates for polynomially "
                             "parametrised varieties")
-    sub = p.add_subparsers(dest="command")
-
-    def common(sp):
-        sp.add_argument("--ideal")
-        sp.add_argument("--param")
-        sp.add_argument("--order")
-        sp.add_argument("--char", type=int)
-        sp.add_argument("--cutoff", type=int)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=5)
+    sub = p.add_subparsers(dest="command", required=True)
+    verify = sub.add_parser("verify").add_subparsers(dest="target",
+                                                     required=True)
+    for name, (handler, flags) in COMMANDS.items():
+        group, _, cmd = name.rpartition(" ")
+        sp = (verify if group else sub).add_parser(cmd)
+        sp.set_defaults(handler=handler)
+        for flag, extra in flags.items():
+            sp.add_argument(f"--{flag}", **{**FLAGS.get(flag, {}), **extra})
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--out")
-        sp.add_argument("--n")
-        sp.add_argument("--m")
-        sp.add_argument("--d")
-
-    for name in ("kernel", "reg", "lex", "gtable"):
-        common(sub.add_parser(name))
-    vp = sub.add_parser("verify")
-    vp.add_argument("lemma", choices=["regflat", "poweli", "regbound",
-                                      "main"])
-    common(vp)
+        sp.add_argument("--out", metavar="FILE")
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise _Usage("a subcommand is required")
-        if args.command == "verify" and args.d is not None:
-            args.d = int(args.d)
-        out = sys.stdout
-        close = False
-        if getattr(args, "out", None):
-            out = open(args.out, "w", encoding="utf-8")
-            close = True
-        try:
-            handler = {"kernel": cmd_kernel, "reg": cmd_reg, "lex": cmd_lex,
-                       "gtable": cmd_gtable, "verify": cmd_verify}
-            return handler[args.command](args, out)
-        finally:
-            if close:
-                out.close()
+        args = build_parser().parse_args(argv)
+        if not args.out:
+            return args.handler(args, sys.stdout)
+        with open(args.out, "w", encoding="utf-8") as out:
+            return args.handler(args, out)
     except _Usage as exc:
         print(f"regcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"regcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 from .monomials import MonomialIdeal
 from .reports import VerificationReport, digest_of
-from .rings import (LexOrder, Polynomial, PowerMap, apply_power_map,
-                    is_homogeneous, mono_deg, mono_div, mono_divides,
-                    mono_lcm, mono_mul, s_polynomial)
+from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
+                    PolyRing, PowerMap, apply_power_map, is_homogeneous,
+                    mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
+                    s_polynomial)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,13 @@ class GroebnerBasis:
 
     def is_unit_ideal(self):
         return any(mono_deg(g.leading_monomial()) == 0 for g in self.elements)
+
+    def is_zero(self):
+        return not self.elements
+
+    @property
+    def homogeneous(self):
+        return self.as_presentation().homogeneous
 
 
 def normal_form(f, G, order=None):
@@ -170,9 +178,13 @@ def reduce_basis(G):
     return GroebnerBasis(G.ring, order, tuple(reduced), reduced=True)
 
 
-def groebner_basis(gens, order, use_criteria=True):
-    """Reduced Groebner basis of an ideal presentation."""
-    return reduce_basis(buchberger(gens, order, use_criteria))
+def groebner_basis(gens, order):
+    """Reduced Groebner basis of an ideal presentation.  A basis that is
+    already the reduced one for this order is returned as it is."""
+    if (isinstance(gens, GroebnerBasis) and gens.reduced
+            and gens.order == order):
+        return gens
+    return reduce_basis(buchberger(gens, order))
 
 
 def passes_buchberger_criterion(polys, order):
@@ -202,7 +214,6 @@ def eliminate(G, keep):
                          f"{G.ring.nvars - keep} variables")
     if keep == G.ring.nvars:
         return G
-    from .rings import PolyRing
     R = PolyRing(G.ring.names[:keep], keep, G.ring.field)
     sub_order = _restrict_order(G.order, keep)
     kept = []
@@ -214,7 +225,6 @@ def eliminate(G, keep):
 
 
 def _restrict_order(order, keep):
-    from .rings import BlockOrder, DegRevLexOrder
     if isinstance(order, LexOrder):
         return order
     if isinstance(order, BlockOrder) and order.keep == keep:
@@ -229,8 +239,8 @@ def image_ideal(phi, I):
 
 
 def ideal_equal(A, B, order):
-    """True iff the two presentations generate the same ideal (reduced
-    Groebner bases coincide)."""
+    """True iff A and B, presentations or Groebner bases, generate the same
+    ideal (reduced Groebner bases coincide)."""
     if A.ring != B.ring:
         raise ValueError("presentations live in different rings")
     if A.is_zero() or B.is_zero():
@@ -240,47 +250,46 @@ def ideal_equal(A, B, order):
     return list(GA.elements) == list(GB.elements)
 
 
-def kernel_of_map(images, n_names=None, order=None):
+def graph_ideal(images, power, order):
+    """The ideal (x_i^power - f_i) in K[x_1..x_n, y_1..y_m] of n nonzero
+    forms f_i of one degree in K[y_1..y_m]; the x variables are the kept
+    ones."""
+    images = list(images)
+    if not images:
+        raise ValueError("need at least one image polynomial")
+    degs = {is_homogeneous(f) for f in images}
+    if any(not flag or not deg for flag, deg in degs):
+        raise ValueError("images must be nonzero homogeneous forms")
+    if len(degs) != 1:
+        raise ValueError("images must share one degree")
+    yring = images[0].ring
+    n = len(images)
+    S = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + yring.names, n,
+                 yring.field)
+    K = S.field
+    gens = []
+    for i, f in enumerate(images):
+        xi = tuple(power if k == i else 0 for k in range(n))
+        gens.append(Polynomial.from_terms(
+            S, order, [(K.one, xi + (0,) * yring.nvars)]
+            + [(K.neg(c), (0,) * n + m) for c, m in f.terms]))
+    return IdealPresentation(S, tuple(gens))
+
+
+def kernel_of_map(images, order=None):
     """Defining ideal of the image of the polynomial map given by n forms of
     equal degree d in K[y_1..y_m]: eliminates the y variables from the graph
     ideal (x_i - f_i).
 
     Returns a Groebner basis over R = K[x_1..x_n].  Pure lex by default;
     pass a BlockOrder for the faster block elimination variant."""
-    from .rings import BlockOrder, PolyRing
-    images = list(images)
-    if not images:
-        raise ValueError("need at least one image polynomial")
-    yring = images[0].ring
-    n = len(images)
-    m = yring.nvars
-    degs = set()
-    for f in images:
-        flag, deg = is_homogeneous(f)
-        if not flag or deg is None or deg <= 0:
-            raise ValueError("images must be nonzero homogeneous forms")
-        degs.add(deg)
-    if len(degs) != 1:
-        raise ValueError("images must share one degree")
-    if n_names is None:
-        n_names = tuple(f"x{i + 1}" for i in range(n))
-    S = PolyRing(tuple(n_names) + yring.names, n, yring.field)
     if order is None:
         order = LexOrder()
-    if not order.eliminates(n, S.nvars):
+    J = graph_ideal(images, 1, order)
+    n = J.ring.kept
+    if not order.eliminates(n, J.ring.nvars):
         raise ValueError("order must eliminate the parameter variables")
-
-    def embed(f):
-        return Polynomial.from_terms(
-            S, order, [(c, (0,) * n + m_) for c, m_ in f.terms])
-
-    gens = []
-    for i, f in enumerate(images):
-        xi = tuple(1 if k == i else 0 for k in range(n)) + (0,) * m
-        gens.append(Polynomial.from_terms(S, order, [(S.field.one, xi)]) - embed(f))
-    J = IdealPresentation(S, tuple(gens))
-    G = groebner_basis(J, order)
-    return eliminate(G, n)
+    return eliminate(groebner_basis(J, order), n)
 
 
 def substitute(g, images):
@@ -330,7 +339,7 @@ def verify_poweli(J, dvec, keep, order=None):
     # J' cap R via an independent Buchberger run on phi(J)
     Jprime = image_ideal(phi, J)
     Gprime = groebner_basis(Jprime, order)
-    JprimeR = eliminate(Gprime, keep).as_presentation()
+    JprimeR = eliminate(Gprime, keep)
 
     ok_ii = ideal_equal(alpha_I, JprimeR, order)
 
@@ -347,6 +356,6 @@ def verify_poweli(J, dvec, keep, order=None):
             witness["failing_pair"] = list(witness_pair)
         if not ok_ii:
             witness["alpha_I"] = [str(g) for g in alpha_I.generators]
-            witness["Jprime_cap_R"] = [str(g) for g in JprimeR.generators]
+            witness["Jprime_cap_R"] = [str(g) for g in JprimeR.elements]
         report.add_fail(dig, values, witness)
     return report

@@ -72,10 +72,3 @@ def random_ideal(nvars, seed, ngens=3, max_degree=3, char=DEFAULT_PRIME,
         else:
             gens.append(random_polynomial(ring, order, max_degree, rng))
     return IdealPresentation.from_polynomials(ring, gens)
-
-
-def random_homogeneous_ideal(nvars, seed, ngens=3, max_degree=3,
-                             char=DEFAULT_PRIME):
-    """Seeded random homogeneous ideal presentation."""
-    return random_ideal(nvars, seed, ngens, max_degree, char,
-                        homogeneous=True)

@@ -79,12 +79,6 @@ class HilbertData:
         dims = tuple(self.full_dim(t) - d for t, d in enumerate(self.dims))
         return HilbertData(dims, self.cutoff, "ideal", self.nvars)
 
-    def quotient_side(self):
-        if self.side == "quotient":
-            return self
-        dims = tuple(self.full_dim(t) - d for t, d in enumerate(self.dims))
-        return HilbertData(dims, self.cutoff, "quotient", self.nvars)
-
 
 def num_monomials(nvars, t):
     """Number of degree-t monomials in nvars variables."""
@@ -190,18 +184,6 @@ def hilbert_function_incl_excl(M, D):
             for t in range(d, D + 1):
                 dims[t] += sign * num_monomials(l, t - d)
     return HilbertData(tuple(dims), D, "quotient", l)
-
-
-def hf_of_homogeneous(I, order, D):
-    """Hilbert function of a homogeneous ideal via its initial ideal."""
-    from .groebner import buchberger, initial_ideal, reduce_basis
-    for g in I.generators:
-        from .rings import is_homogeneous
-        flag, _ = is_homogeneous(g)
-        if not flag:
-            raise ValueError("Hilbert function requires homogeneous generators")
-    G = reduce_basis(buchberger(I, order))
-    return hilbert_function(initial_ideal(G), D)
 
 
 def ci_hilbert_function(n, d, m, D):

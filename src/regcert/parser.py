@@ -3,9 +3,10 @@
     ring x1 x2 x3 ; char 32003 ; order lex ; gens: x1^2 + x2*x3, x3^2
     param n=3 m=2 d=2 ; f: y1^2, y1*y2, y2^2
 
-The char and order clauses are optional (defaults: 32003, lex).  The
-printer emits the canonical normalized form; parsing its output and
-printing again is byte-identical.
+The char and order clauses are optional (defaults: 32003, lex); a char
+passed to parse_ideal_file overrides the clause.  The printer emits the
+canonical normalized form; parsing its output and printing again is
+byte-identical.
 """
 
 import re
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     make_ring)
-from .scalars import DEFAULT_PRIME, PrimeField
+from .scalars import DEFAULT_PRIME, _is_prime
 
 
 class ParseError(ValueError):
@@ -80,9 +81,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, char=None):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.char = char  # overrides the file's char clause
 
     def peek(self):
         return self.tokens[self.i]
@@ -117,6 +119,19 @@ class _Parser:
 
     # -- clauses ------------------------------------------------------------
 
+    def parse_char(self):
+        """The 'char P ;' clause after its keyword."""
+        tok = self.expect("nat")
+        char = int(tok[1])
+        if char != 0 and not _is_prime(char):
+            self.error("characteristic must be 0 or prime", tok)
+        self.expect("sym", ";")
+        return char
+
+    def ring(self, names, kept, char):
+        return make_ring(names, kept=kept,
+                         char=char if self.char is None else self.char)
+
     def parse_file(self):
         if self.at_keyword("ring"):
             return self.parse_ideal()
@@ -138,10 +153,7 @@ class _Parser:
         while True:
             if self.at_keyword("char"):
                 self.next()
-                char = int(self.expect("nat")[1])
-                if char != 0 and not _probable_prime(char):
-                    self.error("characteristic must be 0 or prime")
-                self.expect("sym", ";")
+                char = self.parse_char()
             elif self.at_keyword("order"):
                 self.next()
                 tok = self.expect("ident")
@@ -162,7 +174,7 @@ class _Parser:
                 break
         self.expect("ident", "gens")
         self.expect("sym", ":")
-        ring = make_ring(names, kept=kept, char=char)
+        ring = self.ring(names, kept, char)
         polys = [self.parse_poly(ring, order)]
         while self.accept("sym", ","):
             polys.append(self.parse_poly(ring, order))
@@ -181,11 +193,11 @@ class _Parser:
         char = DEFAULT_PRIME
         if self.at_keyword("char"):
             self.next()
-            char = int(self.expect("nat")[1])
-            self.expect("sym", ";")
+            char = self.parse_char()
         self.expect("ident", "f")
         self.expect("sym", ":")
-        ring = make_ring([f"y{i + 1}" for i in range(vals["m"])], char=char)
+        ring = self.ring([f"y{i + 1}" for i in range(vals["m"])], None,
+                         char)
         order = LexOrder()
         polys = [self.parse_poly(ring, order)]
         while self.accept("sym", ","):
@@ -226,11 +238,12 @@ class _Parser:
             self.next()
             num = int(tok[1])
             if self.accept("sym", "/"):
-                den = int(self.expect("nat")[1])
-                if isinstance(K, PrimeField):
-                    coeff = K.div(K.from_int(num), K.from_int(den))
-                else:
-                    coeff = Fraction(num, den)
+                den_tok = self.expect("nat")
+                den = K.from_int(int(den_tok[1]))
+                if den == K.zero:
+                    self.error(f"zero denominator in characteristic "
+                               f"{ring.char}", den_tok)
+                coeff = K.div(K.from_int(num), den)
             else:
                 coeff = K.from_int(num)
             if not self.accept("sym", "*"):
@@ -263,16 +276,12 @@ class _Parser:
         return coeff, tuple(exps)
 
 
-def _probable_prime(p):
-    from .scalars import _is_prime
-    return _is_prime(p)
-
-
-def parse_ideal_file(text):
-    """Parse an ideal or parametrisation file.
+def parse_ideal_file(text, char=None):
+    """Parse an ideal or parametrisation file; char, when given, replaces
+    the file's characteristic before any coefficient is read.
 
     Returns (ring, IdealPresentation | Parametrisation, order)."""
-    return _Parser(text).parse_file()
+    return _Parser(text, char).parse_file()
 
 
 # ---------------------------------------------------------------------------

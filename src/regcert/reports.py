@@ -54,10 +54,6 @@ class VerificationReport:
             return INCONCLUSIVE
         return PASS
 
-    @property
-    def passed(self):
-        return self.status == PASS
-
     def witnesses(self):
         return [inst for inst in self.instances if inst.witness is not None]
 

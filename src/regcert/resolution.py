@@ -32,10 +32,12 @@ from .scalars import PrimeField
 # exact rank computation
 
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p) by straightforward elimination."""
+    """Rank of an integer matrix over GF(p) by straightforward elimination.
+    int64 holds the products (p-1)^2 only below 2^31; larger primes reduce
+    in Python ints."""
     if not rows:
         return 0
-    A = np.array(rows, dtype=np.int64) % p
+    A = np.array(rows, dtype=np.int64 if p < 2 ** 31 else object) % p
     nr, nc = A.shape
     rank = 0
     for col in range(nc):
@@ -342,36 +344,28 @@ class BettiTable:
     def beta(self, i, j):
         return self.entries.get((i, j), 0)
 
-    def quotient_side_entries(self):
-        out = {(0, 0): 1}
-        for (i, j), v in self.entries.items():
-            out[(i + 1, j)] = v
-        return out
-
 
 def _ideal_side(quotient_entries):
     return {(i - 1, j): v for (i, j), v in quotient_entries.items()
             if i >= 1 and v}
 
 
-def betti_table(I, order=None, field=None):
-    """Certified ideal-side Betti table of a monomial ideal or a homogeneous
-    ideal presentation."""
+def betti_table(I, order=None):
+    """Certified ideal-side Betti table of a monomial ideal, a homogeneous
+    ideal presentation, or a Groebner basis of one."""
     if isinstance(I, MonomialIdeal):
-        K = field or I.ring.field
-        q = monomial_quotient_betti(I, K)
+        q = monomial_quotient_betti(I, I.ring.field)
         ent = _ideal_side(q)
         cert = max((j for (_, j) in ent), default=0)
-        return BettiTable(ent, "ideal", cert, K.char)
-    if not isinstance(I, IdealPresentation):
-        raise TypeError("expected MonomialIdeal or IdealPresentation")
+        return BettiTable(ent, "ideal", cert, I.ring.char)
+    if not isinstance(I, (IdealPresentation, GroebnerBasis)):
+        raise TypeError("expected MonomialIdeal, IdealPresentation or "
+                        "GroebnerBasis")
     if not I.homogeneous:
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable({}, "ideal", 0, I.ring.char)
-    if order is None:
-        order = DegRevLexOrder()
-    G = I if isinstance(I, GroebnerBasis) else groebner_basis(I, order)
+    G = groebner_basis(I, order or DegRevLexOrder())
     if G.is_unit_ideal():
         raise ValueError("Betti table of the unit ideal is not defined")
     inI = initial_ideal(G)
@@ -391,26 +385,10 @@ def betti_table(I, order=None, field=None):
     return BettiTable(entries, "ideal", cert, I.ring.char)
 
 
-def koszul_homology_rank(I, i, j, order=None, field=None):
-    """beta_{i,j}(R/I): rank of the degree-j piece of the i-th Koszul
-    homology of the variables acting on R/I."""
-    if isinstance(I, MonomialIdeal):
-        K = field or I.ring.field
-        return monomial_quotient_betti(I, K).get((i, j), 0)
-    if not I.homogeneous:
-        raise ValueError("Koszul homology ranks require a homogeneous ideal")
-    if order is None:
-        order = DegRevLexOrder()
-    G = groebner_basis(I, order)
-    ws = _KoszulWorkspace(G, initial_ideal(G))
-    return ws.betti(i, j)
-
-
-def regularity(I, order=None, field=None):
+def regularity(I, order=None):
     """Castelnuovo-Mumford regularity, ideal side:
     max{j - i : beta_{i,j}(I) != 0}."""
-    table = betti_table(I, order, field)
-    return table.regularity()
+    return betti_table(I, order).regularity()
 
 
 def t_invariants(table):
@@ -422,7 +400,7 @@ def t_invariants(table):
     return ts, p
 
 
-def check_flat_betti(I, d, order=None):
+def check_flat_betti(I, d):
     """Verify the Betti relation under x_i -> x_i^d on all variables:
     beta_{i,jd}(I') = beta_{i,j}(I), vanishing off multiples of d,
     t_i(I') = d t_i(I), the regularity gap inequality
@@ -441,8 +419,8 @@ def check_flat_betti(I, d, order=None):
     report = VerificationReport("regflat-betti", ring.char)
     dig = digest_of(f"flat:{desc}:d={d}")
 
-    T = betti_table(I, order)
-    Tp = betti_table(Iprime, order)
+    T = betti_table(I)
+    Tp = betti_table(Iprime)
     failures = []
 
     for (i, j), v in T.entries.items():

@@ -133,11 +133,6 @@ class BlockOrder(TermOrder):
         return hash(("elim", self.keep))
 
 
-def compare(order, a, b):
-    """Three-way comparison of monomials under a term order."""
-    return order.compare(a, b)
-
-
 # ---------------------------------------------------------------------------
 # rings
 
@@ -162,13 +157,6 @@ class PolyRing:
     @property
     def char(self):
         return self.field.char
-
-    def restrict(self):
-        """The subring R spanned by the kept (smallest) variables."""
-        return PolyRing(self.names[:self.kept], self.kept, self.field)
-
-    def with_char(self, char):
-        return PolyRing(self.names, self.kept, field_of_characteristic(char))
 
 
 def make_ring(names, kept=None, char=DEFAULT_PRIME):
@@ -283,11 +271,6 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def poly_normalize(ring, order, raw_terms):
-    """Normalize an unsorted term list into a Polynomial."""
-    return Polynomial.from_terms(ring, order, raw_terms)
-
-
 def constant(ring, order, value):
     K = ring.field
     c = K.from_int(value) if isinstance(value, int) else value
@@ -326,14 +309,6 @@ class PowerMap:
     @classmethod
     def uniform(cls, nvars, d):
         return cls((d,) * nvars)
-
-    @classmethod
-    def uniform_on_kept(cls, ring, d):
-        """x_i -> x_i^d on the kept variables, identity on the rest."""
-        return cls(tuple(d if i < ring.kept else 1 for i in range(ring.nvars)))
-
-    def is_identity(self):
-        return all(d == 1 for d in self.exponents)
 
     def apply_mono(self, m):
         return tuple(d * e for d, e in zip(self.exponents, m))

@@ -10,19 +10,16 @@ same intermediate object.
 import time
 from fractions import Fraction
 
-from .groebner import (IdealPresentation, eliminate, groebner_basis,
-                       ideal_equal, image_ideal, initial_ideal,
-                       kernel_of_map, verify_poweli)
+from .groebner import (IdealPresentation, eliminate, graph_ideal,
+                       groebner_basis, initial_ideal, kernel_of_map,
+                       verify_poweli)
 from .instances import random_ideal, random_parametrisation
-from .monomials import (MonomialIdeal, ci_hilbert_function, g_cap,
-                        hilbert_function, lex_segment_ideal,
-                        monomials_of_degree, num_monomials,
-                        stable_regularity)
+from .monomials import (ci_hilbert_function, g_cap, hilbert_function,
+                        lex_segment_ideal, monomials_of_degree,
+                        num_monomials, stable_regularity)
 from .reports import VerificationReport, digest_of
-from .resolution import (betti_table, check_flat_betti, matrix_rank,
-                         regularity)
-from .rings import (BlockOrder, LexOrder, Polynomial, PowerMap,
-                    apply_power_map, is_homogeneous, mono_mul)
+from .resolution import check_flat_betti, matrix_rank, regularity
+from .rings import BlockOrder, LexOrder, PowerMap, apply_power_map, mono_mul
 from .scalars import PrimeField
 
 DEFAULT_CUTOFF = 32
@@ -84,12 +81,12 @@ def lex_ideal_of_presentation(J, cutoff=DEFAULT_CUTOFF, hf=None):
 # ---------------------------------------------------------------------------
 # Lemma-level wrappers
 
-def verify_regflat(I, d, order=None):
+def verify_regflat(I, d):
     """The flattening inequality reg(I) <= reg(I')/d for I' the image of I
     under x_i -> x_i^d, together with the cellwise Betti identities."""
     if isinstance(I, IdealPresentation) and not I.homogeneous:
         raise ValueError("regflat requires a homogeneous ideal")
-    report = check_flat_betti(I, d, order)
+    report = check_flat_betti(I, d)
     report.check_name = "regflat"
     return report
 
@@ -133,7 +130,9 @@ def verify_regbound(J, keep, cutoff=DEFAULT_CUTOFF):
     inI = initial_ideal(GI)
 
     reg_inJ = regularity(inJ)
-    # reg(J) is order-independent; degrevlex keeps the Koszul cell
+    # reg(J) and reg(I) are order-independent.  They are computed from the
+    # presentations, so regularity runs its own degrevlex bases rather than
+    # reusing the lex bases G and GI: degrevlex keeps the Koszul cell
     # support small
     reg_J = regularity(J)
     if I.is_zero():
@@ -218,7 +217,7 @@ def verify_regbound_trials(trials, seed, char=None):
 # ---------------------------------------------------------------------------
 # the main theorem
 
-def verify_main(param, cutoff=None, order=None):
+def verify_main(param, cutoff=None):
     """The full pipeline for one parametrisation: P = ker(phi) via
     elimination, P' = alpha(P)R = J' cap R, the constant G_{n,d,m} through
     both routes, and the chain
@@ -228,8 +227,7 @@ def verify_main(param, cutoff=None, order=None):
     dig = digest_of(f"main:{n}:{m}:{d}:"
                     f"{[str(g) for g in param.f]}")
     t0 = time.perf_counter()
-    if order is None:
-        order = BlockOrder(n)
+    order = BlockOrder(n)
 
     # two quiet degrees past the cap so the persistence flag can certify
     # a lex ideal whose last generator sits exactly at the cap
@@ -242,22 +240,7 @@ def verify_main(param, cutoff=None, order=None):
     G_series = compute_G(n, d, m)
 
     # route 2: Lex(J') from the actual parametrisation
-    yring = param.ring
-    S_names = tuple(f"x{i + 1}" for i in range(n)) + yring.names
-    from .rings import PolyRing
-    S = PolyRing(S_names, n, yring.field)
-
-    def embed(f):
-        return Polynomial.from_terms(
-            S, order, [(c, (0,) * n + mm) for c, mm in f.terms])
-
-    jp_gens = []
-    for i, f in enumerate(param.f):
-        xi = tuple(d if k == i else 0 for k in range(n)) + (0,) * m
-        jp_gens.append(Polynomial.from_terms(S, order, [(S.field.one, xi)])
-                       - embed(f))
-    Jprime = IdealPresentation(S, tuple(jp_gens))
-    Gp = groebner_basis(Jprime, order)
+    Gp = groebner_basis(graph_ideal(param.f, d, order), order)
     in_Jp = initial_ideal(Gp)
 
     D = min(cap + 2, cutoff)
@@ -273,7 +256,7 @@ def verify_main(param, cutoff=None, order=None):
                          "hf_series": list(h_series.dims[:12])})
         G_actual = None
     else:
-        L, complete = lex_segment_ideal(h_actual, S, D)
+        L, complete = lex_segment_ideal(h_actual, Gp.ring, D)
         if not complete:
             inconclusive = (f"Lex(J') not stabilised by degree {D}")
             G_actual = None
@@ -283,17 +266,16 @@ def verify_main(param, cutoff=None, order=None):
                 failures.append({"kind": "G-route-mismatch",
                                  "series": G_series, "actual": G_actual})
 
-    # P = J cap R via elimination from the graph ideal
-    GP = kernel_of_map(list(param.f), order=order)
-    P = GP.as_presentation()
-    Pprime_from_Jprime = eliminate(Gp, n).as_presentation()
-    R = P.ring
+    # P = J cap R via elimination from the graph ideal; for the block
+    # order both eliminations are reduced degrevlex bases over R
+    P = kernel_of_map(param.f, order=order)
+    Pprime_from_Jprime = eliminate(Gp, n)
 
     values = {
         "n": n, "m": m, "d": d,
         "G_series": G_series, "G_actual": G_actual,
         "hf_matches_ci_series": hf_ci,
-        "P_gens": [str(g) for g in P.generators],
+        "P_gens": [str(g) for g in P.elements],
         "bound": d ** (n * 2 ** (m - 1) - 1),
     }
 
@@ -302,21 +284,22 @@ def verify_main(param, cutoff=None, order=None):
             failures.append({
                 "kind": "Pprime-mismatch", "alpha_P": [],
                 "Jprime_cap_R": [str(g)
-                                 for g in Pprime_from_Jprime.generators]})
+                                 for g in Pprime_from_Jprime.elements]})
         values["reg_P"] = None
     else:
-        if not all(is_homogeneous(g)[0] for g in P.generators):
+        if not P.homogeneous:
             failures.append({"kind": "P-not-homogeneous"})
         else:
             alpha = PowerMap.uniform(n, d)
-            Pprime = IdealPresentation(
-                R, tuple(apply_power_map(alpha, g) for g in P.generators))
-            if not ideal_equal(Pprime, Pprime_from_Jprime, LexOrder()):
+            alpha_P = tuple(apply_power_map(alpha, g) for g in P.elements)
+            Pprime = groebner_basis(IdealPresentation(P.ring, alpha_P),
+                                    P.order)
+            if Pprime.elements != Pprime_from_Jprime.elements:
                 failures.append({
                     "kind": "Pprime-mismatch",
-                    "alpha_P": [str(g) for g in Pprime.generators],
+                    "alpha_P": [str(g) for g in alpha_P],
                     "Jprime_cap_R": [str(g)
-                                     for g in Pprime_from_Jprime.generators]})
+                                     for g in Pprime_from_Jprime.elements]})
             reg_P = regularity(P)
             reg_Pp = regularity(Pprime)
             values["reg_P"] = reg_P

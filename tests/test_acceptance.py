@@ -14,8 +14,7 @@ from itertools import product
 import pytest
 from conftest import record_criterion
 
-from regcert.instances import (random_homogeneous_ideal, random_ideal,
-                               random_parametrisation)
+from regcert.instances import random_ideal, random_parametrisation
 from regcert.monomials import MonomialIdeal, ci_lex_ideal, compute_G
 from regcert.monomials import stable_regularity
 from regcert.parser import parse_ideal_file
@@ -142,7 +141,7 @@ def bhp_data():
     their lex-segment ideals."""
     rows = []
     for seed in range(10):
-        J = random_homogeneous_ideal(3, seed=seed)
+        J = random_ideal(3, seed=seed, homogeneous=True)
         TJ = betti_table(J)
         L, complete = lex_ideal_of_presentation(J)
         assert complete and not L.is_zero()

@@ -17,6 +17,7 @@ def files(tmp_path):
         "elim.txt": "ring x1 x2 x3; order elim 2; "
                     "gens: x1*x2 + x2*x3, x1*x3, x3^2",
         "broken.txt": "ring x1; gens: x1 +",
+        "zero_den.txt": "ring x1 x2; char 32003; gens: x1^2 + 1/32003*x2^2",
     }
     for name, text in specs.items():
         f = tmp_path / name
@@ -159,3 +160,67 @@ def test_json_reports_deterministic(files, capsys):
 
 def test_unknown_verify_target(capsys):
     assert run(capsys, "verify", "nothing")[0] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "poweli", "--trials", "0"],
+    ["verify", "main", "--n", "2", "--m", "2", "--d", "2", "--trials", "-1"],
+    ["verify", "main", "--n", "0", "--m", "2", "--d", "2"],
+    ["verify", "main", "--n", "2", "--m", "0", "--d", "2"],
+    ["verify", "regflat", "--ideal", "squares.txt", "--d", "0"],
+    ["verify", "regbound", "--ideal", "squares.txt", "--cutoff", "0"],
+    ["lex", "--ideal", "squares.txt", "--cutoff", "0"],
+], ids=["poweli-trials-0", "main-trials-negative", "main-n-0", "main-m-0",
+        "regflat-d-0", "regbound-cutoff-0", "lex-cutoff-0"])
+def test_counts_must_be_positive(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert "positive integer" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "regbound", "--ideal", "squares.txt", "--order", "degrevlex",
+     "--seed", "99"],
+    ["verify", "regbound", "--ideal", "squares.txt", "--seed", "99"],
+    ["verify", "regbound", "--ideal", "squares.txt", "--trials", "2"],
+    ["verify", "regbound", "--cutoff", "5"],
+    ["verify", "main", "--param", "conic.txt", "--n", "3"],
+    ["verify", "main", "--param", "conic.txt", "--trials", "2"],
+    ["verify", "poweli", "--ideal", "squares.txt"],
+    ["verify", "regflat", "--ideal", "squares.txt", "--seed", "1"],
+    ["gtable", "--ideal", "nonexistent", "--trials", "9"],
+    ["gtable", "--char", "0"],
+    ["kernel", "--param", "conic.txt", "--order", "degrevlex"],
+    ["kernel", "--param", "conic.txt", "--cutoff", "3"],
+    ["reg", "--ideal", "squares.txt", "--cutoff", "3"],
+    ["lex", "--ideal", "squares.txt", "--order", "lex"],
+], ids=["regbound-order-seed", "regbound-ideal-seed", "regbound-ideal-trials",
+        "regbound-trials-cutoff", "main-param-n", "main-param-trials",
+        "poweli-ideal", "regflat-seed", "gtable-ideal-trials", "gtable-char",
+        "kernel-degrevlex", "kernel-cutoff", "reg-cutoff", "lex-order"])
+def test_flags_a_command_does_not_read_are_usage_errors(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 64 and out == ""
+
+
+def test_zero_denominator_usage_error(files, capsys):
+    code, _, err = run(capsys, "reg", "--ideal", files["zero_den.txt"])
+    assert code == 64
+    assert "line 1, column 40" in err and "zero denominator" in err
+
+
+def test_char_override_parses_once_at_the_new_field(files, capsys):
+    # 1/32003 is a rational number, though zero in the file's own field
+    code, out, _ = run(capsys, "reg", "--ideal", files["zero_den.txt"],
+                       "--char", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {"regularity": 2, "field": 0}
+    # parse errors keep the positions of the user's file
+    code, _, err = run(capsys, "reg", "--ideal", files["broken.txt"],
+                       "--char", "0")
+    assert code == 64 and "line 1, column 20" in err
+    code, _, err = run(capsys, "reg", "--ideal", files["squares.txt"],
+                       "--char", "4")
+    assert code == 64 and "0 or prime" in err and "column" not in err

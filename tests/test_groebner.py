@@ -5,10 +5,10 @@ import random
 import pytest
 
 from regcert.groebner import (IdealPresentation, buchberger, eliminate,
-                              groebner_basis, ideal_equal, image_ideal,
-                              initial_ideal, kernel_of_map, normal_form,
-                              passes_buchberger_criterion, substitute,
-                              verify_poweli)
+                              graph_ideal, groebner_basis, ideal_equal,
+                              image_ideal, initial_ideal, kernel_of_map,
+                              normal_form, passes_buchberger_criterion,
+                              reduce_basis, substitute, verify_poweli)
 from regcert.parser import parse_ideal_file
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring, s_polynomial, variable)
@@ -101,10 +101,36 @@ def test_reduced_basis_unique_under_shuffles():
         assert G.elements == reference
 
 
+def test_reduced_basis_is_not_recomputed():
+    J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
+    G = groebner_basis(J, DegRevLexOrder())
+    assert groebner_basis(G, G.order) is G
+    assert groebner_basis(G, DegRevLexOrder()) is G
+    # another order, or an unreduced basis, is computed from the elements
+    lex = groebner_basis(G, LexOrder())
+    assert lex.elements == groebner_basis(J, LexOrder()).elements
+    raw = buchberger(J, DegRevLexOrder())
+    assert groebner_basis(raw, raw.order) is not raw
+    assert groebner_basis(raw, raw.order).elements == G.elements
+    # an elimination of a reduced basis is reduced for the restricted order
+    P = kernel_of_map(ideal("ring y1 y2; gens: y1^2, y1*y2, y2^2").generators,
+                      order=BlockOrder(3))
+    assert groebner_basis(P, DegRevLexOrder()) is P
+    assert P.elements == groebner_basis(P.as_presentation(),
+                                        DegRevLexOrder()).elements
+
+
+def test_ideal_equal_accepts_bases():
+    A = ideal("ring x1 x2; char 0; gens: x1 + x2, x2^2")
+    B = ideal("ring x1 x2; char 0; gens: x2^2, 2*x1 + 2*x2, x1^2")
+    order = DegRevLexOrder()
+    assert ideal_equal(groebner_basis(A, order), B, order)
+    assert ideal_equal(A, groebner_basis(B, LexOrder()), order)
+
+
 def test_criteria_do_not_change_result():
     J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3, x1^3 + x2*x3")
     for order in (LexOrder(), DegRevLexOrder()):
-        from regcert.groebner import reduce_basis
         with_c = reduce_basis(buchberger(J, order, use_criteria=True))
         without = reduce_basis(buchberger(J, order, use_criteria=False))
         assert with_c.elements == without.elements
@@ -206,6 +232,44 @@ def test_kernel_random_parametrisations_substitute_to_zero():
         G = kernel_of_map(list(p.f), order=BlockOrder(3))
         for g in G.elements:
             assert substitute(g, list(p.f)).is_zero()
+
+
+def test_kernel_of_map_outputs_unchanged():
+    # reference outputs of kernel_of_map before graph_ideal was shared
+    conic = list(ideal("ring y1 y2; gens: y1^2, y1*y2, y2^2").generators)
+    cubic = list(ideal("ring y1 y2; gens: y1^3, y1^2*y2, y1*y2^2, y2^3")
+                 .generators)
+    cases = [
+        (conic, LexOrder(), "lex", ["x1*x3 + 32002*x2^2"]),
+        (conic, BlockOrder(3), "degrevlex", ["x2^2 + 32002*x1*x3"]),
+        (cubic, LexOrder(), "lex",
+         ["x2*x4 + 32002*x3^2", "x1*x4 + 32002*x2*x3",
+          "x1*x3 + 32002*x2^2"]),
+        (cubic, BlockOrder(4), "degrevlex",
+         ["x3^2 + 32002*x2*x4", "x2*x3 + 32002*x1*x4",
+          "x2^2 + 32002*x1*x3"]),
+    ]
+    for images, order, sub_order, gens in cases:
+        G = kernel_of_map(images, order=order)
+        n = len(images)
+        assert G.ring == make_ring([f"x{i + 1}" for i in range(n)])
+        assert repr(G.order) == sub_order and G.reduced
+        assert [str(g) for g in G.elements] == gens
+        assert all(g.terms == g.with_order(G.order).terms
+                   for g in G.elements)
+
+
+def test_graph_ideal():
+    forms = list(ideal("ring y1 y2; gens: y1^2, y1*y2 - y2^2").generators)
+    J = graph_ideal(forms, 3, BlockOrder(2))
+    assert J.ring.names == ("x1", "x2", "y1", "y2") and J.ring.kept == 2
+    assert [str(g) for g in J.generators] == [
+        "32002*y1^2 + x1^3", "y2^2 + 32002*y1*y2 + x2^3"]
+    assert all(g.order == BlockOrder(2) for g in J.generators)
+    with pytest.raises(ValueError, match="share one degree"):
+        graph_ideal(forms + [forms[0] * forms[1]], 1, LexOrder())
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        graph_ideal([forms[0] + forms[0] * forms[0]], 1, LexOrder())
 
 
 def test_kernel_rejects_bad_images():

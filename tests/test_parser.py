@@ -49,6 +49,34 @@ def test_composite_characteristic_rejected():
         parse_ideal_file("ring x1; char 6; gens: x1")
 
 
+def test_zero_denominator_is_a_parse_error():
+    text = "ring x1 x2; char 32003; gens: x1 + 1/32003*x2"
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_ideal_file(text)
+    assert (exc.value.line, exc.value.col) == (1, text.rindex("32003") + 1)
+    for char in (0, 32003):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_ideal_file(f"ring x1;\nchar {char};\ngens: x1 - 3/0")
+        assert (exc.value.line, exc.value.col) == (3, 14)
+
+
+def test_char_override():
+    from fractions import Fraction
+    text = "ring x1 x2; char 32003; gens: x1 + 1/32003*x2"
+    ring, J, _ = parse_ideal_file(text, char=0)
+    assert ring.char == 0
+    assert J.generators[0].coeff_dict() == {(1, 0): 1,
+                                            (0, 1): Fraction(1, 32003)}
+    ring, J, _ = parse_ideal_file("ring x1; gens: 2*x1", char=3)
+    assert ring.char == 3 and J.generators[0].coeff_dict() == {(1,): 2}
+    ring, p, _ = parse_ideal_file("param n=1 m=1 d=2; char 0; f: 5*y1^2",
+                                  char=2)
+    assert ring.char == 2 and p.f[0].coeff_dict() == {(2,): 1}
+    # the file's own clause is still checked
+    with pytest.raises(ParseError, match="prime"):
+        parse_ideal_file("ring x1; char 6; gens: x1", char=0)
+
+
 def test_defaults():
     ring, _, order = parse_ideal_file("ring x1 x2; gens: x1")
     assert ring.char == 32003

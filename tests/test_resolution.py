@@ -1,15 +1,17 @@
 """Betti tables, regularity, t-invariants, and the power-map relation."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcert.monomials import MonomialIdeal, hilbert_function
 from regcert.parser import parse_ideal_file
+from regcert.groebner import groebner_basis
 from regcert.resolution import (BettiTable, betti_table, check_flat_betti,
-                                koszul_homology_rank, rank_exact_rational,
-                                rank_mod_p, regularity, t_invariants)
+                                rank_exact_rational, rank_mod_p, regularity,
+                                t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, make_ring
 from regcert.scalars import QQ, PrimeField
 
@@ -42,6 +44,43 @@ def test_rank_small_matrices():
 def test_rank_routes_agree_away_from_char(rows):
     # entries are far below the prime, so ranks agree
     assert rank_mod_p(rows, 32003) == rank_exact_rational(rows)
+
+
+def rank_by_python_ints(rows, p):
+    """Oracle: Gauss-Jordan elimination over GF(p) in Python ints."""
+    A = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(A[0])):
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][col], p - 2, p)
+        A[rank] = [x * inv % p for x in A[rank]]
+        for r in range(len(A)):
+            if r != rank and A[r][col]:
+                f = A[r][col]
+                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 4294967311])
+def test_rank_mod_p_exact_for_every_prime(p):
+    # 6x6 matrices whose rows combine 3 random rows: at 4294967311 the
+    # products (p-1)^2 overflow int64
+    rng = random.Random(p)
+    for _ in range(50):
+        base = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+        coeffs = [[rng.randrange(p) for _ in base] for _ in range(6)]
+        rows = [[sum(c * b[j] for c, b in zip(cs, base)) % p
+                 for j in range(6)] for cs in coeffs]
+        rank = rank_mod_p(rows, p)
+        assert rank == rank_by_python_ints(rows, p)
+        assert rank <= 3
+    # an explicit rank-3 matrix with entries near p
+    rows = [[p - 1, 1, 0], [1, p - 1, 0], [0, 0, p - 2], [p - 1, 0, 1]]
+    assert rank_mod_p(rows, p) == rank_by_python_ints(rows, p)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +185,14 @@ def test_general_engine_twisted_cubic():
     assert T.regularity() == 2
 
 
-def test_general_vs_koszul_rank_route():
+def test_betti_table_of_groebner_basis():
     J = ideal("ring x1 x2 x3; gens: x1^2 + x2*x3, x2^2")
-    T = betti_table(J)
-    for (i, j), v in T.entries.items():
-        assert koszul_homology_rank(J, i + 1, j) == v
+    for order in (DegRevLexOrder(), LexOrder()):
+        G = groebner_basis(J, order)
+        assert betti_table(G).entries == betti_table(J).entries
+        assert betti_table(G, order).entries == \
+            betti_table(G.as_presentation(), order).entries
+    assert regularity(groebner_basis(J, DegRevLexOrder())) == regularity(J)
 
 
 def test_betti_independent_of_order():
@@ -231,6 +273,9 @@ def test_t_invariants_p_index():
 
 
 def test_betti_table_quotient_side():
+    from regcert.resolution import monomial_quotient_betti
     M = mi(R2, (2, 0), (0, 2))
-    q = betti_table(M).quotient_side_entries()
+    q = monomial_quotient_betti(M, R2.field)
     assert q == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    assert betti_table(M).entries == {(i - 1, j): v for (i, j), v in q.items()
+                                      if i}

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from regcert.instances import (random_homogeneous_ideal, random_ideal,
-                               random_parametrisation)
+from regcert.instances import random_ideal, random_parametrisation
 from regcert.monomials import hilbert_function
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
@@ -48,7 +47,7 @@ def test_random_ideal_deterministic_and_nonzero():
     assert [g.coeff_dict() for g in a.generators] == \
         [g.coeff_dict() for g in b.generators]
     assert all(not g.is_zero() for g in a.generators)
-    h = random_homogeneous_ideal(3, seed=4)
+    h = random_ideal(3, seed=4, homogeneous=True)
     assert h.homogeneous
 
 
@@ -57,10 +56,10 @@ def test_random_ideal_deterministic_and_nonzero():
 
 def test_hf_direct_matches_groebner_route():
     J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
-    from regcert.monomials import hf_of_homogeneous
+    from regcert.groebner import groebner_basis, initial_ideal
     from regcert.rings import DegRevLexOrder
-    assert hf_direct(J, 6).dims == \
-        hf_of_homogeneous(J, DegRevLexOrder(), 6).dims
+    inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
+    assert hf_direct(J, 6).dims == hilbert_function(inJ, 6).dims
 
 
 def test_lex_ideal_of_presentation():
@@ -172,6 +171,25 @@ def test_main_rational_coefficients():
     rep = verify_main(p)
     assert rep.status == "pass"
     assert rep.characteristic == 0
+
+
+def test_main_runs_buchberger_three_times(monkeypatch):
+    # J', P = ker(phi) and alpha(P): P and J' cap R are reused as the
+    # reduced bases they already are
+    import regcert.groebner as groebner_mod
+    calls = []
+    real = groebner_mod.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", counted)
+    rep = verify_main(param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2"))
+    assert rep.status == "pass" and len(calls) == 3
+    calls.clear()
+    rep = verify_main(param("param n=1 m=2 d=2; f: y1^2 + y2^2"))
+    assert rep.status == "pass" and len(calls) == 2
 
 
 def test_main_inconclusive_on_tiny_cutoff():
