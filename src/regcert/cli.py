@@ -17,7 +17,7 @@ from .parser import (Parametrisation, format_monomial, format_polynomial,
 from .reports import FAIL, INCONCLUSIVE, PASS
 from .resolution import regularity
 from .rings import BlockOrder, DegRevLexOrder, LexOrder
-from .scalars import field_of_characteristic
+from .scalars import _is_prime
 from .verify import (DEFAULT_CUTOFF, lex_ideal_of_presentation, verify_main,
                      verify_main_trials, verify_poweli_trials,
                      verify_regbound, verify_regbound_trials, verify_regflat)
@@ -44,11 +44,16 @@ def _positive(text):
 
 def _characteristic(text):
     try:
-        field_of_characteristic(int(text))
+        char = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"characteristic must be 0 or prime, not {text!r}") from None
-    return int(text)
+        char = -1
+    try:
+        if char == 0 or _is_prime(char):
+            return char
+    except ValueError as exc:  # above the range primality is proven in
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(
+        f"characteristic must be 0 or prime, not {text!r}")
 
 
 def _range(text):

@@ -1,14 +1,16 @@
 """Monomial ideals, Hilbert functions, Macaulay lex segments, and the
 regularity constant of complete-intersection lex ideals.
 
-Lex segments are handled by rank arithmetic on the descending lex order
-(Macaulay binomial representations), so construction never enumerates a
-full degree piece; enumeration variants are kept as test oracles.
+Membership in a monomial ideal is answered by a divisibility trie over
+its generators.  Lex segments are handled by rank arithmetic on the
+descending lex order (Macaulay binomial representations), so
+construction never enumerates a full degree piece; enumeration variants
+are kept as test oracles.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rings import LexOrder, mono_deg, mono_divides
 
@@ -47,8 +49,36 @@ class MonomialIdeal:
     def is_unit(self):
         return any(mono_deg(g) == 0 for g in self.gens)
 
+    @cached_property
+    def _divisor_trie(self):
+        """The generators as nested dicts keyed by exponent, last variable
+        first; each root-to-leaf path spells one generator.  Inserting in
+        ascending lex order puts every node's keys in ascending order."""
+        root = {}
+        for g in sorted(self.gens, key=_LEX.key):
+            node = root
+            for e in reversed(g):
+                node = node.setdefault(e, {})
+        return root
+
     def contains_monomial(self, m):
-        return any(mono_divides(g, m) for g in self.gens)
+        """True iff some generator divides m.  The trie search enters only
+        branches whose exponent is at most m's exponent there, largest
+        exponent first."""
+        if not self.gens:
+            return False
+        stack = [(self._divisor_trie, len(m))]
+        while stack:
+            node, k = stack.pop()
+            if k == 0:
+                return True
+            k -= 1
+            x = m[k]
+            for e, child in node.items():
+                if e > x:
+                    break
+                stack.append((child, k))
+        return False
 
     def max_gen_degree(self):
         return max((mono_deg(g) for g in self.gens), default=0)
@@ -313,11 +343,13 @@ def _segment_generators(ideal_dims, nvars):
 
 
 def lex_segment_ideal(h, ring, D=None):
-    """Lex-segment ideal of the given Hilbert data.
+    """Lex-segment ideal of the given Hilbert data, scanned through degree D
+    (default: the cutoff of h).
 
-    Returns (MonomialIdeal, complete) where complete means no new minimal
-    generator appeared in the top two degrees and the last segment is
-    exactly the shadow of the previous one (persistence heuristic).
+    Returns (MonomialIdeal, complete).  The generators are the minimal
+    generators, sorted descending lex.  complete is a persistence
+    heuristic, not a proof: it says no new generator appeared in the top
+    two scanned degrees.
     """
     hi = h.ideal_side()
     if D is None:
@@ -332,10 +364,12 @@ def lex_segment_ideal(h, ring, D=None):
         if new:
             gens.extend(new)
             last_new = t
-    if not gens:
-        return MonomialIdeal.from_monomials(ring, []), True
-    complete = last_new is not None and last_new <= D - 2
-    return MonomialIdeal.from_monomials(ring, gens), complete
+    # Minimal by construction: the degree-(t-1) part of the ideal is the
+    # degree-(t-1) segment, and a degree-t generator lies outside its
+    # shadow, so no element of lower degree divides it.
+    gens.sort(key=_LEX.key, reverse=True)
+    complete = not gens or last_new <= D - 2
+    return MonomialIdeal(ring, tuple(gens)), complete
 
 
 def segment_closure_check(h, ring, D=None):
@@ -362,17 +396,24 @@ def segment_closure_check(h, ring, D=None):
 # stability and regularity of stable ideals
 
 def is_strongly_stable(M):
-    """True iff swapping any variable of a generator for a larger variable
-    stays in the ideal."""
+    """True iff M is strongly stable: for every monomial w of M and every
+    i < j with x_i | w, the move x_i -> x_j keeps w·x_j/x_i in M.
+
+    Only the adjacent moves x_k -> x_{k+1} on the generators are tested.
+    That suffices.  First, if the generators are closed under adjacent
+    moves, so is every monomial w = u·v of M with u a generator: when
+    x_k | u, the moved w is v times the moved u, which lies in M; and
+    otherwise x_k | v, so the moved w is still a multiple of u.  Second,
+    a move x_i -> x_j is the chain of adjacent moves x_i -> x_{i+1} ->
+    ... -> x_j, and each intermediate monomial contains the variable it
+    is about to give up, since the previous step just multiplied by it.
+    So every intermediate monomial, and w·x_j/x_i, lies in M.
+    """
     for u in M.gens:
-        for k, e in enumerate(u):
-            if e == 0:
-                continue
-            for j in range(k + 1, M.nvars):
-                v = tuple(x - 1 if i == k else x + 1 if i == j else x
-                          for i, x in enumerate(u))
-                if not M.contains_monomial(v):
-                    return False
+        for k in range(M.nvars - 1):
+            if u[k] and not M.contains_monomial(
+                    u[:k] + (u[k] - 1, u[k + 1] + 1) + u[k + 2:]):
+                return False
     return True
 
 

@@ -123,7 +123,11 @@ class _Parser:
         """The 'char P ;' clause after its keyword."""
         tok = self.expect("nat")
         char = int(tok[1])
-        if char != 0 and not _is_prime(char):
+        try:
+            prime = char == 0 or _is_prime(char)
+        except ValueError as exc:  # above the range primality is proven in
+            self.error(str(exc), tok)
+        if not prime:
             self.error("characteristic must be 0 or prime", tok)
         self.expect("sym", ";")
         return char

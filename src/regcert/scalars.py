@@ -3,16 +3,39 @@
 from fractions import Fraction
 
 
+# Miller-Rabin to the first 13 prime bases decides primality for every n
+# below the smallest strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic primality test, exact for p < 3.317e24.  Larger p
+    raise ValueError: no probabilistic answer is ever given."""
+    if p >= _MR_BOUND:
+        raise ValueError(
+            f"characteristic {p} is not supported: primality is proven "
+            f"only below {_MR_BOUND}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

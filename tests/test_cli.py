@@ -147,6 +147,20 @@ def test_char_override(files, capsys):
     assert json.loads(out)["field"] == 0
 
 
+def test_char_primality_is_decided_for_large_primes(files, capsys):
+    code, out, _ = run(capsys, "reg", "--ideal", files["squares.txt"],
+                       "--char", "2305843009213693951", "--json")
+    assert code == 0
+    assert json.loads(out) == {"regularity": 3,
+                               "field": 2305843009213693951}
+    code, _, err = run(capsys, "reg", "--ideal", files["squares.txt"],
+                       "--char", "3215031751")
+    assert code == 64 and "0 or prime" in err
+    code, out, err = run(capsys, "reg", "--ideal", files["squares.txt"],
+                         "--char", "3317044064679887385961981")
+    assert code == 64 and out == "" and "not supported" in err
+
+
 def test_json_reports_deterministic(files, capsys):
     def grab():
         code, out, _ = run(capsys, "verify", "poweli", "--trials", "2",

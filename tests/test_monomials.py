@@ -14,9 +14,10 @@ from regcert.monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
                                minimalize_monomials, monomials_of_degree,
                                num_monomials, segment_closure_check,
                                stable_regularity)
-from regcert.rings import make_ring
+from regcert.rings import LexOrder, make_ring, mono_divides
 
 R3 = make_ring(["x1", "x2", "x3"])
+RINGS = {l: make_ring([f"x{i + 1}" for i in range(l)]) for l in range(1, 6)}
 
 
 def mi(*gens, ring=R3):
@@ -35,6 +36,83 @@ def test_monomial_ideal_basics():
     assert not M.is_zero() and not M.is_unit()
     assert mi().is_zero()
     assert mi((0, 0, 0)).is_unit()
+
+
+def contains_by_scan(M, m):
+    """Oracle: a linear scan over the generators."""
+    return any(mono_divides(g, m) for g in M.gens)
+
+
+def stable_by_all_moves(M):
+    """Oracle: every move x_k -> x_j, k < j, on every generator stays in
+    the ideal, tested by the linear scan."""
+    for u in M.gens:
+        for k in range(M.nvars):
+            for j in range(k + 1, M.nvars):
+                if u[k] and not contains_by_scan(M, tuple(
+                        x - 1 if i == k else x + 1 if i == j else x
+                        for i, x in enumerate(u))):
+                    return False
+    return True
+
+
+def borel_closure(monos, nvars):
+    """All monomials reachable from monos by moves x_k -> x_j, k < j."""
+    seen, todo = set(monos), list(monos)
+    while todo:
+        u = todo.pop()
+        for k in range(nvars):
+            for j in range(k + 1, nvars):
+                if u[k]:
+                    v = tuple(x - 1 if i == k else x + 1 if i == j else x
+                              for i, x in enumerate(u))
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+    return seen
+
+
+@st.composite
+def monomial_ideals(draw, max_exp=3, max_gens=6):
+    """(ring, monomial ideal) over 1-5 variables, zero and unit ideals
+    included."""
+    l = draw(st.integers(1, 5))
+    mono = st.tuples(*[st.integers(0, max_exp)] * l)
+    gens = draw(st.lists(mono, max_size=max_gens))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * l)
+    return RINGS[l], MonomialIdeal.from_monomials(RINGS[l], gens)
+
+
+@given(monomial_ideals(), st.data())
+@settings(max_examples=150)
+def test_contains_monomial_matches_scan(ideal, data):
+    ring, M = ideal
+    mono = st.tuples(*[st.integers(0, 5)] * ring.nvars)
+    queries = data.draw(st.lists(mono, min_size=1, max_size=20))
+    for m in queries + list(M.gens):
+        assert M.contains_monomial(m) == contains_by_scan(M, m)
+
+
+@given(monomial_ideals(max_exp=2, max_gens=3), st.integers(0, 2))
+@settings(max_examples=150)
+def test_is_strongly_stable_matches_all_moves(ideal, variant):
+    ring, M = ideal
+    if variant:  # strongly stable, or one generator short of it
+        closed = MonomialIdeal.from_monomials(
+            ring, borel_closure(M.gens, ring.nvars))
+        M = MonomialIdeal.from_monomials(ring, closed.gens[variant - 1:])
+    assert is_strongly_stable(M) == stable_by_all_moves(M)
+
+
+@given(monomial_ideals(), st.integers(0, 7))
+@settings(max_examples=100)
+def test_lex_segment_generators_are_minimal_and_sorted(ideal, D):
+    ring, M = ideal
+    L, _ = lex_segment_ideal(hilbert_function(M, D), ring)
+    assert set(minimalize_monomials(L.gens)) == set(L.gens)
+    assert list(L.gens) == sorted(L.gens, key=LexOrder().key, reverse=True)
+    assert hilbert_function(L, D).dims == hilbert_function(M, D).dims
 
 
 def hf_enumeration(M, D):
@@ -214,6 +292,17 @@ G_TABLE = {
 
 @pytest.mark.parametrize("key,expected", sorted(G_TABLE.items()))
 def test_compute_G_table(key, expected):
+    n, d, m = key
+    assert compute_G(n, d, m) == expected
+
+
+G_TABLE_LARGER = {
+    (3, 3, 2): 297, (2, 3, 3): 273, (4, 2, 2): 104, (5, 2, 2): 448,
+}
+
+
+@pytest.mark.parametrize("key,expected", sorted(G_TABLE_LARGER.items()))
+def test_compute_G_table_larger(key, expected):
     n, d, m = key
     assert compute_G(n, d, m) == expected
 

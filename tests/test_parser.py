@@ -60,6 +60,17 @@ def test_zero_denominator_is_a_parse_error():
         assert (exc.value.line, exc.value.col) == (3, 14)
 
 
+def test_char_clause_primality():
+    ring, _, _ = parse_ideal_file(
+        "ring x1; char 2305843009213693951; gens: x1")
+    assert ring.char == 2305843009213693951
+    with pytest.raises(ParseError, match="0 or prime"):
+        parse_ideal_file("ring x1; char 561; gens: x1")
+    with pytest.raises(ParseError, match="not supported") as exc:
+        parse_ideal_file("ring x1; char 3317044064679887385961981; gens: x1")
+    assert (exc.value.line, exc.value.col) == (1, 15)
+
+
 def test_char_override():
     from fractions import Fraction
     text = "ring x1 x2; char 32003; gens: x1 + 1/32003*x2"

@@ -1,11 +1,13 @@
-"""Field axioms for both scalar representations."""
+"""Field axioms for both scalar representations, and the primality test
+behind every characteristic."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from regcert.scalars import (DEFAULT_PRIME, QQ, PrimeField,
+from regcert.scalars import (DEFAULT_PRIME, QQ, PrimeField, _is_prime,
                              field_of_characteristic)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11]
@@ -75,3 +77,53 @@ def test_from_int_wraps():
     assert K.from_int(-1) == 6
     assert K.from_int(14) == 0
     assert QQ.from_int(3) == Fraction(3)
+
+
+def is_prime_by_trial_division(n):
+    """Oracle: divide by every odd number up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if is_prime_by_trial_division(n)]
+
+
+def test_61_bit_prime_accepted_within_a_second():
+    start = time.perf_counter()
+    K = PrimeField(2305843009213693951)  # 2^61 - 1
+    assert time.perf_counter() - start < 1.0
+    assert K.mul(K.inv(12345), 12345) == K.one
+
+
+@pytest.mark.parametrize("n", [
+    561,         # Carmichael number 3*11*17
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    1000000007 * 1000000009,
+    # strong pseudoprime to the first 12 primes; base 41 exposes it
+    318665857834031151167461,
+])
+def test_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("n", [
+    3317044064679887385961981,  # strong pseudoprime to the first 13 primes
+    2 ** 89 - 1,                # a Mersenne prime above the proven range
+])
+def test_characteristic_above_the_proven_range_is_not_supported(n):
+    with pytest.raises(ValueError, match="not supported"):
+        _is_prime(n)
+    with pytest.raises(ValueError, match="not supported"):
+        field_of_characteristic(n)
