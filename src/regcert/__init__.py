@@ -7,8 +7,7 @@ from .groebner import (GroebnerBasis, IdealPresentation, buchberger,
 from .monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
                         ci_hilbert_function, ci_lex_ideal, compute_G, g_cap,
                         hilbert_function, is_strongly_stable,
-                        lex_segment_ideal, macaulay_rep,
-                        segment_closure_check, stable_regularity)
+                        lex_segment_ideal, macaulay_rep, stable_regularity)
 from .parser import (Parametrisation, ParseError, format_file,
                      format_polynomial, parse_ideal_file)
 from .reports import VerificationReport
@@ -36,7 +35,7 @@ __all__ = [
     "kernel_of_map", "lex_segment_ideal",
     "macaulay_rep", "make_ring", "normal_form",
     "passes_buchberger_criterion", "parse_ideal_file", "regularity",
-    "s_polynomial", "segment_closure_check", "stable_regularity",
+    "s_polynomial", "stable_regularity",
     "t_invariants", "verify_main", "verify_main_trials", "verify_poweli",
     "verify_poweli_trials", "verify_regbound", "verify_regbound_trials",
     "verify_regflat",

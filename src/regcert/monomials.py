@@ -343,13 +343,14 @@ def _segment_generators(ideal_dims, nvars):
 
 
 def lex_segment_ideal(h, ring, D=None):
-    """Lex-segment ideal of the given Hilbert data, scanned through degree D
-    (default: the cutoff of h).
+    """Lex-segment ideal of the given Hilbert data, scanned once through
+    degree D (default: the cutoff of h).  This is regcert's one lex scan;
+    each lex ideal is built by a single call.
 
     Returns (MonomialIdeal, complete).  The generators are the minimal
     generators, sorted descending lex.  complete is a persistence
     heuristic, not a proof: it says no new generator appeared in the top
-    two scanned degrees.
+    two scanned degrees, so a generator above D goes unseen.
     """
     hi = h.ideal_side()
     if D is None:
@@ -370,26 +371,6 @@ def lex_segment_ideal(h, ring, D=None):
     gens.sort(key=_LEX.key, reverse=True)
     complete = not gens or last_new <= D - 2
     return MonomialIdeal(ring, tuple(gens)), complete
-
-
-def segment_closure_check(h, ring, D=None):
-    """Verify the degree-(i+1) lex segment contains every variable multiple
-    of the degree-i segment, for each i < D."""
-    from .reports import VerificationReport, digest_of
-    hi = h.ideal_side()
-    if D is None:
-        D = hi.cutoff
-    report = VerificationReport("segment-closure", ring.char)
-    dig = digest_of(f"closure:{hi.dims[:D + 1]}:{hi.nvars}")
-    try:
-        for _ in _segment_generators(hi.dims[:D + 1], hi.nvars):
-            pass
-    except MacaulayViolation as exc:
-        report.add_fail(dig, {"dims": list(hi.dims[:D + 1])},
-                        {"degree": exc.degree, "reason": str(exc)})
-        return report
-    report.add_pass(dig, {"dims": list(hi.dims[:D + 1])})
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +418,13 @@ def g_cap(n, d, m):
     return n * (d - 1) + 2
 
 
-def ci_lex_ideal(n, d, m, ring=None):
+def ci_lex_ideal(n, d, m):
     """Lex-segment ideal of a complete intersection of n degree-d forms in
     n+m variables, scanned through the guaranteed cap."""
     from .rings import make_ring
     cap = g_cap(n, d, m)
     h = ci_hilbert_function(n, d, m, cap + 1)
-    if ring is None:
-        ring = make_ring([f"z{i + 1}" for i in range(n + m)])
+    ring = make_ring([f"z{i + 1}" for i in range(n + m)])
     M, _ = lex_segment_ideal(h, ring, cap + 1)
     return M
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .groebner import (GroebnerBasis, IdealPresentation, groebner_basis,
                        initial_ideal, normal_form)
-from .monomials import MonomialIdeal, minimalize_monomials
+from .monomials import MonomialIdeal
 from .reports import VerificationReport, digest_of
 from .rings import (DegRevLexOrder, Polynomial, PowerMap, mono_deg,
                     mono_divides)
@@ -155,8 +155,9 @@ def _standard_monomials_in_box(gens, maxexp):
 
 def monomial_quotient_betti(M, field):
     """Quotient-side graded Betti numbers {(i, j): rank} of R/M for a
-    monomial ideal M, from the multidegree blocks of the Koszul complex."""
-    gens = minimalize_monomials(M.gens)
+    monomial ideal M, from the multidegree blocks of the Koszul complex.
+    M.gens need not be minimal: a redundant generator only widens the box."""
+    gens = M.gens
     l = M.nvars
     if not gens:
         return {(0, 0): 1}

@@ -18,6 +18,10 @@ def files(tmp_path):
                     "gens: x1*x2 + x2*x3, x1*x3, x3^2",
         "broken.txt": "ring x1; gens: x1 +",
         "zero_den.txt": "ring x1 x2; char 32003; gens: x1^2 + 1/32003*x2^2",
+        # lex generators in degrees 1 and 11 only: no generator appears in
+        # degrees 2-10, which a scan that stops early mistakes for the end
+        "gap11.txt": "ring x1 x2 x3; gens: x3, x2^11",
+        "gap40.txt": "ring x1 x2 x3; gens: x3, x2^40",
     }
     for name, text in specs.items():
         f = tmp_path / name
@@ -72,6 +76,31 @@ def test_lex_command(files, capsys):
     code, out, _ = run(capsys, "lex", "--ideal", files["squares.txt"])
     assert code == 0
     assert "x1^3" in out
+
+
+def test_lex_finds_a_generator_after_a_gap(files, capsys):
+    code, out, _ = run(capsys, "lex", "--ideal", files["gap11.txt"],
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {"lex_generators": ["x3", "x2^11"],
+                               "complete": True}
+
+
+def test_regbound_no_false_witness_after_a_gap(files, capsys):
+    code, out, _ = run(capsys, "verify", "regbound", "--ideal",
+                       files["gap11.txt"], "--json")
+    assert code == 0
+    assert json.loads(out)["instances"][0]["values"]["reg_lex"] == 11
+
+
+@pytest.mark.xfail(strict=True, reason="a lex generator above the cutoff "
+                   "goes unseen and the scan says complete; needs the "
+                   "Gotzmann scan bound (ROADMAP item 2)")
+def test_lex_finds_a_generator_above_the_cutoff(files, capsys):
+    code, out, _ = run(capsys, "lex", "--ideal", files["gap40.txt"],
+                       "--json")
+    assert json.loads(out) == {"lex_generators": ["x3", "x2^40"],
+                               "complete": True}
 
 
 def test_gtable_command(capsys):

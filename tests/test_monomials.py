@@ -12,8 +12,7 @@ from regcert.monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
                                lex_rank, lex_segment_ideal, lex_shadow_size,
                                lex_unrank, macaulay_growth, macaulay_rep,
                                minimalize_monomials, monomials_of_degree,
-                               num_monomials, segment_closure_check,
-                               stable_regularity)
+                               num_monomials, stable_regularity)
 from regcert.rings import LexOrder, make_ring, mono_divides
 
 R3 = make_ring(["x1", "x2", "x3"])
@@ -245,15 +244,6 @@ def test_macaulay_violation():
     with pytest.raises(MacaulayViolation) as exc:
         lex_segment_ideal(h, R3)
     assert exc.value.degree == 3
-    rep = segment_closure_check(h, R3)
-    assert rep.status == "fail"
-    assert rep.witnesses()[0].witness["degree"] == 3
-
-
-def test_segment_closure_pass():
-    M = mi((2, 0, 0), (0, 2, 0))
-    rep = segment_closure_check(hilbert_function(M, 6), R3)
-    assert rep.status == "pass"
 
 
 def test_strong_stability():

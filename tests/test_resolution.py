@@ -159,6 +159,22 @@ def test_monomial_betti_char_independent_small(gens):
         monomial_quotient_betti(M, QQ)
 
 
+@given(monoset3, monoset3)
+@settings(max_examples=25, deadline=None)
+def test_monomial_betti_of_redundant_generators(gens, extra):
+    # the Koszul engine takes the generators as given; multiples of them
+    # only widen the box
+    M = MonomialIdeal.from_monomials(R3, gens)
+    if M.is_unit() or M.is_zero():
+        return
+    redundant = tuple(tuple(a + b for a, b in zip(g, e))
+                      for g, e in zip(M.gens, extra))
+    from regcert.resolution import monomial_quotient_betti
+    assert monomial_quotient_betti(MonomialIdeal(R3, M.gens + redundant),
+                                   R3.field) == \
+        monomial_quotient_betti(M, R3.field)
+
+
 # ---------------------------------------------------------------------------
 # general engine against the monomial engine
 

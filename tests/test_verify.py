@@ -5,7 +5,7 @@ import json
 import pytest
 
 from regcert.instances import random_ideal, random_parametrisation
-from regcert.monomials import hilbert_function
+from regcert.monomials import g_cap, hilbert_function
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
@@ -192,6 +192,28 @@ def test_main_runs_buchberger_three_times(monkeypatch):
     assert rep.status == "pass" and len(calls) == 2
 
 
+def test_main_builds_one_lex_ideal(monkeypatch):
+    # G is the regularity of the one lex ideal of the series; the check
+    # HF(J') == series is what ties it to J', not a second scan
+    import regcert.monomials as monomials_mod
+    import regcert.verify as verify_mod
+    scanned = []
+    real = monomials_mod.lex_segment_ideal
+
+    def counted(h, ring, D=None):
+        scanned.append(h.cutoff if D is None else D)
+        return real(h, ring, D)
+
+    for mod in (monomials_mod, verify_mod):
+        monkeypatch.setattr(mod, "lex_segment_ideal", counted)
+    p = param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
+    rep = verify_main(p)
+    assert rep.status == "pass" and scanned == [g_cap(3, 2, 2) + 2]
+    scanned.clear()
+    rep = verify_main(p, cutoff=4)
+    assert len(scanned) == 1 and max(scanned) <= 4
+
+
 def test_main_inconclusive_on_tiny_cutoff():
     p = param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
     rep = verify_main(p, cutoff=4)
@@ -236,20 +258,23 @@ def test_regbound_detects_injected_hilbert_fault(monkeypatch):
     assert "hilbert-mismatch" in kinds
 
 
-def test_main_detects_injected_g_fault(monkeypatch):
-    import regcert.monomials as monomials_mod
-    import regcert.verify  # noqa: F401
+def test_main_detects_injected_series_fault(monkeypatch):
+    import regcert.verify as verify_mod
 
-    real = monomials_mod.compute_G
+    real = verify_mod.ci_hilbert_function
 
-    def wrong(n, d, m):
-        return real(n, d, m) + 1
+    def corrupted(n, d, m, D):
+        h = real(n, d, m, D)
+        dims = list(h.dims)
+        dims[3] += 1
+        return type(h)(tuple(dims), h.cutoff, h.side, h.nvars)
 
-    monkeypatch.setattr("regcert.monomials.compute_G", wrong)
+    monkeypatch.setattr(verify_mod, "ci_hilbert_function", corrupted)
     rep = verify_main(param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2"))
     assert rep.status == "fail"
     kinds = {f["kind"] for f in rep.witnesses()[0].witness["failures"]}
-    assert "G-route-mismatch" in kinds
+    assert "hilbert-vs-ci-series" in kinds
+    assert rep.instances[0].values["G_actual"] is None
 
 
 def test_report_serialization_sorted_and_stable():
