@@ -350,7 +350,9 @@ def lex_segment_ideal(h, ring, D=None):
     Returns (MonomialIdeal, complete).  The generators are the minimal
     generators, sorted descending lex.  complete is a persistence
     heuristic, not a proof: it says no new generator appeared in the top
-    two scanned degrees, so a generator above D goes unseen.
+    two scanned degrees, so a generator above D goes unseen.  A scan that
+    finds no generator is not complete: Hilbert data through D cannot
+    tell the zero ideal from one generated above D.
     """
     hi = h.ideal_side()
     if D is None:
@@ -369,7 +371,7 @@ def lex_segment_ideal(h, ring, D=None):
     # degree-(t-1) segment, and a degree-t generator lies outside its
     # shadow, so no element of lower degree divides it.
     gens.sort(key=_LEX.key, reverse=True)
-    complete = not gens or last_new <= D - 2
+    complete = bool(gens) and last_new <= D - 2
     return MonomialIdeal(ring, tuple(gens)), complete
 
 

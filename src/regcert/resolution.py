@@ -31,33 +31,78 @@ from .scalars import PrimeField
 # ---------------------------------------------------------------------------
 # exact rank computation
 
+# Columns per panel of the blocked elimination in rank_mod_p.  A block
+# product sums at most PANEL products of entries below p, so float64
+# computes it exactly while PANEL * (p - 1)^2 < 2^53: p below 2^23 here.
+PANEL = 128
+# Elements in one row chunk of the trailing update (2 MB of float64)
+_CHUNK = 1 << 18
+
+
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p) by straightforward elimination.
-    int64 holds the products (p-1)^2 only below 2^31; larger primes reduce
-    in Python ints."""
+    """Rank of an integer matrix over GF(p) by right-looking blocked LU
+    (the FFLAS-FFPACK scheme: Dumas, Giorgi and Pernet, ACM TOMS 2008).
+
+    The columns are split into panels of PANEL columns.  Within a panel
+    each column is eliminated in turn: the first nonzero entry at or
+    below the current rank is the pivot, its whole row is swapped into
+    place, and the multipliers of the rows below are stored in the panel
+    column.  After the panel, one triangular pass over the pivot rows
+    gives their trailing part U12, and one matrix product per chunk of
+    rows below gives A22 -= L21 @ U12 (mod p).
+
+    Exact for every prime.  Pivots, multipliers and the operands of the
+    block products are reduced to [0, p).  When PANEL * (p - 1)^2 < 2^53
+    the matrix is int64 and the block products are float64, exact
+    because every partial sum is an integer below 2^53; for larger p the
+    matrix and the products are Python ints (dtype=object).  The dtype
+    follows from p alone.  The kernel works on its own copy of rows,
+    which it leaves unchanged."""
     if not rows:
         return 0
-    A = np.array(rows, dtype=np.int64 if p < 2 ** 31 else object) % p
+    in_float = PANEL * (p - 1) ** 2 < 2 ** 53
+    A = np.array(rows, dtype=np.int64 if in_float else object)
+    A %= p
+    work = np.float64 if in_float else object
     nr, nc = A.shape
     rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if A[r, col] % p:
-                piv = r
-                break
-        if piv is None:
+    for c0 in range(0, nc, PANEL):
+        c1 = min(c0 + PANEL, nc)
+        top = rank
+        pivots = []
+        for j in range(c0, c1):
+            # panel entries below the rank are reduced only here: each
+            # earlier pivot of the panel subtracted less than (p - 1)^2,
+            # so they stay below PANEL * (p - 1)^2 + p in magnitude
+            A[rank:, j] %= p
+            nz = np.flatnonzero(A[rank:, j])
+            if not nz.size:
+                continue
+            if nz[0]:
+                A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
+            below = rank + np.flatnonzero(A[rank + 1:, j]) + 1
+            if below.size:
+                mult = A[below, j] * pow(int(A[rank, j]), -1, p) % p
+                A[below, j] = mult
+                A[below, j + 1:c1] -= np.outer(mult, A[rank, j + 1:c1] % p)
+            pivots.append(j)
+            rank += 1
+            if rank == nr:
+                return rank
+        if not pivots or c1 == nc:
             continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = (A[rank] * inv) % p
-        mask = A[rank + 1:, col] % p != 0
-        if mask.any():
-            A[rank + 1:][mask] = (A[rank + 1:][mask]
-                                  - np.outer(A[rank + 1:, col][mask], A[rank])) % p
-        rank += 1
-        if rank == nr:
-            break
+        L = A[top:, pivots].astype(work)
+        U = A[top:rank, c1:].astype(work)
+        for t in range(1, len(pivots)):
+            # reduced in the matrix dtype: float64 remainder is slow
+            U[t] = (U[t] - L[t, :t] @ U[:t]).astype(A.dtype) % p
+        L21 = L[len(pivots):]
+        step = max(1, _CHUNK // (nc - c1))
+        for i in range(0, nr - rank, step):
+            block = A[rank + i:rank + i + step, c1:]
+            np.subtract(block, L21[i:i + step] @ U, out=block,
+                        casting="unsafe")
+            block %= p
     return rank
 
 

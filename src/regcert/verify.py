@@ -10,6 +10,8 @@ same intermediate object.
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .groebner import (IdealPresentation, eliminate, graph_ideal,
                        groebner_basis, initial_ideal, kernel_of_map,
                        verify_poweli)
@@ -31,26 +33,36 @@ DEFAULT_CUTOFF = 32
 
 def hf_direct(J, D):
     """Quotient-side Hilbert function of R/J up to degree D, computed as
-    corank of the span of (monomial multiples of) the generators."""
+    corank of the span of (monomial multiples of) the generators.
+
+    Each degree's Macaulay matrix is one array filled from (row, column,
+    coefficient) lists: int64 over GF(p) for p < 2^63, Python objects
+    otherwise.  matrix_rank gets it as a list of rows."""
     from .monomials import HilbertData
     ring = J.ring
     K = ring.field
-    is_p = isinstance(K, PrimeField)
+    dtype = np.int64 if isinstance(K, PrimeField) and K.p < 2 ** 63 else object
     dims = []
     for t in range(D + 1):
         basis = monomials_of_degree(ring.nvars, t)
         idx = {m: i for i, m in enumerate(basis)}
-        rows = []
+        ri, ci, vals = [], [], []
+        nrows = 0
         for g in J.generators:
             e = g.degree()
             if e > t:
                 continue
             for m in monomials_of_degree(ring.nvars, t - e):
-                row = [0] * len(basis)
                 for c, gm in g.terms:
-                    row[idx[mono_mul(m, gm)]] = int(c) if is_p else c
-                rows.append(row)
-        rank = matrix_rank(rows, K) if rows else 0
+                    ri.append(nrows)
+                    ci.append(idx[mono_mul(m, gm)])
+                    vals.append(c)
+                nrows += 1
+        rank = 0
+        if nrows:
+            A = np.zeros((nrows, len(basis)), dtype=dtype)
+            A[ri, ci] = vals
+            rank = matrix_rank(list(A), K)
         dims.append(num_monomials(ring.nvars, t) - rank)
     return HilbertData(tuple(dims), D, "quotient", ring.nvars)
 

@@ -22,6 +22,7 @@ def files(tmp_path):
         # degrees 2-10, which a scan that stops early mistakes for the end
         "gap11.txt": "ring x1 x2 x3; gens: x3, x2^11",
         "gap40.txt": "ring x1 x2 x3; gens: x3, x2^40",
+        "x1_10.txt": "ring x1 x2 x3; gens: x1^10",
     }
     for name, text in specs.items():
         f = tmp_path / name
@@ -136,6 +137,20 @@ def test_verify_main_inconclusive_exit_two(files, capsys):
                        files["conic.txt"], "--cutoff", "4")
     assert code == 2
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "main", "--param", "conic.txt", "--cutoff", "1"),
+    ("verify", "regbound", "--ideal", "x1_10.txt", "--cutoff", "8"),
+    ("lex", "--ideal", "x1_10.txt", "--cutoff", "8"),
+])
+def test_scan_below_the_first_generator_is_inconclusive(files, capsys, argv):
+    # a scan that stops below the first generator sees the zero ideal,
+    # which proves nothing about the degrees above it
+    argv = [files.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "inconclusive" in out or "truncated at degree 8" in out
 
 
 def test_verify_regflat(files, capsys):

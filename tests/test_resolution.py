@@ -3,13 +3,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regcert import resolution
 from regcert.monomials import MonomialIdeal, hilbert_function
 from regcert.parser import parse_ideal_file
 from regcert.groebner import groebner_basis
-from regcert.resolution import (BettiTable, betti_table, check_flat_betti,
+from regcert.resolution import (PANEL, BettiTable, betti_table,
+                                check_flat_betti, matrix_rank,
                                 rank_exact_rational, rank_mod_p, regularity,
                                 t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, make_ring
@@ -81,6 +84,65 @@ def test_rank_mod_p_exact_for_every_prime(p):
     # an explicit rank-3 matrix with entries near p
     rows = [[p - 1, 1, 0], [1, p - 1, 0], [0, 0, p - 2], [p - 1, 0, 1]]
     assert rank_mod_p(rows, p) == rank_by_python_ints(rows, p)
+
+
+def deficient_matrix(rng, p, nrows, ncols, rank, zero_cols):
+    """Seeded nrows x ncols matrix over GF(p) of rank at most rank: random
+    combinations of rank random rows that vanish on zero_cols, a tenth of
+    the rows repeated, in random order."""
+    live = [j for j in range(ncols) if j not in zero_cols]
+    base = np.zeros((rank, ncols), dtype=object)
+    base[:, live] = [[rng.randrange(p) for _ in live] for _ in range(rank)]
+    coeffs = np.array([[rng.randrange(p) for _ in range(rank)]
+                       for _ in range(nrows - nrows // 10)], dtype=object)
+    rows = [list(row) for row in coeffs @ base % p]
+    rows += [list(rng.choice(rows)) for _ in range(nrows // 10)]
+    rng.shuffle(rows)
+    return rows
+
+
+# (rows, columns, rank bound, zero columns) for the blocked elimination:
+# one, two and three panels of PANEL = 128 columns.  Ranks are reached
+# before the last column; the wide case has no pivot in its second panel,
+# and the pivots of the last case are spread over three panels.
+BLOCKED_CASES = {
+    "one-panel-tall": (120, 100, 70, {3, 50, 99}),
+    "two-panels-tall": (180, 140, 135, set(range(60, 70))),
+    "two-panels-square": (150, 150, 140, {0, 127, 128}),
+    "three-panels-wide": (60, 390, 50, set(range(100, 256))),
+    "three-panels-square": (260, 260, 40,
+                            {j for j in range(250) if j % 8}),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2147483647, 4294967311])
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_rank_mod_p_blocked_against_oracle(case, p, monkeypatch):
+    # 2147483647 is the largest prime the int64 elimination took; at the
+    # current panel width it takes the Python-int route, as 4294967311 does
+    assert PANEL == 128
+    # small row chunks, so each trailing update takes several
+    monkeypatch.setattr(resolution, "_CHUNK", 2000)
+    nrows, ncols, rank, zero_cols = BLOCKED_CASES[case]
+    rows = deficient_matrix(random.Random(repr((case, p))), p, nrows, ncols,
+                            rank, zero_cols)
+    assert rank_mod_p(rows, p) == rank_by_python_ints(rows, p)
+
+
+@pytest.mark.parametrize("p", [32003, 4294967311])
+def test_matrix_rank_leaves_its_input_unchanged(p):
+    # unreduced and negative entries, so an in-place reduction would show
+    rows = deficient_matrix(random.Random(p), p, 150, 140, 120, set())
+    for i, row in enumerate(rows):
+        row[i % 140] -= p
+        row[-1] += p
+    as_lists = [list(row) for row in rows]
+    A = np.array(rows, dtype=np.int64)
+    before = A.copy()
+    K = PrimeField(p)
+    assert matrix_rank(as_lists, K) == matrix_rank(list(A), K)
+    assert as_lists == rows
+    assert np.array_equal(A, before)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from regcert.groebner import IdealPresentation, groebner_basis, initial_ideal
 from regcert.instances import random_ideal, random_parametrisation
-from regcert.monomials import g_cap, hilbert_function
+from regcert.monomials import g_cap, hilbert_function, monomials_of_degree
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
+from regcert.rings import DegRevLexOrder, Polynomial, make_ring
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
                             verify_main, verify_poweli_trials,
                             verify_regbound, verify_regflat)
@@ -56,10 +59,34 @@ def test_random_ideal_deterministic_and_nonzero():
 
 def test_hf_direct_matches_groebner_route():
     J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
-    from regcert.groebner import groebner_basis, initial_ideal
-    from regcert.rings import DegRevLexOrder
     inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
     assert hf_direct(J, 6).dims == hilbert_function(inJ, 6).dims
+
+
+@st.composite
+def small_homogeneous_ideals(draw):
+    """Sparse forms of degree 1-3 in 1-3 variables over GF(2), GF(32003),
+    QQ or GF(2^64 + 13), whose coefficients int64 cannot hold."""
+    char = draw(st.sampled_from([2, 32003, 0, 2 ** 64 + 13]))
+    nvars = draw(st.integers(1, 3))
+    ring = make_ring([f"x{i + 1}" for i in range(nvars)], char=char)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(nvars, draw(st.integers(1, 3)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
+                               max_size=4, unique=True))
+        terms = [(draw(st.integers(-5, 5)), m) for m in chosen]
+        gens.append(Polynomial.from_terms(ring, DegRevLexOrder(), terms))
+    J = IdealPresentation.from_polynomials(ring, gens)
+    assume(not J.is_zero())
+    return J
+
+
+@given(small_homogeneous_ideals(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_hf_direct_matches_initial_ideal_route(J, D):
+    inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
+    assert hf_direct(J, D).dims == hilbert_function(inJ, D).dims
 
 
 def test_lex_ideal_of_presentation():
