@@ -2,10 +2,13 @@
 power-substitution checks used throughout.
 
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
-by the term order on lcms); the coprime and chain criteria are applied as
-skips unless disabled for oracle cross-checks.
+by the term order on lcms, then by the pair's indices): a heap of
+(deg lcm, order key of lcm, i, j, lcm), each entry computed once when its
+pair is made.  The coprime and chain criteria are applied as skips unless
+disabled for oracle cross-checks.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .monomials import MonomialIdeal
@@ -122,29 +125,27 @@ def _chain_criterion(i, j, lms, pairs_done, lcm_ij):
 def buchberger(gens, order, use_criteria=True):
     """Buchberger's algorithm; returns an (unreduced) Groebner basis."""
     if isinstance(gens, IdealPresentation):
-        polys = gens.generators
-        ring = gens.ring
+        polys, ring = gens.generators, gens.ring
     else:
         polys = tuple(p for p in gens if not p.is_zero())
-        if not polys:
-            raise ValueError("need at least one nonzero generator")
-        ring = polys[0].ring
+        ring = polys[0].ring if polys else None
     if not polys:
         raise ValueError("need at least one nonzero generator")
     G = [p.with_order(order).monic() for p in polys]
     lms = [g.leading_monomial() for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    pairs = []
     done = set()
 
-    def pair_key(p):
-        lcm = mono_lcm(lms[p[0]], lms[p[1]])
-        return (mono_deg(lcm), order.key(lcm))
+    def add_pairs(k):
+        for i in range(k):
+            lcm = mono_lcm(lms[i], lms[k])
+            heapq.heappush(pairs, (mono_deg(lcm), order.key(lcm), i, k, lcm))
 
+    for k in range(1, len(G)):
+        add_pairs(k)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
         if use_criteria:
             if lcm == mono_mul(lms[i], lms[j]):
                 continue  # coprime leading monomials
@@ -155,8 +156,7 @@ def buchberger(gens, order, use_criteria=True):
         if not rem.is_zero():
             G.append(rem.monic())
             lms.append(rem.leading_monomial())
-            k = len(G) - 1
-            pairs |= {(i2, k) for i2 in range(k)}
+            add_pairs(len(G) - 1)
     return GroebnerBasis(ring, order, tuple(G), reduced=False)
 
 
@@ -290,22 +290,6 @@ def kernel_of_map(images, order=None):
     if not order.eliminates(n, J.ring.nvars):
         raise ValueError("order must eliminate the parameter variables")
     return eliminate(groebner_basis(J, order), n)
-
-
-def substitute(g, images):
-    """Evaluate g(f_1, ..., f_n) for polynomials f_i in another ring."""
-    yring = images[0].ring
-    order = images[0].order
-    K = yring.field
-    out = Polynomial.zero(yring, order)
-    for c, mexp in g.terms:
-        term = Polynomial.from_terms(yring, order,
-                                     [(c, (0,) * yring.nvars)])
-        for i, e in enumerate(mexp):
-            for _ in range(e):
-                term = term * images[i]
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -195,27 +195,6 @@ def hilbert_function(M, D):
     return HilbertData(dims, D, "quotient", l)
 
 
-def hilbert_function_incl_excl(M, D):
-    """Inclusion-exclusion oracle over generator lcms; exponential, tests only."""
-    from itertools import combinations
-    from .rings import mono_lcm
-    l = M.nvars
-    gens = M.gens
-    if len(gens) > 16:
-        raise ValueError("inclusion-exclusion oracle limited to small ideals")
-    dims = [num_monomials(l, t) for t in range(D + 1)]
-    for r in range(1, len(gens) + 1):
-        sign = (-1) ** r
-        for sub in combinations(gens, r):
-            m = sub[0]
-            for g in sub[1:]:
-                m = mono_lcm(m, g)
-            d = mono_deg(m)
-            for t in range(d, D + 1):
-                dims[t] += sign * num_monomials(l, t - d)
-    return HilbertData(tuple(dims), D, "quotient", l)
-
-
 def ci_hilbert_function(n, d, m, D):
     """Quotient Hilbert function of a complete intersection of n degree-d
     forms in n+m variables: coefficients of (1-t^d)^n / (1-t)^(n+m)."""
@@ -287,18 +266,6 @@ def lex_unrank(nvars, t, rank):
             rank -= cnt
     exps[0] = t
     return tuple(exps)
-
-
-def lex_rank(m):
-    """Inverse of lex_unrank."""
-    nvars = len(m)
-    t = mono_deg(m)
-    rank = 0
-    for pos in range(nvars - 1, 0, -1):
-        for e in range(t, m[pos], -1):
-            rank += num_monomials(pos, t - e)
-        t -= m[pos]
-    return rank
 
 
 def monomials_of_degree(nvars, t):

@@ -4,9 +4,15 @@ the Betti relation under the power substitution.
 Two engines, both exact linear algebra over the coefficient field:
 
 * monomial ideals: the Koszul complex splits into multidegree blocks; only
-  blocks b = u + supp(b) with u a standard monomial inside the generator
-  exponent box can carry homology (blocks outside the box are cones), so
-  each block is a simplicial chain complex on at most nvars vertices.
+  blocks u + sigma with u a standard monomial inside the generator
+  exponent box and supp(u) within sigma can carry homology (the others
+  are cones), and each is a simplicial complex on the vertices of sigma.
+  That complex depends only on u's pattern: the membership word (bit tau
+  set iff x^(u + e_tau) is in the ideal), supp(u) and the coordinates
+  below the box edge; |u| only shifts the degree.  So the homology runs
+  once per pattern, weighted by a histogram of |u|.  Codes of u are int64
+  while the box has fewer than 2^63 cells and Python ints beyond; words
+  are kept in 64-bit chunks.
 * general homogeneous ideals: ranks of the Koszul differentials on total
   degree pieces, expressed in the standard monomial basis of the initial
   ideal via division with remainder; cells are restricted by the termwise
@@ -14,17 +20,17 @@ Two engines, both exact linear algebra over the coefficient field:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .groebner import (GroebnerBasis, IdealPresentation, groebner_basis,
-                       initial_ideal, normal_form)
-from .monomials import MonomialIdeal
+                       image_ideal, initial_ideal, normal_form)
+from .monomials import MonomialIdeal, monomials_of_degree
 from .reports import VerificationReport, digest_of
-from .rings import (DegRevLexOrder, Polynomial, PowerMap, mono_deg,
-                    mono_divides)
+from .rings import DegRevLexOrder, Polynomial, PowerMap, mono_deg
 from .scalars import PrimeField
 
 
@@ -32,11 +38,41 @@ from .scalars import PrimeField
 # exact rank computation
 
 # Columns per panel of the blocked elimination in rank_mod_p.  A block
-# product sums at most PANEL products of entries below p, so float64
-# computes it exactly while PANEL * (p - 1)^2 < 2^53: p below 2^23 here.
+# product sums at most PANEL products of an entry below p and a limb of
+# U12, so float64 computes it exactly while PANEL (p - 1) limb_max < 2^53.
 PANEL = 128
 # Elements in one row chunk of the trailing update (2 MB of float64)
 _CHUNK = 1 << 18
+
+
+def _limbs(p):
+    """(bits, count) of the limbs of U12: the widest w with
+    PANEL (p - 1) (2^w - 1) < 2^53, spread evenly over as few limbs as
+    cover p - 1.  One limb while PANEL (p - 1)^2 < 2^53 (p below 2^23),
+    three of at most 11 bits below 2^31; one for Python ints."""
+    nbits = (p - 1).bit_length()
+    widest = ((2 ** 53 - 1) // (PANEL * (p - 1)) + 1).bit_length() - 1
+    count = -(-nbits // widest) if p < 2 ** 31 else 1
+    return -(-nbits // count), count
+
+
+def _split(U, bits, count, work):
+    """U, entries in [0, p), as limbs of `bits` bits, lowest first, on a
+    new first axis."""
+    if count == 1:
+        return U[None].astype(work)
+    return np.stack([U >> bits * s & (1 << bits) - 1
+                     for s in range(count)]).astype(work)
+
+
+def _block_product(L, limbs, bits, p):
+    """L @ U up to multiples of p: one exact product per limb of U, joined
+    by Horner's rule with a reduction mod p before each shift, so partial
+    results stay below 2^54 in int64."""
+    acc = L @ limbs[-1]
+    for limb in limbs[-2::-1]:
+        acc = (acc.astype(np.int64) % p << bits) + (L @ limb).astype(np.int64)
+    return acc
 
 
 def rank_mod_p(rows, p):
@@ -52,18 +88,19 @@ def rank_mod_p(rows, p):
     rows below gives A22 -= L21 @ U12 (mod p).
 
     Exact for every prime.  Pivots, multipliers and the operands of the
-    block products are reduced to [0, p).  When PANEL * (p - 1)^2 < 2^53
-    the matrix is int64 and the block products are float64, exact
-    because every partial sum is an integer below 2^53; for larger p the
-    matrix and the products are Python ints (dtype=object).  The dtype
-    follows from p alone.  The kernel works on its own copy of rows,
-    which it leaves unchanged."""
+    block products are reduced to [0, p).  For p below 2^31 the matrix is
+    int64 and the block products are float64, one per limb of U12 (see
+    _limbs), each exact because every partial sum is an integer below
+    2^53.  For larger p the matrix and the products are Python ints
+    (dtype=object).  The dtype follows from p alone.  The kernel works on
+    its own copy of rows, which it leaves unchanged."""
     if not rows:
         return 0
-    in_float = PANEL * (p - 1) ** 2 < 2 ** 53
+    in_float = p < 2 ** 31
     A = np.array(rows, dtype=np.int64 if in_float else object)
     A %= p
     work = np.float64 if in_float else object
+    bits, count = _limbs(p)
     nr, nc = A.shape
     rank = 0
     for c0 in range(0, nc, PANEL):
@@ -73,7 +110,8 @@ def rank_mod_p(rows, p):
         for j in range(c0, c1):
             # panel entries below the rank are reduced only here: each
             # earlier pivot of the panel subtracted less than (p - 1)^2,
-            # so they stay below PANEL * (p - 1)^2 + p in magnitude
+            # which int64 holds PANEL times below 2^28; with several limbs
+            # each update is reduced first
             A[rank:, j] %= p
             nz = np.flatnonzero(A[rank:, j])
             if not nz.size:
@@ -84,7 +122,8 @@ def rank_mod_p(rows, p):
             if below.size:
                 mult = A[below, j] * pow(int(A[rank, j]), -1, p) % p
                 A[below, j] = mult
-                A[below, j + 1:c1] -= np.outer(mult, A[rank, j + 1:c1] % p)
+                update = np.outer(mult, A[rank, j + 1:c1] % p)
+                A[below, j + 1:c1] -= update % p if count > 1 else update
             pivots.append(j)
             rank += 1
             if rank == nr:
@@ -92,16 +131,19 @@ def rank_mod_p(rows, p):
         if not pivots or c1 == nc:
             continue
         L = A[top:, pivots].astype(work)
-        U = A[top:rank, c1:].astype(work)
+        U = A[top:rank, c1:]
+        limbs = _split(U, bits, count, work)
         for t in range(1, len(pivots)):
             # reduced in the matrix dtype: float64 remainder is slow
-            U[t] = (U[t] - L[t, :t] @ U[:t]).astype(A.dtype) % p
+            U[t] = (U[t] - _block_product(L[t, :t], limbs[:, :t], bits, p)
+                    ).astype(A.dtype) % p
+            limbs[:, t] = _split(U[t], bits, count, work)
         L21 = L[len(pivots):]
         step = max(1, _CHUNK // (nc - c1))
         for i in range(0, nr - rank, step):
             block = A[rank + i:rank + i + step, c1:]
-            np.subtract(block, L21[i:i + step] @ U, out=block,
-                        casting="unsafe")
+            np.subtract(block, _block_product(L21[i:i + step], limbs, bits, p),
+                        out=block, casting="unsafe")
             block %= p
     return rank
 
@@ -145,63 +187,81 @@ def _reduced_homology(faces, nverts, field):
     """Reduced homology dimensions {dim: rank} of a simplicial complex given
     as a set of vertex bitmasks (the empty face is mask 0)."""
     key = (nverts, tuple(sorted(faces)), field.char)
-    hit = _HOMOLOGY_MEMO.get(key)
-    if hit is not None:
-        return hit
+    if key in _HOMOLOGY_MEMO:
+        return _HOMOLOGY_MEMO[key]
     bydim = {}
-    for f in faces:
-        bydim.setdefault(bin(f).count("1") - 1, []).append(f)
-    maxdim = max(bydim)
-    ranks = {}
-    for dim in range(0, maxdim + 1):
-        lower = sorted(bydim.get(dim - 1, []))
-        upper = sorted(bydim.get(dim, []))
-        if not lower or not upper:
-            ranks[dim] = 0
-            continue
-        idx = {f: i for i, f in enumerate(lower)}
-        rows = []
-        for f in upper:
-            row = [0] * len(lower)
-            verts = [v for v in range(nverts) if f >> v & 1]
-            for pos, v in enumerate(verts):
-                row[idx[f & ~(1 << v)]] = (-1) ** pos
-            rows.append(row)
-        ranks[dim] = matrix_rank(rows, field)
-    hv = {}
-    for dim in range(-1, maxdim + 1):
-        d = len(bydim.get(dim, ())) - ranks.get(dim, 0) - ranks.get(dim + 1, 0)
-        if d:
-            hv[dim] = d
-    _HOMOLOGY_MEMO[key] = hv
-    return hv
+    for f in key[1]:
+        bydim.setdefault(f.bit_count() - 1, []).append(f)
+    ranks = {}  # dim -> rank of the boundary map from dim to dim - 1
+    for dim in range(max(bydim) + 1):
+        lower, upper = bydim.get(dim - 1, []), bydim.get(dim, [])
+        if lower and upper:
+            idx = {f: i for i, f in enumerate(lower)}
+            rows = [[0] * len(lower) for _ in upper]
+            for row, f in zip(rows, upper):
+                verts = [v for v in range(nverts) if f >> v & 1]
+                for pos, v in enumerate(verts):
+                    row[idx[f & ~(1 << v)]] = (-1) ** pos
+            ranks[dim] = matrix_rank(rows, field)
+    hv = {dim: len(fs) - ranks.get(dim, 0) - ranks.get(dim + 1, 0)
+          for dim, fs in sorted(bydim.items())}
+    _HOMOLOGY_MEMO[key] = {dim: d for dim, d in hv.items() if d}
+    return _HOMOLOGY_MEMO[key]
 
 
-def _standard_monomials_in_box(gens, maxexp):
-    """Monomials u <= maxexp componentwise with x^u not in the ideal."""
+def _standard_box(gens, maxexp, radix):
+    """Sorted codes sum u_k radix_k of the standard monomials u <= maxexp
+    of R/M, with |u| and the masks supp(u) | {k : u_k < maxexp_k} << l.
+
+    S_{k+1}, the standard monomials in x_1..x_{k+1}, is {(v, e) : v in S_k,
+    e < c(v)}, c(v) the least g_{k+1} over the generators g ending in
+    x_{k+1} with (g_1..g_k) <= v; that is the prefix minimum, along each
+    axis of S_k in turn, of the heads' own values.  Layer e of S_{k+1} is
+    {v : c(v) > e} shifted by e radix_{k+1}, so the codes stay sorted."""
     l = len(maxexp)
-    out = []
-
-    def rec(k, active, acc):
-        if k < 0:
-            out.append(tuple(reversed(acc)))
-            return
-        for e in range(maxexp[k] + 1):
-            na = [g for g in active if g[k] <= e]
-            if any(all(g[j] == 0 for j in range(k)) for g in na):
-                continue
-            acc.append(e)
-            rec(k - 1, na, acc)
-            acc.pop()
-
-    rec(l - 1, list(gens), [])
-    return out
+    codes = np.zeros(1, np.int64 if radix[-1] * (maxexp[-1] + 2) < 2 ** 63
+                     else object)
+    deg = np.zeros(1, np.min_scalar_type(sum(maxexp)))
+    mask = np.zeros(1, np.min_scalar_type((1 << 2 * l) - 1))
+    for k, top in enumerate(maxexp):
+        n = len(codes)
+        c = np.full(n + 1, top + 1)  # c[n]: what v - e_j is when v_j = 0
+        heads = [g for g in gens if g[k] and not any(g[k + 1:])]
+        hc = np.array([sum(g[j] * radix[j] for j in range(k))
+                       for g in heads], codes.dtype)
+        pos = np.searchsorted(codes, hc)
+        hit = np.take(codes, pos, mode="clip") == hc
+        np.minimum.at(c, pos[hit], np.array([g[k] for g in heads], int)[hit])
+        for j in range(k if hit.any() else 0):
+            # pointer jumping: after r rounds c(v) is the minimum over
+            # v - t e_j, t < 2^r, and below[v] is v - 2^r e_j
+            below = np.append(np.searchsorted(codes, codes - radix[j]), n)
+            below[:n][mask & 1 << j == 0] = n
+            for _ in range(maxexp[j].bit_length()):
+                c = np.minimum(c, c[below])
+                below = below[below]
+        sel, layers = np.arange(n), []
+        for e in range(top + 1):
+            sel = sel[c[sel] > e]
+            layers.append((codes[sel] + e * radix[k], deg[sel] + e,
+                           mask[sel] | (e > 0) << k | (e < top) << l + k))
+        codes, deg, mask = map(np.concatenate, zip(*layers))
+    return codes, deg, mask
 
 
 def monomial_quotient_betti(M, field):
     """Quotient-side graded Betti numbers {(i, j): rank} of R/M for a
     monomial ideal M, from the multidegree blocks of the Koszul complex.
-    M.gens need not be minimal: a redundant generator only widens the box."""
+    M.gens need not be minimal: a redundant generator only widens the box.
+
+    What a standard monomial u of the box gives depends only on its
+    pattern (module docstring), and |u| only shifts j.  So the engine
+    finds every membership word at once, one searchsorted per tau over
+    the sorted codes of _standard_box (int64 below 2^63 box cells, Python
+    ints beyond), groups u by pattern with a histogram of |u|, and runs
+    the homology once per pattern, adding rank times count into each
+    degree.  The word is kept as 64-bit chunks, so the pattern key is
+    exact at any number of variables."""
     gens = M.gens
     l = M.nvars
     if not gens:
@@ -209,61 +269,56 @@ def monomial_quotient_betti(M, field):
     if any(mono_deg(g) == 0 for g in gens):
         return {}
     maxexp = [max(g[k] for g in gens) for k in range(l)]
-    radix = [1] * l
-    for k in range(1, l):
-        radix[k] = radix[k - 1] * (maxexp[k - 1] + 2)
-    std = _standard_monomials_in_box(gens, maxexp)
-    std_codes = {sum(u[k] * radix[k] for k in range(l)) for u in std}
-    nmask = 1 << l
-    delta = [sum(radix[k] for k in range(l) if msk >> k & 1)
-             for msk in range(nmask)]
-    bits_of = [[k for k in range(l) if msk >> k & 1] for msk in range(nmask)]
+    radix = [math.prod(top + 2 for top in maxexp[:k]) for k in range(l)]
+    codes, deg, mask = _standard_box(gens, maxexp, radix)
+    full = (1 << l) - 1
+
+    def outside(base, tau):
+        """True where u + e_tau is not a standard monomial."""
+        q = base + sum(radix[k] for k in range(l) if tau >> k & 1)
+        return np.take(codes, np.searchsorted(codes, q), mode="clip") != q
+
+    # a support coordinate at the box edge makes every block a cone, and
+    # a standard u + (1, ..., 1) makes the word zero
+    at = np.flatnonzero((mask & ~(mask >> l) & full) == 0)
+    at = at[outside(codes[at], full)]
+    base, deg, mask = codes[at], deg[at], mask[at]
+    chunks = [np.zeros(len(at), np.uint64) for _ in range(full + 64 >> 6)]
+    for tau in range(1, full + 1):
+        chunks[tau >> 6] |= outside(base, tau) * np.uint64(1 << (tau & 63))
+    order = np.lexsort([deg, mask] + chunks)
+    new_pattern = np.ones(len(at), bool)
+    new_pattern[1:] = np.any([col[order][1:] != col[order][:-1]
+                              for col in [mask] + chunks], axis=0)
+    deg = deg[order].astype(int)
+    new_run = new_pattern.copy()
+    new_run[1:] |= deg[1:] != deg[:-1]
+    runs = np.flatnonzero(new_run)
+    counts = np.diff(runs, append=len(at))
+    bounds = np.append(np.searchsorted(runs, np.flatnonzero(new_pattern)),
+                       len(runs))
+    cells = np.zeros((l + 2, deg.max(initial=0) + l + 1), int)
+    for p, row in enumerate(order[new_pattern]):
+        memb = sum(int(ch[row]) << 64 * t for t, ch in enumerate(chunks))
+        part = slice(bounds[p], bounds[p + 1])
+        # blocks u + sigma, sigma = supp(u) and coordinates below the edge;
+        # face t of sigma drops the vertices sv[i] with bit i of t set
+        m = int(mask[row])
+        sup, extra = m & full, m >> l & ~m
+        for sigma in (sup | ex for ex in range(extra + 1) if ex & extra == ex):
+            if not sigma or not memb >> sigma & 1:
+                continue
+            sv = [k for k in range(l) if sigma >> k & 1]
+            drop = [sum(1 << v for i, v in enumerate(sv) if t >> i & 1)
+                    for t in range(1 << len(sv))]
+            faces = [t for t, d in enumerate(drop) if memb >> (sigma ^ d) & 1]
+            hv = _reduced_homology(faces, len(sv), field)
+            for hdim, rank in hv.items():
+                cells[hdim + 2, deg[runs[part]] + len(sv)] += \
+                    rank * counts[part]
     entries = {(0, 0): 1}
-    for u in std:
-        ucode = sum(u[k] * radix[k] for k in range(l))
-        supmask = 0
-        okmask = 0
-        for k in range(l):
-            if u[k] > 0:
-                supmask |= 1 << k
-            if u[k] + 1 <= maxexp[k]:
-                okmask |= 1 << k
-        if supmask & ~okmask:
-            continue  # some support coordinate already at the box edge
-        # membership word: bit tau set iff x^(u + e_tau) lies in the ideal
-        memb = 0
-        sub = okmask
-        while True:
-            if (ucode + delta[sub]) not in std_codes:
-                memb |= 1 << sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & okmask
-        extra = okmask & ~supmask
-        ex = extra
-        while True:
-            sigma = supmask | ex
-            if sigma and (memb >> sigma) & 1:
-                sv = bits_of[sigma]
-                nv = len(sv)
-                faces = []
-                for tmask in range(1 << nv):
-                    tau = sigma
-                    for i in range(nv):
-                        if tmask >> i & 1:
-                            tau &= ~(1 << sv[i])
-                    if (memb >> tau) & 1:
-                        faces.append(tmask)
-                if faces and faces[0] == 0:
-                    hv = _reduced_homology(frozenset(faces), nv, field)
-                    if hv:
-                        j = sum(u) + nv
-                        for hdim, rank in hv.items():
-                            cell = (hdim + 2, j)
-                            entries[cell] = entries.get(cell, 0) + rank
-            if ex == 0:
-                break
-            ex = (ex - 1) & extra
+    entries.update({(int(i), int(j)): int(cells[i, j])
+                    for i, j in zip(*np.nonzero(cells))})
     return entries
 
 
@@ -272,7 +327,6 @@ def monomial_quotient_betti(M, field):
 
 def standard_monomial_basis(M, t):
     """Degree-t monomials outside the monomial ideal, descending lex."""
-    from .monomials import monomials_of_degree
     if t < 0:
         raise ValueError("degree must be nonnegative")
     return [m for m in monomials_of_degree(M.nvars, t)
@@ -318,14 +372,11 @@ class _KoszulWorkspace:
         if hit is not None:
             return hit
         l = self.ring.nvars
-        if i < 1 or i > l or j < i:
+        if not (1 <= i <= l and j >= i and self.std(j - i)
+                and self.std(j - i + 1)):
             self._rank[key] = 0
             return 0
-        src_std = self.std(j - i)
-        tgt_std = self.std(j - i + 1)
-        if not src_std or not tgt_std:
-            self._rank[key] = 0
-            return 0
+        src_std, tgt_std = self.std(j - i), self.std(j - i + 1)
         tgt_sets = list(itertools.combinations(range(l), i - 1))
         tgt_index = {}
         for si, T in enumerate(tgt_sets):
@@ -356,7 +407,6 @@ class _KoszulWorkspace:
         l = self.ring.nvars
         if i < 0 or i > l or j < i:
             return 0
-        import math
         dim = math.comb(l, i) * len(self.std(j - i))
         return dim - self.diff_rank(i, j) - self.diff_rank(i + 1, j)
 
@@ -451,7 +501,6 @@ def check_flat_betti(I, d):
     beta_{i,jd}(I') = beta_{i,j}(I), vanishing off multiples of d,
     t_i(I') = d t_i(I), the regularity gap inequality
     reg(I')/d >= reg(I) + p(d-1)/d, and reg(I) <= reg(I')/d."""
-    from .groebner import image_ideal
     if isinstance(I, MonomialIdeal):
         ring = I.ring
         Iprime = MonomialIdeal.from_monomials(

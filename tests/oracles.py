@@ -1,0 +1,149 @@
+"""Slow, direct implementations that the tests compare regcert against.
+
+Nothing in src/ uses these; each one is the plain textbook route to a
+quantity the package computes another way.
+"""
+
+from itertools import combinations
+
+from regcert.monomials import HilbertData, num_monomials
+from regcert.resolution import _reduced_homology
+from regcert.rings import Polynomial, mono_deg, mono_lcm
+
+
+def hilbert_function_incl_excl(M, D):
+    """Quotient Hilbert function of R/M through degree D by
+    inclusion-exclusion over generator lcms; exponential in len(M.gens)."""
+    l = M.nvars
+    gens = M.gens
+    if len(gens) > 16:
+        raise ValueError("inclusion-exclusion oracle limited to small ideals")
+    dims = [num_monomials(l, t) for t in range(D + 1)]
+    for r in range(1, len(gens) + 1):
+        sign = (-1) ** r
+        for sub in combinations(gens, r):
+            m = sub[0]
+            for g in sub[1:]:
+                m = mono_lcm(m, g)
+            d = mono_deg(m)
+            for t in range(d, D + 1):
+                dims[t] += sign * num_monomials(l, t - d)
+    return HilbertData(tuple(dims), D, "quotient", l)
+
+
+def lex_rank(m):
+    """Inverse of monomials.lex_unrank."""
+    nvars = len(m)
+    t = mono_deg(m)
+    rank = 0
+    for pos in range(nvars - 1, 0, -1):
+        for e in range(t, m[pos], -1):
+            rank += num_monomials(pos, t - e)
+        t -= m[pos]
+    return rank
+
+
+def substitute(g, images):
+    """Evaluate g(f_1, ..., f_n) for polynomials f_i in another ring."""
+    yring = images[0].ring
+    order = images[0].order
+    out = Polynomial.zero(yring, order)
+    for c, mexp in g.terms:
+        term = Polynomial.from_terms(yring, order,
+                                     [(c, (0,) * yring.nvars)])
+        for i, e in enumerate(mexp):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
+    return out
+
+
+def _standard_monomials_in_box(gens, maxexp):
+    """Monomials u <= maxexp componentwise with x^u not in the ideal."""
+    l = len(maxexp)
+    out = []
+
+    def rec(k, active, acc):
+        if k < 0:
+            out.append(tuple(reversed(acc)))
+            return
+        for e in range(maxexp[k] + 1):
+            na = [g for g in active if g[k] <= e]
+            if any(all(g[j] == 0 for j in range(k)) for g in na):
+                continue
+            acc.append(e)
+            rec(k - 1, na, acc)
+            acc.pop()
+
+    rec(l - 1, list(gens), [])
+    return out
+
+
+def monomial_quotient_betti_by_monomial(M, field):
+    """Quotient-side graded Betti numbers {(i, j): rank} of R/M, one
+    standard monomial u of the generator box at a time: the Koszul block
+    of multidegree u + sigma is the simplicial complex of the tau within
+    sigma with x^(u + sigma - tau) in M."""
+    gens = M.gens
+    l = M.nvars
+    if not gens:
+        return {(0, 0): 1}
+    if any(mono_deg(g) == 0 for g in gens):
+        return {}
+    maxexp = [max(g[k] for g in gens) for k in range(l)]
+    radix = [1] * l
+    for k in range(1, l):
+        radix[k] = radix[k - 1] * (maxexp[k - 1] + 2)
+    std = _standard_monomials_in_box(gens, maxexp)
+    std_codes = {sum(u[k] * radix[k] for k in range(l)) for u in std}
+    nmask = 1 << l
+    delta = [sum(radix[k] for k in range(l) if msk >> k & 1)
+             for msk in range(nmask)]
+    bits_of = [[k for k in range(l) if msk >> k & 1] for msk in range(nmask)]
+    entries = {(0, 0): 1}
+    for u in std:
+        ucode = sum(u[k] * radix[k] for k in range(l))
+        supmask = 0
+        okmask = 0
+        for k in range(l):
+            if u[k] > 0:
+                supmask |= 1 << k
+            if u[k] + 1 <= maxexp[k]:
+                okmask |= 1 << k
+        if supmask & ~okmask:
+            continue  # some support coordinate already at the box edge
+        # membership word: bit tau set iff x^(u + e_tau) lies in the ideal
+        memb = 0
+        sub = okmask
+        while True:
+            if (ucode + delta[sub]) not in std_codes:
+                memb |= 1 << sub
+            if sub == 0:
+                break
+            sub = (sub - 1) & okmask
+        extra = okmask & ~supmask
+        ex = extra
+        while True:
+            sigma = supmask | ex
+            if sigma and (memb >> sigma) & 1:
+                sv = bits_of[sigma]
+                nv = len(sv)
+                faces = []
+                for tmask in range(1 << nv):
+                    tau = sigma
+                    for i in range(nv):
+                        if tmask >> i & 1:
+                            tau &= ~(1 << sv[i])
+                    if (memb >> tau) & 1:
+                        faces.append(tmask)
+                if faces and faces[0] == 0:
+                    hv = _reduced_homology(frozenset(faces), nv, field)
+                    if hv:
+                        j = sum(u) + nv
+                        for hdim, rank in hv.items():
+                            cell = (hdim + 2, j)
+                            entries[cell] = entries.get(cell, 0) + rank
+            if ex == 0:
+                break
+            ex = (ex - 1) & extra
+    return entries

@@ -8,10 +8,12 @@ from regcert.groebner import (IdealPresentation, buchberger, eliminate,
                               graph_ideal, groebner_basis, ideal_equal,
                               image_ideal, initial_ideal, kernel_of_map,
                               normal_form, passes_buchberger_criterion,
-                              reduce_basis, substitute, verify_poweli)
+                              reduce_basis, verify_poweli)
 from regcert.parser import parse_ideal_file
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring, s_polynomial, variable)
+
+from oracles import substitute
 
 
 def ideal(text):
@@ -158,7 +160,6 @@ def kernel_by_linear_algebra(images, max_degree):
     """Degreewise oracle: relations among monomials in the f_i of each
     degree, found by exact kernel computation over GF(p)."""
     from regcert.monomials import monomials_of_degree
-    from regcert.groebner import substitute
     yring = images[0].ring
     p = yring.char
     n = len(images)
@@ -306,3 +307,52 @@ def test_substitute():
     y = variable(yring, o, 0)
     val = substitute(g, [y, y * y])
     assert val.coeff_dict() == {(3,): 1}
+
+
+# ---------------------------------------------------------------------------
+# reduced bases against an independent implementation
+
+def _scaled_terms(terms, char):
+    """Sorted (exponents, coefficient) with the coefficient of the largest
+    exponent tuple scaled to 1; sympy returns integer primitive bases over
+    QQ, so only the scaling of each element is compared away."""
+    import sympy
+    top = max(terms)[1]
+    if char:
+        return sorted((m, int(c) * pow(int(top), -1, char) % char)
+                      for m, c in terms)
+    return sorted((m, sympy.Rational(c) / top) for m, c in terms)
+
+
+@pytest.mark.parametrize("char", [32003, 7, 0])
+@pytest.mark.parametrize("order", [LexOrder(), DegRevLexOrder()],
+                         ids=repr)
+def test_reduced_basis_matches_sympy(char, order):
+    sympy = pytest.importorskip("sympy")
+    from regcert.instances import random_polynomial
+    rng = random.Random(f"{char}-{order!r}")
+    for _ in range(12):
+        nvars = rng.choice([2, 3])
+        ring = make_ring([f"x{i + 1}" for i in range(nvars)], char=char)
+        polys = [random_polynomial(ring, order, rng.choice([2, 3]), rng,
+                                   nterms=rng.choice([2, 3]))
+                 for _ in range(rng.choice([2, 3]))]
+        G = groebner_basis(IdealPresentation.from_polynomials(ring, polys),
+                           order)
+        # regcert orders x_l > ... > x_1, so sympy gets the generators
+        # last variable first; its grevlex is then regcert's degrevlex
+        syms = sympy.symbols(ring.names[::-1])
+        as_sympy = [sum(sympy.Rational(str(c)) * sympy.Mul(*[
+            s ** e for s, e in zip(syms, m[::-1])]) for c, m in f.terms)
+            for f in polys]
+        kwargs = {"modulus": char} if char else {}
+        expected = sympy.groebner(
+            as_sympy, *syms, order={"lex": "lex", "degrevlex": "grevlex"}[
+                repr(order)], **kwargs)
+        want = sorted(_scaled_terms(
+            [(m[::-1], c) for m, c in sympy.Poly(e, *syms, **kwargs).terms()],
+            char) for e in expected.exprs)
+        got = sorted(_scaled_terms(
+            [(m, sympy.Rational(str(c))) for c, m in g.terms], char)
+            for g in G)
+        assert got == want

@@ -18,6 +18,8 @@ from regcert.resolution import (PANEL, BettiTable, betti_table,
 from regcert.rings import DegRevLexOrder, LexOrder, make_ring
 from regcert.scalars import QQ, PrimeField
 
+from oracles import monomial_quotient_betti_by_monomial
+
 R2 = make_ring(["x1", "x2"])
 R3 = make_ring(["x1", "x2", "x3"])
 
@@ -115,12 +117,17 @@ BLOCKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003, 2147483647, 4294967311])
+@pytest.mark.parametrize("p", [2, 3, 32003, 8388593, 8388617, 2147483647,
+                               4294967311])
 @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
 def test_rank_mod_p_blocked_against_oracle(case, p, monkeypatch):
-    # 2147483647 is the largest prime the int64 elimination took; at the
-    # current panel width it takes the Python-int route, as 4294967311 does
+    # 8388593 and 8388617 are the primes on either side of 2^23, where the
+    # block products go from one limb of U12 to two; 2147483647 = 2^31 - 1
+    # takes three limbs, and 4294967311 takes the Python-int route
     assert PANEL == 128
+    assert resolution._limbs(8388593)[1] == 1
+    assert resolution._limbs(8388617)[1] == 2
+    assert resolution._limbs(2147483647) == (11, 3)
     # small row chunks, so each trailing update takes several
     monkeypatch.setattr(resolution, "_CHUNK", 2000)
     nrows, ncols, rank, zero_cols = BLOCKED_CASES[case]
@@ -181,12 +188,14 @@ def test_maximal_ideal_linear_resolution():
     assert T.regularity() == 1
 
 
-def betti_euler_check(M, field):
-    """Alternating sums of Betti numbers reproduce the Hilbert function
-    numerator of R/M (Euler characteristic of the resolution)."""
+def betti_euler_check(M, field, q=None):
+    """Alternating sums of Betti numbers (of q, or else computed here)
+    reproduce the Hilbert function numerator of R/M (Euler characteristic
+    of the resolution)."""
     from regcert.monomials import quotient_k_polynomial
     from regcert.resolution import monomial_quotient_betti
-    q = monomial_quotient_betti(M, field)
+    if q is None:
+        q = monomial_quotient_betti(M, field)
     maxj = max(j for _, j in q)
     kp = quotient_k_polynomial(M)
     kp = list(kp) + [0] * (maxj + 1 - len(kp))
@@ -357,3 +366,88 @@ def test_betti_table_quotient_side():
     assert q == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
     assert betti_table(M).entries == {(i - 1, j): v for (i, j), v in q.items()
                                       if i}
+
+
+# ---------------------------------------------------------------------------
+# the pattern-grouped Koszul engine against the per-monomial oracle
+
+FIELDS = [PrimeField(2), PrimeField(32003), QQ]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Generators as given, in 1-5 variables: the zero ideal, the unit
+    ideal, redundant generators and exponents at the box edge all occur."""
+    l = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * l)
+    gens = draw(st.lists(exps, max_size=6))
+    if gens:
+        extra = st.tuples(st.sampled_from(gens), exps)
+        gens += [tuple(a + b for a, b in zip(g, e))
+                 for g, e in draw(st.lists(extra, max_size=2))]
+    return MonomialIdeal(make_ring([f"x{i + 1}" for i in range(l)]),
+                         tuple(gens))
+
+
+@given(monomial_ideals(), st.sampled_from(FIELDS))
+@settings(max_examples=150, deadline=None)
+def test_monomial_betti_matches_per_monomial_oracle(M, field):
+    assert resolution.monomial_quotient_betti(M, field) == \
+        monomial_quotient_betti_by_monomial(M, field)
+
+
+def test_monomial_betti_oracle_edge_cases():
+    R = make_ring(["x1", "x2"])
+    for gens in [(), ((0, 0),), ((0, 1),), ((2, 0), (2, 1), (0, 3)),
+                 ((1, 1), (1, 1))]:
+        M = MonomialIdeal(R, gens)
+        for field in FIELDS:
+            assert resolution.monomial_quotient_betti(M, field) == \
+                monomial_quotient_betti_by_monomial(M, field)
+
+
+@pytest.mark.parametrize("l", [6, 7])
+def test_monomial_betti_with_words_wider_than_64_bits(l):
+    # the membership word has 2^l bits: 64 at l = 6, 128 at l = 7
+    R = make_ring([f"x{i + 1}" for i in range(l)])
+    rng = random.Random(l)
+    ideals = [
+        [tuple(int(i == k) for i in range(l)) for k in range(l)],
+        [tuple(2 * int(i == k) for i in range(l)) for k in range(l)],
+        [tuple(int(i in (k, (k + 1) % l)) for i in range(l))
+         for k in range(l)],
+        [tuple(rng.randint(0, 2) for _ in range(l)) for _ in range(5)],
+    ]
+    # over QQ at l = 6 only: rational ranks of the many 7-vertex complexes
+    # of l = 7 take seconds
+    for gens in ideals:
+        M = MonomialIdeal(R, tuple(gens))
+        for field in (R.field, QQ)[:8 - l]:
+            q = resolution.monomial_quotient_betti(M, field)
+            assert q == monomial_quotient_betti_by_monomial(M, field)
+    # the maximal ideal: the Koszul complex, beta_i = C(l, i) in degree i
+    M = MonomialIdeal(R, tuple(ideals[0]))
+    assert resolution.monomial_quotient_betti(M, R.field) == \
+        {(i, i): math.comb(l, i) for i in range(l + 1)}
+
+
+def test_monomial_betti_with_box_codes_beyond_int64():
+    # (x_k^N, x_i x_j) in five variables: the box has (N + 2)^5 cells, and
+    # the code of x_5^(N - 1) passes 2^63, so the codes are Python ints
+    N = 8191
+    assert (N - 1) * (N + 2) ** 4 > 2 ** 63
+    R5 = make_ring([f"x{i + 1}" for i in range(5)])
+
+    def ideal_of(N):
+        return MonomialIdeal(R5, tuple(
+            [tuple(N * int(i == k) for i in range(5)) for k in range(5)]
+            + [tuple(int(i in (a, b)) for i in range(5))
+               for a in range(5) for b in range(a + 1, 5)]))
+
+    M = ideal_of(N)
+    q = resolution.monomial_quotient_betti(M, R5.field)
+    betti_euler_check(M, R5.field, q)
+    # the same table as at N = 8, the cells of the pure powers shifted
+    small = monomial_quotient_betti_by_monomial(ideal_of(8), R5.field)
+    assert q == {(i, j + (N - 8) * (j >= 8)): v
+                 for (i, j), v in small.items()}
