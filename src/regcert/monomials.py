@@ -2,13 +2,14 @@
 regularity constant of complete-intersection lex ideals.
 
 Membership in a monomial ideal is answered by a divisibility trie over
-its generators.  Lex segments are handled by rank arithmetic on the
-descending lex order (Macaulay binomial representations), so
-construction never enumerates a full degree piece; enumeration variants
-are kept as test oracles.
+its generators.  Lex segments are handled by closed-form arithmetic: a
+Macaulay representation is at most nvars runs of equal offset a_i - i,
+each sized by bisection on a hockey-stick sum; a segment's first new
+generator is unranked by bisection, the rest by a successor step.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,37 +52,43 @@ class MonomialIdeal:
 
     @cached_property
     def _divisor_trie(self):
-        """The generators as nested dicts keyed by exponent, last variable
-        first; each root-to-leaf path spells one generator.  Inserting in
-        ascending lex order puts every node's keys in ascending order."""
-        root = {}
+        """The generators as a trie of (keys, children) nodes keyed by
+        exponent, last variable first; each root-to-leaf path spells one
+        generator.  Inserting in ascending lex order appends every key in
+        ascending order."""
+        root = ([], [])
         for g in sorted(self.gens, key=_LEX.key):
             node = root
             for e in reversed(g):
-                node = node.setdefault(e, {})
+                keys, children = node
+                if not keys or keys[-1] != e:
+                    keys.append(e)
+                    children.append(([], []))
+                node = children[-1]
         return root
 
     def contains_monomial(self, m):
         """True iff some generator divides m.  The trie search enters only
-        branches whose exponent is at most m's exponent there, largest
-        exponent first."""
-        if not self.gens:
-            return False
-        stack = [(self._divisor_trie, len(m))]
-        while stack:
-            node, k = stack.pop()
-            if k == 0:
-                return True
-            k -= 1
-            x = m[k]
-            for e, child in node.items():
-                if e > x:
-                    break
-                stack.append((child, k))
-        return False
+        branches whose exponent is at most m's exponent there, found by
+        bisection, largest exponent first."""
+        return bool(self.gens) and _trie_divides(self._divisor_trie, m,
+                                                 len(m))
 
     def max_gen_degree(self):
         return max((mono_deg(g) for g in self.gens), default=0)
+
+
+def _trie_divides(node, m, k):
+    """True iff a path below node divides m in its first k exponents."""
+    if k == 0:
+        return True
+    keys, children = node
+    i = bisect_right(keys, m[k - 1])
+    while i:
+        i -= 1
+        if _trie_divides(children[i], m, k - 1):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +107,11 @@ class HilbertData:
         assert self.side in ("quotient", "ideal")
         assert len(self.dims) == self.cutoff + 1
 
-    def full_dim(self, t):
-        return num_monomials(self.nvars, t)
-
     def ideal_side(self):
         if self.side == "ideal":
             return self
-        dims = tuple(self.full_dim(t) - d for t, d in enumerate(self.dims))
+        dims = tuple(num_monomials(self.nvars, t) - d
+                     for t, d in enumerate(self.dims))
         return HilbertData(dims, self.cutoff, "ideal", self.nvars)
 
 
@@ -125,18 +130,13 @@ def _pick_pivot(gens, nvars):
             for k, e in enumerate(g):
                 if e > 0:
                     counts[k] += 1
-    k = max(range(nvars), key=lambda i: counts[i])
-    return k
+    return max(range(nvars), key=lambda i: counts[i])
 
 
 def _poly_add(a, b):
     n = max(len(a), len(b))
     return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                  for i in range(n))
-
-
-def _poly_shift(a, s):
-    return (0,) * s + tuple(a)
 
 
 def _poly_mul(a, b):
@@ -175,7 +175,7 @@ def _k_polynomial(gens, nvars):
     colon = tuple(sorted(tuple(e - 1 if i == k and e > 0 else e
                                for i, e in enumerate(g)) for g in gens))
     return _poly_add(_k_polynomial(plus, nvars),
-                     _poly_shift(_k_polynomial(colon, nvars), 1))
+                     (0,) + _k_polynomial(colon, nvars))
 
 
 def quotient_k_polynomial(M):
@@ -210,29 +210,51 @@ def ci_hilbert_function(n, d, m, D):
 # ---------------------------------------------------------------------------
 # Macaulay representations and lex segment arithmetic
 
-def macaulay_rep(N, t):
-    """The t-th Macaulay representation N = sum C(a_i, i), a_t > ... >= i >= 1."""
+def _least(lo, hi, a, b, N):
+    """Least x in [lo, hi] with C(x + a, b) > N, by bisection; C(hi + a, b)
+    must exceed N."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(mid + a, b) > N:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _macaulay_runs(N, t):
+    """The t-th Macaulay representation of N as runs (c, s, e): a_i = i + c
+    for e >= i >= s.  The offset c = a_i - i never grows as i falls, and a
+    run sums to C(e+c+1, c+1) - C(s+c, c+1) (hockey stick), so each run's
+    c and s are found by bisection."""
     if N < 0:
         raise ValueError("negative value")
-    rep = []
-    i = t
-    while N > 0:
-        if i < 1:
-            raise ValueError(f"no Macaulay representation of {N} at index {t}")
-        a = i - 1
-        while math.comb(a + 1, i) <= N:
-            a += 1
-        rep.append((a, i))
-        N -= math.comb(a, i)
-        i -= 1
-    return rep
+    if N and t < 1:
+        raise ValueError(f"no Macaulay representation of {N} at index {t}")
+    runs, e, c = [], t, 1
+    while math.comb(t + c, c) <= N:  # c > the offset of the first run
+        c *= 2
+    while N:
+        c = _least(0, c, e, e, N) - 1
+        top = math.comb(e + c + 1, c + 1)
+        s = _least(1, e, c, c + 1, top - N - 1)
+        N -= top - math.comb(s + c, c + 1)
+        runs.append((c, s, e))
+        e = s - 1
+    return runs
+
+
+def macaulay_rep(N, t):
+    """The t-th Macaulay representation N = sum C(a_i, i), a_t > ... >= i >= 1."""
+    return [(i + c, i) for c, s, e in _macaulay_runs(N, t)
+            for i in range(e, s - 1, -1)]
 
 
 def macaulay_growth(q, t):
-    """Macaulay bound q^<t> on the next quotient dimension (t >= 1)."""
-    if q == 0:
-        return 0
-    return sum(math.comb(a + 1, i + 1) for a, i in macaulay_rep(q, t))
+    """Macaulay bound q^<t> = sum C(a_i + 1, i + 1) on the next quotient
+    dimension (t >= 1), summed run by run in closed form."""
+    return sum(math.comb(e + c + 2, c + 1) - math.comb(s + c + 1, c + 1)
+               for c, s, e in _macaulay_runs(q, t))
 
 
 def lex_shadow_size(N, t, nvars):
@@ -257,28 +279,37 @@ def lex_unrank(nvars, t, rank):
         raise ValueError("rank out of range")
     exps = [0] * nvars
     for pos in range(nvars - 1, 0, -1):
-        for e in range(t, -1, -1):
-            cnt = num_monomials(pos, t - e)
-            if rank < cnt:
-                exps[pos] = e
-                t -= e
-                break
-            rank -= cnt
+        # C(k - 1 + pos, pos) monomials have x_pos-exponent above t - k
+        k = _least(0, t, pos, pos, rank)
+        rank -= math.comb(k - 1 + pos, pos)
+        exps[pos] = t - k
+        t = k
     exps[0] = t
     return tuple(exps)
 
 
+def _lex_run(nvars, t, start, stop):
+    """The degree-t monomials of ranks start..stop-1, descending lex: unrank
+    start, then step.  The successor lowers the first positive exponent
+    after x_1 by one and moves x_1's exponent, plus one, just below it."""
+    out = []
+    if start < stop:
+        exps = list(lex_unrank(nvars, t, start))
+        out.append(tuple(exps))
+    for _ in range(start + 1, stop):
+        pos = 1
+        while not exps[pos]:
+            pos += 1
+        exps[0], exps[pos - 1] = 0, exps[0] + 1
+        exps[pos] -= 1
+        out.append(tuple(exps))
+    return out
+
+
 def monomials_of_degree(nvars, t):
-    """All degree-t monomials in descending lex order.  Enumerates the full
-    degree piece; intended for small degrees and test oracles."""
-    def gen(rem, parts):
-        if parts == 1:
-            yield (rem,)
-            return
-        for e in range(rem, -1, -1):
-            for rest in gen(rem - e, parts - 1):
-                yield rest + (e,)
-    return list(gen(t, nvars))
+    """All degree-t monomials in descending lex order; enumerates the full
+    degree piece."""
+    return _lex_run(nvars, t, 0, num_monomials(nvars, t))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +330,12 @@ def _segment_generators(ideal_dims, nvars):
     given ideal-side dimensions; raises MacaulayViolation when unachievable."""
     prev = 0
     for t, N in enumerate(ideal_dims):
-        full = num_monomials(nvars, t)
-        if not 0 <= N <= full:
+        if not 0 <= N <= num_monomials(nvars, t):
             raise MacaulayViolation(t, 0, N)
         sh = lex_shadow_size(prev, t - 1, nvars) if t > 0 else 0
         if N < sh:
             raise MacaulayViolation(t, sh, N)
-        yield t, [lex_unrank(nvars, t, r) for r in range(sh, N)]
+        yield t, _lex_run(nvars, t, sh, N)
         prev = N
 
 

@@ -4,11 +4,12 @@ Nothing in src/ uses these; each one is the plain textbook route to a
 quantity the package computes another way.
 """
 
+import math
 from itertools import combinations
 
-from regcert.monomials import HilbertData, num_monomials
+from regcert.monomials import HilbertData, MacaulayViolation, num_monomials
 from regcert.resolution import _reduced_homology
-from regcert.rings import Polynomial, mono_deg, mono_lcm
+from regcert.rings import LexOrder, Polynomial, mono_deg, mono_lcm
 
 
 def hilbert_function_incl_excl(M, D):
@@ -41,6 +42,97 @@ def lex_rank(m):
             rank += num_monomials(pos, t - e)
         t -= m[pos]
     return rank
+
+
+def monomials_of_degree_recursive(nvars, t):
+    """monomials.monomials_of_degree by recursion on the last variable's
+    exponent, largest first."""
+    def gen(rem, parts):
+        if parts == 1:
+            yield (rem,)
+            return
+        for e in range(rem, -1, -1):
+            for rest in gen(rem - e, parts - 1):
+                yield rest + (e,)
+    return list(gen(t, nvars))
+
+
+def macaulay_rep_linear(N, t):
+    """monomials.macaulay_rep by a linear search for each a_i."""
+    if N < 0:
+        raise ValueError("negative value")
+    rep = []
+    i = t
+    while N > 0:
+        if i < 1:
+            raise ValueError(f"no Macaulay representation of {N} at index {t}")
+        a = i - 1
+        while math.comb(a + 1, i) <= N:
+            a += 1
+        rep.append((a, i))
+        N -= math.comb(a, i)
+        i -= 1
+    return rep
+
+
+def macaulay_growth_linear(q, t):
+    """monomials.macaulay_growth, term by term over macaulay_rep_linear."""
+    return sum(math.comb(a + 1, i + 1) for a, i in macaulay_rep_linear(q, t))
+
+
+def lex_shadow_size_linear(N, t, nvars):
+    """monomials.lex_shadow_size through macaulay_growth_linear."""
+    full_t = num_monomials(nvars, t)
+    if not 0 <= N <= full_t:
+        raise ValueError("segment size out of range")
+    if t == 0:
+        return num_monomials(nvars, 1) if N == 1 else 0
+    return num_monomials(nvars, t + 1) - macaulay_growth_linear(full_t - N, t)
+
+
+def lex_unrank_linear(nvars, t, rank):
+    """monomials.lex_unrank by walking each exponent down one step at a
+    time, counting the monomials it skips."""
+    if not 0 <= rank < num_monomials(nvars, t):
+        raise ValueError("rank out of range")
+    exps = [0] * nvars
+    for pos in range(nvars - 1, 0, -1):
+        for e in range(t, -1, -1):
+            cnt = num_monomials(pos, t - e)
+            if rank < cnt:
+                exps[pos] = e
+                t -= e
+                break
+            rank -= cnt
+    exps[0] = t
+    return tuple(exps)
+
+
+def segment_generators_by_unrank(ideal_dims, nvars):
+    """The lex scan's (degree, new generators) pairs, each generator
+    unranked on its own by lex_unrank_linear."""
+    prev = 0
+    for t, N in enumerate(ideal_dims):
+        full = num_monomials(nvars, t)
+        if not 0 <= N <= full:
+            raise MacaulayViolation(t, 0, N)
+        sh = lex_shadow_size_linear(prev, t - 1, nvars) if t > 0 else 0
+        if N < sh:
+            raise MacaulayViolation(t, sh, N)
+        yield t, [lex_unrank_linear(nvars, t, r) for r in range(sh, N)]
+        prev = N
+
+
+def lex_scan_by_unrank(ideal_dims, nvars):
+    """(generators sorted descending lex, complete) as lex_segment_ideal
+    returns them for ideal-side dims scanned through their last degree."""
+    gens, last_new = [], None
+    for t, new in segment_generators_by_unrank(ideal_dims, nvars):
+        if new:
+            gens.extend(new)
+            last_new = t
+    gens.sort(key=LexOrder().key, reverse=True)
+    return tuple(gens), bool(gens) and last_new <= len(ideal_dims) - 3
 
 
 def substitute(g, images):

@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcert.monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
-                               ci_hilbert_function, ci_lex_ideal, compute_G,
-                               g_cap, hilbert_function, is_strongly_stable,
-                               lex_segment_ideal, lex_shadow_size,
-                               lex_unrank, macaulay_growth, macaulay_rep,
-                               minimalize_monomials, monomials_of_degree,
-                               num_monomials, stable_regularity)
+                               _lex_run, _segment_generators,
+                               ci_hilbert_function, ci_lex_ideal,
+                               compute_G, g_cap, hilbert_function,
+                               is_strongly_stable, lex_segment_ideal,
+                               lex_shadow_size, lex_unrank, macaulay_growth,
+                               macaulay_rep, minimalize_monomials,
+                               monomials_of_degree, num_monomials,
+                               stable_regularity)
 from regcert.rings import LexOrder, make_ring, mono_divides
 
-from oracles import hilbert_function_incl_excl, lex_rank
+from oracles import (hilbert_function_incl_excl, lex_rank, lex_scan_by_unrank,
+                     lex_shadow_size_linear, lex_unrank_linear,
+                     macaulay_growth_linear, macaulay_rep_linear,
+                     monomials_of_degree_recursive,
+                     segment_generators_by_unrank)
 
 R3 = make_ring(["x1", "x2", "x3"])
 RINGS = {l: make_ring([f"x{i + 1}" for i in range(l)]) for l in range(1, 6)}
@@ -119,7 +125,7 @@ def hf_enumeration(M, D):
     """Brute-force quotient Hilbert function."""
     dims = []
     for t in range(D + 1):
-        dims.append(sum(1 for m in monomials_of_degree(M.nvars, t)
+        dims.append(sum(1 for m in monomials_of_degree_recursive(M.nvars, t)
                         if not M.contains_monomial(m)))
     return tuple(dims)
 
@@ -181,7 +187,7 @@ def test_macaulay_rep_and_growth():
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_lex_shadow_size_against_enumeration(nvars, t):
-    monos = monomials_of_degree(nvars, t)
+    monos = monomials_of_degree_recursive(nvars, t)
     for N in range(len(monos) + 1):
         segment = monos[:N]
         shadow = set()
@@ -199,7 +205,7 @@ def test_lex_shadow_degree_zero():
 
 def test_lex_rank_unrank_roundtrip():
     for nvars, t in [(2, 3), (3, 4), (4, 3)]:
-        monos = monomials_of_degree(nvars, t)
+        monos = monomials_of_degree_recursive(nvars, t)
         for r, m in enumerate(monos):
             assert lex_unrank(nvars, t, r) == m
             assert lex_rank(m) == r
@@ -219,7 +225,7 @@ def lex_ideal_enumeration(ideal_dims, ring):
     each degree and minimalize."""
     gens = []
     for t, N in enumerate(ideal_dims):
-        gens.extend(monomials_of_degree(ring.nvars, t)[:N])
+        gens.extend(monomials_of_degree_recursive(ring.nvars, t)[:N])
     return MonomialIdeal.from_monomials(ring, gens)
 
 
@@ -245,6 +251,132 @@ def test_macaulay_violation():
     with pytest.raises(MacaulayViolation) as exc:
         lex_segment_ideal(h, R3)
     assert exc.value.degree == 3
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("t", [0, 1, 2, 5])
+def test_monomials_of_degree_against_recursion(nvars, t):
+    assert monomials_of_degree(nvars, t) == \
+        monomials_of_degree_recursive(nvars, t)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def check_macaulay_arithmetic(nvars, t, N):
+    assert outcome(macaulay_rep, N, t) == outcome(macaulay_rep_linear, N, t)
+    if t >= 1:
+        assert macaulay_growth(N, t) == macaulay_growth_linear(N, t)
+    assert outcome(lex_shadow_size, N, t, nvars) == \
+        outcome(lex_shadow_size_linear, N, t, nvars)
+
+
+@given(st.integers(1, 7), st.integers(0, 60), st.data())
+@settings(max_examples=150, deadline=None)
+def test_macaulay_arithmetic_against_linear_search(nvars, t, data):
+    full = num_monomials(nvars, t)
+    for N in {0, max(full - 1, 0), full, full + 1,
+              data.draw(st.integers(0, full))}:
+        check_macaulay_arithmetic(nvars, t, N)
+
+
+@given(st.integers(1, 7), st.integers(61, 5000), st.data())
+@settings(max_examples=25, deadline=None)
+def test_macaulay_arithmetic_deep_degrees(nvars, t, data):
+    full = num_monomials(nvars, t)
+    check_macaulay_arithmetic(nvars, t, data.draw(st.integers(0, full)))
+
+
+def test_macaulay_rep_edges():
+    assert macaulay_rep(0, 0) == [] and macaulay_growth(0, 0) == 0
+    assert macaulay_rep(1, 1) == [(1, 1)]
+    assert macaulay_rep(7, 1) == [(7, 1)]  # one run reaching index 1
+    # C(5,3) + C(4,2) + C(2,1): runs of offset 2 (twice) and 1
+    assert macaulay_rep(18, 3) == [(5, 3), (4, 2), (2, 1)]
+    with pytest.raises(ValueError, match="no Macaulay representation"):
+        macaulay_rep(3, 0)
+
+
+@given(st.integers(1, 7), st.integers(0, 60), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lex_unrank_against_linear_search(nvars, t, data):
+    full = num_monomials(nvars, t)
+    for r in {0, full - 1, data.draw(st.integers(0, full - 1))}:
+        assert lex_unrank(nvars, t, r) == lex_unrank_linear(nvars, t, r)
+    for r in (-1, full):
+        with pytest.raises(ValueError):
+            lex_unrank(nvars, t, r)
+
+
+@given(st.integers(1, 7), st.integers(0, 400), st.data())
+@settings(max_examples=150, deadline=None)
+def test_successor_steps_match_unranking(nvars, t, data):
+    full = num_monomials(nvars, t)
+    r = data.draw(st.sampled_from([0, full - 1]) | st.integers(0, full - 1))
+    stop = min(full, r + 1 + data.draw(st.integers(0, 40)))
+    assert _lex_run(nvars, t, r, stop) == \
+        [lex_unrank_linear(nvars, t, j) for j in range(r, stop)]
+    assert _lex_run(nvars, t, r, r) == []
+
+
+# the `main` benchmark ladder, (n, m, d) as on the command line
+MAIN_LADDER = [(2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3), (3, 3, 2)]
+
+
+def ci_ideal_dims(n, m, d):
+    cap = g_cap(n, d, m)
+    h = ci_hilbert_function(n, d, m, cap + 2)
+    return h, list(h.ideal_side().dims)
+
+
+@pytest.mark.parametrize("n,m,d", MAIN_LADDER)
+def test_lex_scan_matches_unranking_oracle_on_main_ladder(n, m, d):
+    h, dims = ci_ideal_dims(n, m, d)
+    ring = make_ring([f"x{i + 1}" for i in range(n + m)])
+    L, complete = lex_segment_ideal(h, ring, h.cutoff)
+    assert (L.gens, complete) == lex_scan_by_unrank(dims, n + m)
+    assert complete
+
+
+def scan_outcome(scan, dims, nvars):
+    """The (degree, generators) pairs of a scan, or the degree and message
+    of the MacaulayViolation it raises."""
+    try:
+        return list(scan(dims, nvars))
+    except MacaulayViolation as exc:
+        return exc.degree, str(exc)
+
+
+@pytest.mark.parametrize("n,m,d", MAIN_LADDER[:4])
+def test_unachievable_ladder_series_raise_as_oracle(n, m, d):
+    _, dims = ci_ideal_dims(n, m, d)
+    l = n + m
+    short = lex_shadow_size_linear(dims[d + 1], d + 1, l) - 1
+    for t, change in [(d + 1, 0), (d + 3, 0), (d + 2, short),
+                      (d, num_monomials(l, d) + 1)]:
+        bad = dims[:t] + [change] + dims[t + 1:]
+        degree, message = scan_outcome(_segment_generators, bad, l)
+        assert degree == t
+        assert (degree, message) == \
+            scan_outcome(segment_generators_by_unrank, bad, l)
+        h = HilbertData(tuple(bad), len(bad) - 1, "ideal", l)
+        with pytest.raises(MacaulayViolation) as exc:
+            lex_segment_ideal(h, make_ring([f"x{i + 1}" for i in range(l)]))
+        assert (exc.value.degree, str(exc.value)) == (degree, message)
+
+
+@given(st.integers(1, 4), st.lists(st.integers(0, 40), min_size=1,
+                                    max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_segment_generators_match_oracle_on_any_sequence(nvars, raw):
+    dims = [min(x, num_monomials(nvars, t) + 1) for t, x in enumerate(raw)]
+    assert scan_outcome(_segment_generators, dims, nvars) == \
+        scan_outcome(segment_generators_by_unrank, dims, nvars)
 
 
 def test_strong_stability():
@@ -287,12 +419,14 @@ def test_compute_G_table(key, expected):
     assert compute_G(n, d, m) == expected
 
 
+# insertion order fixes the test ids key0, key1, ...: append new shapes
 G_TABLE_LARGER = {
-    (3, 3, 2): 297, (2, 3, 3): 273, (4, 2, 2): 104, (5, 2, 2): 448,
+    (2, 3, 3): 273, (3, 3, 2): 297, (4, 2, 2): 104, (5, 2, 2): 448,
+    (3, 4, 2): 1792,
 }
 
 
-@pytest.mark.parametrize("key,expected", sorted(G_TABLE_LARGER.items()))
+@pytest.mark.parametrize("key,expected", G_TABLE_LARGER.items())
 def test_compute_G_table_larger(key, expected):
     n, d, m = key
     assert compute_G(n, d, m) == expected
