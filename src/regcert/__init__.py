@@ -4,7 +4,7 @@ from .groebner import (GroebnerBasis, IdealPresentation, buchberger,
                        eliminate, groebner_basis, ideal_equal, image_ideal,
                        initial_ideal, kernel_of_map, normal_form,
                        passes_buchberger_criterion, verify_poweli)
-from .monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
+from .monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                         ci_hilbert_function, ci_lex_ideal, compute_G, g_cap,
                         hilbert_function, is_strongly_stable,
                         lex_segment_ideal, macaulay_rep, stable_regularity)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "BlockOrder", "DegRevLexOrder", "DEFAULT_PRIME",
-    "GroebnerBasis", "HilbertData", "IdealPresentation", "LexOrder",
+    "GroebnerBasis", "HilbertSeries", "IdealPresentation", "LexOrder",
     "MacaulayViolation", "MonomialIdeal", "Parametrisation", "ParseError",
     "PolyRing", "Polynomial", "PowerMap", "PrimeField", "QQ",
     "VerificationReport", "apply_power_map", "betti_table", "buchberger",

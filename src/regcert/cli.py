@@ -18,7 +18,7 @@ from .reports import FAIL, INCONCLUSIVE, PASS
 from .resolution import regularity
 from .rings import BlockOrder, DegRevLexOrder, LexOrder
 from .scalars import _is_prime
-from .verify import (DEFAULT_CUTOFF, lex_ideal_of_presentation, verify_main,
+from .verify import (lex_ideal_of_presentation, verify_main,
                      verify_main_trials, verify_poweli_trials,
                      verify_regbound, verify_regbound_trials, verify_regflat)
 
@@ -197,8 +197,7 @@ def cmd_regbound(args, out):
     if args.ideal:
         _not_with(args, ["trials", "seed"], "with --ideal")
         _, J = _load(args, "ideal")
-        cutoff = DEFAULT_CUTOFF if args.cutoff is None else args.cutoff
-        report = verify_regbound(J, J.ring.kept, cutoff=cutoff)
+        report = verify_regbound(J, J.ring.kept, cutoff=args.cutoff)
     else:
         _not_with(args, ["cutoff"], "without --ideal")
         report = verify_regbound_trials(*_trials(args), char=args.char)
@@ -239,7 +238,7 @@ COMMANDS = {
     "reg": (cmd_reg, {"ideal": {"required": True}, "char": {},
                       "order": {"choices": ["lex", "degrevlex", "elim"]}}),
     "lex": (cmd_lex, {"ideal": {"required": True}, "char": {},
-                      "cutoff": {"default": DEFAULT_CUTOFF}}),
+                      "cutoff": {}}),
     "gtable": (cmd_gtable, {"n": dict(_RANGE, default="1..3"),
                             "d": dict(_RANGE, default="2..3"),
                             "m": dict(_RANGE, default="1..2")}),

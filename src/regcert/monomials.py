@@ -1,11 +1,12 @@
-"""Monomial ideals, Hilbert functions, Macaulay lex segments, and the
+"""Monomial ideals, Hilbert series, Macaulay lex segments, and the
 regularity constant of complete-intersection lex ideals.
 
 Membership in a monomial ideal is answered by a divisibility trie over
 its generators.  Lex segments are handled by closed-form arithmetic: a
 Macaulay representation is at most nvars runs of equal offset a_i - i,
 each sized by bisection on a hockey-stick sum; a segment's first new
-generator is unranked by bisection, the rest by a successor step.
+generator is unranked by bisection, the rest by a successor step.  A
+scan is complete once it reaches the Gotzmann bound of its series.
 """
 
 import math
@@ -46,9 +47,6 @@ class MonomialIdeal:
 
     def is_zero(self):
         return not self.gens
-
-    def is_unit(self):
-        return any(mono_deg(g) == 0 for g in self.gens)
 
     @cached_property
     def _divisor_trie(self):
@@ -92,28 +90,7 @@ def _trie_divides(node, m, k):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert functions
-
-@dataclass(frozen=True)
-class HilbertData:
-    """Degreewise dimensions up to a cutoff, on the quotient or ideal side."""
-
-    dims: tuple
-    cutoff: int
-    side: str  # "quotient" | "ideal"
-    nvars: int
-
-    def __post_init__(self):
-        assert self.side in ("quotient", "ideal")
-        assert len(self.dims) == self.cutoff + 1
-
-    def ideal_side(self):
-        if self.side == "ideal":
-            return self
-        dims = tuple(num_monomials(self.nvars, t) - d
-                     for t, d in enumerate(self.dims))
-        return HilbertData(dims, self.cutoff, "ideal", self.nvars)
-
+# Hilbert series
 
 def num_monomials(nvars, t):
     """Number of degree-t monomials in nvars variables."""
@@ -183,28 +160,78 @@ def quotient_k_polynomial(M):
     return _k_polynomial(tuple(sorted(M.gens)), M.nvars)
 
 
-def hilbert_function(M, D):
-    """Quotient-side Hilbert function of R/M up to degree D."""
-    if D < 0:
-        raise ValueError("degree bound must be nonnegative")
-    kp = quotient_k_polynomial(M)
-    l = M.nvars
-    dims = tuple(sum(kp[j] * num_monomials(l, t - j)
-                     for j in range(min(t, len(kp) - 1) + 1))
-                 for t in range(D + 1))
-    return HilbertData(dims, D, "quotient", l)
+@dataclass(frozen=True)
+class HilbertSeries:
+    """The Hilbert series numerator(t) / (1 - t)^nvars of a graded quotient
+    R/I.  The numerator is stored without trailing zeros, so two series
+    over one ring compare equal exactly when they agree in every degree."""
+
+    numerator: tuple
+    nvars: int
+
+    def __post_init__(self):
+        num = tuple(self.numerator)
+        while num and not num[-1]:
+            num = num[:-1]
+        object.__setattr__(self, "numerator", num)
+
+    def dims(self, D):
+        """Quotient dimensions in degrees 0..D."""
+        kp, l = self.numerator, self.nvars
+        return tuple(sum(c * num_monomials(l, t - j)
+                         for j, c in enumerate(kp[:t + 1]))
+                     for t in range(D + 1))
+
+    def scan_bound(self):
+        """The degree B = max(r, t0) above which the lex ideal of this
+        series has no generator.
+
+        From t0 = deg(numerator) - nvars + 1 (at least 0) on, the Hilbert
+        function is the Hilbert polynomial P.  Write P in Gotzmann's form
+        P(t) = sum_{i=1..r} C(t + a_i - (i-1), a_i), a_1 >= ... >= a_r >= 0.
+        For t >= r this is the t-th Macaulay representation of P(t), so
+        h(t+1) = h(t)^<t> for t >= B: the growth is maximal and no lex
+        generator appears (Gotzmann's regularity theorem; Green, Generic
+        initial ideals, 1998).
+
+        P is held by its coefficients c_k on the basis C(t + k, k), read
+        off the numerator expanded at t = 1.  The c_e terms with a_i = e,
+        the degree of P, sum to C(t+e+1, e+1) - C(t-c_e+e+1, e+1) (hockey
+        stick), and what is left is a Gotzmann form in s = t - c_e.  So r
+        is summed over at most nvars runs of equal a_i."""
+        l, num = self.nvars, self.numerator
+        c = [(-1) ** (l - 1 - k) * sum(q * math.comb(i, l - 1 - k)
+                                       for i, q in enumerate(num))
+             for k in range(l)]
+        r = 0
+        while any(c):
+            e = max(k for k in range(l) if c[k])
+            run = c[e]
+            if run < 0:
+                raise ValueError("not the Hilbert series of a graded quotient")
+            # C(s + run + k, k) = sum_j C(run-1 + k-j, k-j) C(s + j, j)
+            c = [sum(c[k] * math.comb(run - 1 + k - j, k - j)
+                     for k in range(j, e + 1))
+                 - math.comb(run + e - j, e + 1 - j) for j in range(e)]
+            c += [0] * (l - e)
+            r += run
+        return max(r, len(num) - l)
 
 
-def ci_hilbert_function(n, d, m, D):
-    """Quotient Hilbert function of a complete intersection of n degree-d
-    forms in n+m variables: coefficients of (1-t^d)^n / (1-t)^(n+m)."""
+def hilbert_function(M):
+    """Hilbert series of R/M."""
+    return HilbertSeries(quotient_k_polynomial(M), M.nvars)
+
+
+def ci_hilbert_function(n, d, m):
+    """Hilbert series (1-t^d)^n / (1-t)^(n+m) of a complete intersection of
+    n degree-d forms in n+m variables."""
     if n < 1 or d < 1 or m < 0:
         raise ValueError("need n, d >= 1 and m >= 0")
-    l = n + m
-    dims = tuple(sum((-1) ** k * math.comb(n, k) * num_monomials(l, t - k * d)
-                     for k in range(n + 1))
-                 for t in range(D + 1))
-    return HilbertData(dims, D, "quotient", l)
+    num = [0] * (n * d + 1)
+    for k in range(n + 1):
+        num[k * d] = (-1) ** k * math.comb(n, k)
+    return HilbertSeries(tuple(num), n + m)
 
 
 # ---------------------------------------------------------------------------
@@ -339,37 +366,27 @@ def _segment_generators(ideal_dims, nvars):
         prev = N
 
 
-def lex_segment_ideal(h, ring, D=None):
-    """Lex-segment ideal of the given Hilbert data, scanned once through
-    degree D (default: the cutoff of h).  This is regcert's one lex scan;
-    each lex ideal is built by a single call.
+def lex_segment_ideal(h, ring, D):
+    """Lex-segment ideal of the Hilbert series h, scanned once through
+    degree D.  This is regcert's one lex scan; each lex ideal is built by
+    a single call.
 
     Returns (MonomialIdeal, complete).  The generators are the minimal
-    generators, sorted descending lex.  complete is a persistence
-    heuristic, not a proof: it says no new generator appeared in the top
-    two scanned degrees, so a generator above D goes unseen.  A scan that
-    finds no generator is not complete: Hilbert data through D cannot
-    tell the zero ideal from one generated above D.
+    generators, sorted descending lex.  complete says D >= h.scan_bound(),
+    so no generator lies above D.
     """
-    hi = h.ideal_side()
-    if D is None:
-        D = hi.cutoff
-    if D > hi.cutoff:
-        raise ValueError("requested degree exceeds Hilbert data cutoff")
-    if ring.nvars != hi.nvars:
-        raise ValueError("ring does not match Hilbert data")
+    if ring.nvars != h.nvars:
+        raise ValueError("ring does not match Hilbert series")
+    l = h.nvars
     gens = []
-    last_new = None
-    for t, new in _segment_generators(hi.dims[:D + 1], hi.nvars):
-        if new:
-            gens.extend(new)
-            last_new = t
+    for _, new in _segment_generators(
+            [num_monomials(l, t) - q for t, q in enumerate(h.dims(D))], l):
+        gens.extend(new)
     # Minimal by construction: the degree-(t-1) part of the ideal is the
     # degree-(t-1) segment, and a degree-t generator lies outside its
     # shadow, so no element of lower degree divides it.
     gens.sort(key=_LEX.key, reverse=True)
-    complete = bool(gens) and last_new <= D - 2
-    return MonomialIdeal(ring, tuple(gens)), complete
+    return MonomialIdeal(ring, tuple(gens)), D >= h.scan_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +436,19 @@ def g_cap(n, d, m):
 
 def ci_lex_ideal(n, d, m):
     """Lex-segment ideal of a complete intersection of n degree-d forms in
-    n+m variables, scanned through the guaranteed cap."""
+    n+m variables, scanned through the scan bound of its series."""
     from .rings import make_ring
-    cap = g_cap(n, d, m)
-    h = ci_hilbert_function(n, d, m, cap + 1)
+    h = ci_hilbert_function(n, d, m)
     ring = make_ring([f"z{i + 1}" for i in range(n + m)])
-    M, _ = lex_segment_ideal(h, ring, cap + 1)
+    M, _ = lex_segment_ideal(h, ring, h.scan_bound())
     return M
 
 
+@lru_cache(maxsize=None)
 def compute_G(n, d, m):
     """reg(Lex(J')) for J' a complete intersection of n degree-d forms in
-    n+m variables; depends only on (n, d, m)."""
-    M = ci_lex_ideal(n, d, m)
-    G = stable_regularity(M)
+    n+m variables; depends only on (n, d, m), so it is computed once."""
+    G = stable_regularity(ci_lex_ideal(n, d, m))
     if m >= 1 and G > g_cap(n, d, m):
         raise RuntimeError("lex ideal generator beyond the guaranteed cap")
     return G

@@ -54,9 +54,6 @@ class VerificationReport:
             return INCONCLUSIVE
         return PASS
 
-    def witnesses(self):
-        return [inst for inst in self.instances if inst.witness is not None]
-
     def merge(self, other):
         self.instances.extend(other.instances)
         self.inconclusive_reasons.extend(other.inconclusive_reasons)

@@ -441,7 +441,7 @@ class BettiTable:
         return self.entries.get((i, j), 0)
 
 
-def _ideal_side(quotient_entries):
+def _ideal_entries(quotient_entries):
     return {(i - 1, j): v for (i, j), v in quotient_entries.items()
             if i >= 1 and v}
 
@@ -451,7 +451,7 @@ def betti_table(I, order=None):
     ideal presentation, or a Groebner basis of one."""
     if isinstance(I, MonomialIdeal):
         q = monomial_quotient_betti(I, I.ring.field)
-        ent = _ideal_side(q)
+        ent = _ideal_entries(q)
         cert = max((j for (_, j) in ent), default=0)
         return BettiTable(ent, "ideal", cert, I.ring.char)
     if not isinstance(I, (IdealPresentation, GroebnerBasis)):

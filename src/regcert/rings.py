@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .scalars import DEFAULT_PRIME, field_of_characteristic
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 # ---------------------------------------------------------------------------
 # monomial helpers
@@ -54,16 +52,6 @@ class TermOrder:
 
     def key(self, m):
         raise NotImplementedError
-
-    def compare(self, a, b):
-        if len(a) != len(b):
-            raise ValueError("monomials from rings of different dimension")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LESS
-        if ka > kb:
-            return GREATER
-        return EQUAL
 
     def eliminates(self, keep, nvars):
         """True iff this order is an elimination order for the last nvars-keep variables."""

@@ -16,7 +16,7 @@ from .groebner import (IdealPresentation, eliminate, graph_ideal,
                        groebner_basis, initial_ideal, kernel_of_map,
                        verify_poweli)
 from .instances import random_ideal, random_parametrisation
-from .monomials import (ci_hilbert_function, g_cap, hilbert_function,
+from .monomials import (ci_hilbert_function, compute_G, hilbert_function,
                         lex_segment_ideal, monomials_of_degree,
                         num_monomials, stable_regularity)
 from .reports import VerificationReport, digest_of
@@ -24,21 +24,18 @@ from .resolution import check_flat_betti, matrix_rank, regularity
 from .rings import BlockOrder, LexOrder, PowerMap, apply_power_map, mono_mul
 from .scalars import PrimeField
 
-DEFAULT_CUTOFF = 32
-
 
 # ---------------------------------------------------------------------------
 # Hilbert function of a homogeneous ideal by direct linear algebra
 # (independent of any Groebner computation)
 
 def hf_direct(J, D):
-    """Quotient-side Hilbert function of R/J up to degree D, computed as
+    """Quotient dimensions of R/J in degrees 0..D, as a tuple, computed as
     corank of the span of (monomial multiples of) the generators.
 
     Each degree's Macaulay matrix is one array filled from (row, column,
     coefficient) lists: int64 over GF(p) for p < 2^63, Python objects
     otherwise.  matrix_rank gets it as a list of rows."""
-    from .monomials import HilbertData
     ring = J.ring
     K = ring.field
     dtype = np.int64 if isinstance(K, PrimeField) and K.p < 2 ** 63 else object
@@ -64,18 +61,21 @@ def hf_direct(J, D):
             A[ri, ci] = vals
             rank = matrix_rank(list(A), K)
         dims.append(num_monomials(ring.nvars, t) - rank)
-    return HilbertData(tuple(dims), D, "quotient", ring.nvars)
+    return tuple(dims)
 
 
-def lex_ideal_of_presentation(J, cutoff=DEFAULT_CUTOFF, inJ=None):
+def lex_ideal_of_presentation(J, cutoff=None, inJ=None):
     """Lex-segment ideal Lex(J) of a homogeneous ideal: one scan of the
-    Hilbert function of in(J) through degree cutoff.
+    Hilbert series of in(J) through its scan bound, or through cutoff if
+    that is lower.
 
     Returns (MonomialIdeal, complete), complete as in lex_segment_ideal.
     Pass inJ to reuse an initial ideal of J the caller already has."""
     if inJ is None:
         inJ = initial_ideal(groebner_basis(J, LexOrder()))
-    return lex_segment_ideal(hilbert_function(inJ, cutoff), J.ring, cutoff)
+    h = hilbert_function(inJ)
+    D = h.scan_bound() if cutoff is None else min(h.scan_bound(), cutoff)
+    return lex_segment_ideal(h, J.ring, D)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def verify_poweli_trials(trials, seed, nvars=3, max_degree=3, max_power=3,
     return report
 
 
-def verify_regbound(J, keep, cutoff=DEFAULT_CUTOFF):
+def verify_regbound(J, keep, cutoff=None):
     """The chain reg(I) <= reg(in I) <= reg(in J) <= reg(Lex J) for
     I = J cap R, all initial ideals taken for lex, plus the degreewise
     Hilbert-function equality HF(J) = HF(in J)."""
@@ -153,10 +153,10 @@ def verify_regbound(J, keep, cutoff=DEFAULT_CUTOFF):
     # generators, past every generator degree of in(J)
     D = inJ.max_gen_degree() + 2
     hJ = hf_direct(J, D)
-    h_inJ = hilbert_function(inJ, D)
-    h_lex = hilbert_function(L, D)
-    hf_equal = hJ.dims == h_inJ.dims
-    hf_lex_equal = h_lex.dims == hJ.dims
+    h_inJ = hilbert_function(inJ).dims(D)
+    h_lex = hilbert_function(L).dims(D)
+    hf_equal = hJ == h_inJ
+    hf_lex_equal = h_lex == hJ
 
     failures = []
     if reg_I is not None:
@@ -171,11 +171,11 @@ def verify_regbound(J, keep, cutoff=DEFAULT_CUTOFF):
                          "reg_lex": reg_lex})
     if not hf_equal:
         failures.append({"kind": "hilbert-mismatch",
-                         "hf_J": list(hJ.dims), "hf_inJ": list(h_inJ.dims)})
+                         "hf_J": list(hJ), "hf_inJ": list(h_inJ)})
     if not hf_lex_equal:
         failures.append({"kind": "lex-hilbert-mismatch",
-                         "hf_J": list(hJ.dims),
-                         "hf_lex": list(h_lex.dims)})
+                         "hf_J": list(hJ),
+                         "hf_lex": list(h_lex)})
 
     values = {
         "reg_I": reg_I,
@@ -225,9 +225,8 @@ def verify_main(param, cutoff=None):
         reg(P) <= reg(P')/d <= G/d <= d^(n 2^(m-1) - 1).
 
     G is certified for the actual J' only when the independent route
-    agrees: HF(J'), from the initial ideal of J', equals the series
-    through the scanned degrees.  Lex(J') through those degrees is then
-    by definition the lex ideal of the series."""
+    agrees: the Hilbert series of the initial ideal of J' equals the
+    series in every degree, so Lex(J') is the lex ideal of the series."""
     n, m, d = param.n, param.m, param.d
     report = VerificationReport("main", param.ring.char)
     dig = digest_of(f"main:{n}:{m}:{d}:"
@@ -235,28 +234,23 @@ def verify_main(param, cutoff=None):
     t0 = time.perf_counter()
     order = BlockOrder(n)
 
-    # two quiet degrees past the cap so the persistence flag can certify
-    # a lex ideal whose last generator sits exactly at the cap
-    cap = g_cap(n, d, m)
-    D = cap + 2 if cutoff is None else min(cap + 2, cutoff)
-
     Gp = groebner_basis(graph_ideal(param.f, d, order), order)
-    h_actual = hilbert_function(initial_ideal(Gp), D)
-    h_series = ci_hilbert_function(n, d, m, D)
-    hf_ci = h_actual.dims == h_series.dims
+    h_actual = hilbert_function(initial_ideal(Gp))
+    h_series = ci_hilbert_function(n, d, m)
+    hf_ci = h_actual == h_series
 
-    L, complete = lex_segment_ideal(h_series, Gp.ring, D)
-    G_series = stable_regularity(L) if complete else None
+    complete = cutoff is None or cutoff >= h_series.scan_bound()
+    G_series = compute_G(n, d, m) if complete else None
     G_actual = G_series if hf_ci else None
 
     failures = []
     inconclusive = None
     if not hf_ci:
         failures.append({"kind": "hilbert-vs-ci-series",
-                         "hf_actual": list(h_actual.dims[:12]),
-                         "hf_series": list(h_series.dims[:12])})
+                         "hf_actual": list(h_actual.dims(11)),
+                         "hf_series": list(h_series.dims(11))})
     elif not complete:
-        inconclusive = f"Lex(J') not stabilised by degree {D}"
+        inconclusive = f"Lex(J') not stabilised by degree {cutoff}"
 
     # P = J cap R via elimination from the graph ideal; for the block
     # order both eliminations are reduced degrevlex bases over R

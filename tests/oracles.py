@@ -7,7 +7,7 @@ quantity the package computes another way.
 import math
 from itertools import combinations
 
-from regcert.monomials import HilbertData, MacaulayViolation, num_monomials
+from regcert.monomials import HilbertSeries, MacaulayViolation, num_monomials
 from regcert.resolution import _reduced_homology
 from regcert.rings import LexOrder, Polynomial, mono_deg, mono_lcm
 
@@ -29,7 +29,7 @@ def hilbert_function_incl_excl(M, D):
             d = mono_deg(m)
             for t in range(d, D + 1):
                 dims[t] += sign * num_monomials(l, t - d)
-    return HilbertData(tuple(dims), D, "quotient", l)
+    return tuple(dims)
 
 
 def lex_rank(m):
@@ -124,15 +124,64 @@ def segment_generators_by_unrank(ideal_dims, nvars):
 
 
 def lex_scan_by_unrank(ideal_dims, nvars):
-    """(generators sorted descending lex, complete) as lex_segment_ideal
-    returns them for ideal-side dims scanned through their last degree."""
-    gens, last_new = [], None
-    for t, new in segment_generators_by_unrank(ideal_dims, nvars):
-        if new:
-            gens.extend(new)
-            last_new = t
-    gens.sort(key=LexOrder().key, reverse=True)
-    return tuple(gens), bool(gens) and last_new <= len(ideal_dims) - 3
+    """The lex_segment_ideal generators, sorted descending lex, for
+    ideal-side dims scanned through their last degree."""
+    gens = []
+    for _, new in segment_generators_by_unrank(ideal_dims, nvars):
+        gens.extend(new)
+    return tuple(sorted(gens, key=LexOrder().key, reverse=True))
+
+
+def series_of_dims(dims, nvars):
+    """The Hilbert series whose quotient dimensions are dims through degree
+    len(dims) - 1 and 0 above: sum_t dims[t] t^t times (1 - t)^nvars."""
+    num = list(dims)
+    for _ in range(nvars):
+        num = [a - b for a, b in zip(num + [0], [0] + num)]
+    return HilbertSeries(tuple(num), nvars)
+
+
+def _binom(x, k):
+    """C(x, k) as a polynomial in x, at any integer x."""
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out // math.factorial(k)
+
+
+def _differences(values):
+    """Forward differences f(T), Delta f(T), ... of f(T), f(T+1), ...."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def scan_bound_by_terms(dims, nvars):
+    """HilbertSeries.scan_bound from quotient dims whose last nvars values
+    already follow the Hilbert polynomial P.  P is fitted through those
+    values; t0 is one past the last degree where dims and P differ; and
+    Gotzmann's form sum_i C(t + a_i - (i-1), a_i) of P is peeled one term
+    at a time, each a_i the degree of what is left."""
+    T = len(dims) - nvars
+    delta = _differences(list(dims[T:]))
+
+    def P(t):
+        return sum(dk * _binom(t - T, k) for k, dk in enumerate(delta))
+
+    t0 = max((t + 1 for t, q in enumerate(dims) if q != P(t)), default=0)
+    rest = [P(T + x) for x in range(nvars)]
+    r = 0
+    while any(rest):
+        diffs = _differences(rest)
+        a = max(k for k, v in enumerate(diffs) if v)
+        if diffs[a] < 0:
+            raise ValueError("not a Hilbert polynomial")
+        r += 1
+        rest = [v - _binom(T + x + a - (r - 1), a)
+                for x, v in enumerate(rest)]
+    return max(r, t0)
 
 
 def substitute(g, images):

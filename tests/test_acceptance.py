@@ -15,8 +15,7 @@ import pytest
 from conftest import record_criterion
 
 from regcert.instances import random_ideal, random_parametrisation
-from regcert.monomials import MonomialIdeal, ci_lex_ideal, compute_G
-from regcert.monomials import stable_regularity
+from regcert.monomials import MonomialIdeal, ci_lex_ideal, stable_regularity
 from regcert.parser import parse_ideal_file
 from regcert.resolution import betti_table, check_flat_betti, t_invariants
 from regcert.rings import make_ring
@@ -154,11 +153,8 @@ def bhp_data():
 def gtable_data():
     """Every G_{n,d,m} in the table through the series route, with the
     lex-segment ideal kept for criterion 10."""
-    computed = {}
-    lex_ideals = {}
-    for (n, d, m) in G_TABLE:
-        computed[(n, d, m)] = compute_G(n, d, m)
-        lex_ideals[(n, d, m)] = ci_lex_ideal(n, d, m)
+    lex_ideals = {key: ci_lex_ideal(*key) for key in G_TABLE}
+    computed = {key: stable_regularity(L) for key, L in lex_ideals.items()}
     return computed, lex_ideals
 
 

@@ -94,9 +94,6 @@ def test_regbound_no_false_witness_after_a_gap(files, capsys):
     assert json.loads(out)["instances"][0]["values"]["reg_lex"] == 11
 
 
-@pytest.mark.xfail(strict=True, reason="a lex generator above the cutoff "
-                   "goes unseen and the scan says complete; needs the "
-                   "Gotzmann scan bound (ROADMAP item 2)")
 def test_lex_finds_a_generator_above_the_cutoff(files, capsys):
     code, out, _ = run(capsys, "lex", "--ideal", files["gap40.txt"],
                        "--json")

@@ -188,9 +188,11 @@ def kernel_by_linear_algebra(images, max_degree):
 
 def kernel_hilbert_ideal_side(G, max_degree):
     from regcert.groebner import initial_ideal
-    from regcert.monomials import hilbert_function
+    from regcert.monomials import hilbert_function, num_monomials
     inP = initial_ideal(G)
-    return list(hilbert_function(inP, max_degree).ideal_side().dims[1:])
+    dims = hilbert_function(inP).dims(max_degree)
+    return [num_monomials(inP.nvars, t) - q
+            for t, q in enumerate(dims)][1:]
 
 
 def test_kernel_of_conic_parametrisation():

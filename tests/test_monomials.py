@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regcert.monomials import (HilbertData, MacaulayViolation, MonomialIdeal,
+from regcert.monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                                _lex_run, _segment_generators,
                                ci_hilbert_function, ci_lex_ideal,
                                compute_G, g_cap, hilbert_function,
@@ -19,8 +19,8 @@ from regcert.rings import LexOrder, make_ring, mono_divides
 from oracles import (hilbert_function_incl_excl, lex_rank, lex_scan_by_unrank,
                      lex_shadow_size_linear, lex_unrank_linear,
                      macaulay_growth_linear, macaulay_rep_linear,
-                     monomials_of_degree_recursive,
-                     segment_generators_by_unrank)
+                     monomials_of_degree_recursive, scan_bound_by_terms,
+                     segment_generators_by_unrank, series_of_dims)
 
 R3 = make_ring(["x1", "x2", "x3"])
 RINGS = {l: make_ring([f"x{i + 1}" for i in range(l)]) for l in range(1, 6)}
@@ -39,9 +39,9 @@ def test_monomial_ideal_basics():
     assert M.contains_monomial((3, 1, 1))
     assert not M.contains_monomial((1, 1, 0))
     assert M.max_gen_degree() == 2
-    assert not M.is_zero() and not M.is_unit()
+    assert not M.is_zero()
     assert mi().is_zero()
-    assert mi((0, 0, 0)).is_unit()
+    assert mi((0, 0, 0), (1, 2, 0)).gens == ((0, 0, 0),)
 
 
 def contains_by_scan(M, m):
@@ -79,10 +79,10 @@ def borel_closure(monos, nvars):
 
 
 @st.composite
-def monomial_ideals(draw, max_exp=3, max_gens=6):
-    """(ring, monomial ideal) over 1-5 variables, zero and unit ideals
-    included."""
-    l = draw(st.integers(1, 5))
+def monomial_ideals(draw, max_exp=3, max_gens=6, max_vars=5):
+    """(ring, monomial ideal) over 1 to max_vars variables, zero and unit
+    ideals included."""
+    l = draw(st.integers(1, max_vars))
     mono = st.tuples(*[st.integers(0, max_exp)] * l)
     gens = draw(st.lists(mono, max_size=max_gens))
     if draw(st.integers(0, 9)) == 0:
@@ -115,10 +115,10 @@ def test_is_strongly_stable_matches_all_moves(ideal, variant):
 @settings(max_examples=100)
 def test_lex_segment_generators_are_minimal_and_sorted(ideal, D):
     ring, M = ideal
-    L, _ = lex_segment_ideal(hilbert_function(M, D), ring)
+    L, _ = lex_segment_ideal(hilbert_function(M), ring, D)
     assert set(minimalize_monomials(L.gens)) == set(L.gens)
     assert list(L.gens) == sorted(L.gens, key=LexOrder().key, reverse=True)
-    assert hilbert_function(L, D).dims == hilbert_function(M, D).dims
+    assert hilbert_function(L).dims(D) == hilbert_function(M).dims(D)
 
 
 def hf_enumeration(M, D):
@@ -139,20 +139,25 @@ monoset = st.lists(
 @settings(max_examples=60)
 def test_hilbert_function_three_routes(gens):
     M = mi(*gens)
-    if M.is_unit():
+    if M.gens == ((0, 0, 0),):
         return
-    h = hilbert_function(M, 8)
-    assert h.dims == hf_enumeration(M, 8)
-    assert h.dims == hilbert_function_incl_excl(M, 8).dims
+    h = hilbert_function(M).dims(8)
+    assert h == hf_enumeration(M, 8)
+    assert h == hilbert_function_incl_excl(M, 8)
 
 
-def test_hilbert_side_conversion():
-    M = mi((2, 0, 0), (0, 2, 0))
-    h = hilbert_function(M, 5)
-    hi = h.ideal_side()
-    assert all(a + b == num_monomials(3, t)
-               for t, (a, b) in enumerate(zip(h.dims, hi.dims)))
-    assert hi.ideal_side() is hi
+def test_hilbert_series_equality_is_all_degree():
+    # (x3) and (x3, x2^40) agree through degree 39 and differ at 40
+    short, long = hilbert_function(mi((0, 0, 1))), \
+        hilbert_function(mi((0, 0, 1), (0, 40, 0)))
+    assert short.dims(39) == long.dims(39) and short != long
+    assert short.dims(40)[-1] == long.dims(40)[-1] + 1
+    # x1^6 and x2^6 differ as ideals, not as series
+    assert hilbert_function(mi((6, 0, 0))) == hilbert_function(mi((0, 6, 0)))
+    # trailing zeros are trimmed; the unit ideal has numerator 0
+    assert HilbertSeries((1, 0, 0), 3) == HilbertSeries((1,), 3)
+    assert hilbert_function(mi((0, 0, 0))).numerator == ()
+    assert hilbert_function(mi((0, 0, 0))).dims(2) == (0, 0, 0)
 
 
 def test_hf_of_homogeneous_matches_monomial_route():
@@ -163,16 +168,16 @@ def test_hf_of_homogeneous_matches_monomial_route():
         "ring x1 x2 x3; gens: x1*x2 + x3^2, x2^2 - x1*x3")
     # HF(R/J) = HF(R/in(J))
     h = hilbert_function(
-        initial_ideal(groebner_basis(J, DegRevLexOrder())), 6)
+        initial_ideal(groebner_basis(J, DegRevLexOrder())))
     # two generic quadrics in 3 variables: a (2,2) complete intersection
-    assert h.dims == ci_hilbert_function(2, 2, 1, 6).dims
+    assert h == ci_hilbert_function(2, 2, 1)
 
 
 def test_ci_hilbert_function_small():
     # K[x,y]/(x^2, y^2): dims 1,2,1
-    assert ci_hilbert_function(2, 2, 0, 4).dims == (1, 2, 1, 0, 0)
+    assert ci_hilbert_function(2, 2, 0).dims(4) == (1, 2, 1, 0, 0)
     # one quadric in 2 variables
-    assert ci_hilbert_function(1, 2, 1, 4).dims == (1, 2, 2, 2, 2)
+    assert ci_hilbert_function(1, 2, 1).dims(4) == (1, 2, 2, 2, 2)
 
 
 def test_macaulay_rep_and_growth():
@@ -231,25 +236,27 @@ def lex_ideal_enumeration(ideal_dims, ring):
 
 def test_lex_segment_ideal_against_enumeration():
     M = mi((2, 0, 0), (0, 2, 0), (1, 1, 0))
-    h = hilbert_function(M, 7)
-    L, complete = lex_segment_ideal(h, R3)
-    oracle = lex_ideal_enumeration(h.ideal_side().dims, R3)
+    h = hilbert_function(M)
+    L, complete = lex_segment_ideal(h, R3, 7)
+    oracle = lex_ideal_enumeration(
+        [num_monomials(3, t) - q for t, q in enumerate(h.dims(7))], R3)
     assert L.gens == oracle.gens
     assert complete
 
 
 def test_lex_segment_preserves_hilbert_function():
     M = mi((1, 1, 0), (0, 0, 2), (3, 0, 0))
-    h = hilbert_function(M, 9)
-    L, _ = lex_segment_ideal(h, R3)
-    assert hilbert_function(L, 9).dims == h.dims
+    h = hilbert_function(M)
+    L, _ = lex_segment_ideal(h, R3, 9)
+    assert hilbert_function(L).dims(9) == h.dims(9)
 
 
 def test_macaulay_violation():
-    # dims (0, 0, 1, 0): an ideal element in degree 2 forces growth in 3
-    h = HilbertData((0, 0, 1, 0), 3, "ideal", 3)
+    # ideal-side dims (0, 0, 1, 0): an ideal element in degree 2 forces
+    # growth in 3
+    h = series_of_dims((1, 3, 5, 10), 3)
     with pytest.raises(MacaulayViolation) as exc:
-        lex_segment_ideal(h, R3)
+        lex_segment_ideal(h, R3, 3)
     assert exc.value.degree == 3
 
 
@@ -328,18 +335,23 @@ def test_successor_steps_match_unranking(nvars, t, data):
 MAIN_LADDER = [(2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3), (3, 3, 2)]
 
 
+def ideal_dims(h, D):
+    return [num_monomials(h.nvars, t) - q for t, q in enumerate(h.dims(D))]
+
+
 def ci_ideal_dims(n, m, d):
-    cap = g_cap(n, d, m)
-    h = ci_hilbert_function(n, d, m, cap + 2)
-    return h, list(h.ideal_side().dims)
+    h = ci_hilbert_function(n, d, m)
+    return h, ideal_dims(h, g_cap(n, d, m) + 2)
 
 
 @pytest.mark.parametrize("n,m,d", MAIN_LADDER)
 def test_lex_scan_matches_unranking_oracle_on_main_ladder(n, m, d):
+    # the scan stops at the scan bound; the oracle goes on to the cap
+    # plus 2 and finds nothing more
     h, dims = ci_ideal_dims(n, m, d)
     ring = make_ring([f"x{i + 1}" for i in range(n + m)])
-    L, complete = lex_segment_ideal(h, ring, h.cutoff)
-    assert (L.gens, complete) == lex_scan_by_unrank(dims, n + m)
+    L, complete = lex_segment_ideal(h, ring, h.scan_bound())
+    assert L.gens == lex_scan_by_unrank(dims, n + m)
     assert complete
 
 
@@ -364,9 +376,11 @@ def test_unachievable_ladder_series_raise_as_oracle(n, m, d):
         assert degree == t
         assert (degree, message) == \
             scan_outcome(segment_generators_by_unrank, bad, l)
-        h = HilbertData(tuple(bad), len(bad) - 1, "ideal", l)
+        h = series_of_dims([num_monomials(l, t) - N
+                            for t, N in enumerate(bad)], l)
         with pytest.raises(MacaulayViolation) as exc:
-            lex_segment_ideal(h, make_ring([f"x{i + 1}" for i in range(l)]))
+            lex_segment_ideal(h, make_ring([f"x{i + 1}" for i in range(l)]),
+                              len(bad) - 1)
         assert (exc.value.degree, str(exc.value)) == (degree, message)
 
 
@@ -394,8 +408,46 @@ def test_strong_stability():
 
 def test_lex_ideals_are_strongly_stable():
     M = mi((1, 1, 1), (0, 3, 0))
-    L, _ = lex_segment_ideal(hilbert_function(M, 10), R3)
+    L, _ = lex_segment_ideal(hilbert_function(M), R3, 10)
     assert is_strongly_stable(L)
+
+
+def test_scan_bound_examples():
+    R2 = make_ring(["x1", "x2"])
+    # lex of (x3, x2^40) ends in x2^40: P = 40, so r = 40
+    assert hilbert_function(mi((0, 0, 1), (0, 40, 0))).scan_bound() == 40
+    # Artinian: P = 0 and B = t0; the lex ideal x2^2, x1*x2, x1^3
+    assert hilbert_function(
+        MonomialIdeal.from_monomials(R2, [(2, 0), (0, 2)])).scan_bound() == 3
+    # a plane curve of degree 5: P(t) = 5t - 5, r = 5
+    assert hilbert_function(mi((0, 0, 5))).scan_bound() == 5
+    assert hilbert_function(mi()).scan_bound() == 1
+    assert hilbert_function(mi((0, 0, 0))).scan_bound() == 0
+    with pytest.raises(ValueError, match="not the Hilbert series"):
+        HilbertSeries((1, -2), 2).scan_bound()
+
+
+@given(monomial_ideals())
+@settings(max_examples=150, deadline=None)
+def test_scan_bound_matches_term_by_term_oracle(ideal):
+    ring, M = ideal
+    top = sum(max((g[k] for g in M.gens), default=0)
+              for k in range(ring.nvars))  # degree of the lcm of M.gens
+    dims = hilbert_function_incl_excl(M, top + ring.nvars + 1)
+    assert hilbert_function(M).scan_bound() == \
+        scan_bound_by_terms(dims, ring.nvars)
+
+
+@given(monomial_ideals(max_vars=4))
+@settings(max_examples=150, deadline=None)
+def test_no_lex_generator_above_the_scan_bound(ideal):
+    ring, M = ideal
+    h = hilbert_function(M)
+    B = h.scan_bound()
+    L, complete = lex_segment_ideal(h, ring, B + 5)
+    assert complete and L.max_gen_degree() <= B
+    assert lex_segment_ideal(h, ring, B) == (L, True)
+    assert hilbert_function(L) == h
 
 
 def test_g_cap():
@@ -422,7 +474,7 @@ def test_compute_G_table(key, expected):
 # insertion order fixes the test ids key0, key1, ...: append new shapes
 G_TABLE_LARGER = {
     (2, 3, 3): 273, (3, 3, 2): 297, (4, 2, 2): 104, (5, 2, 2): 448,
-    (3, 4, 2): 1792,
+    (3, 4, 2): 1792, (4, 3, 2): 2997, (2, 4, 3): 3304,
 }
 
 
@@ -435,8 +487,7 @@ def test_compute_G_table_larger(key, expected):
 def test_ci_lex_ideal_is_stable_with_ci_hilbert_function():
     M = ci_lex_ideal(2, 2, 1)
     assert is_strongly_stable(M)
-    h = hilbert_function(M, 6)
-    assert h.dims == ci_hilbert_function(2, 2, 1, 6).dims
+    assert hilbert_function(M) == ci_hilbert_function(2, 2, 1)
 
 
 def test_num_monomials():

@@ -213,7 +213,7 @@ monoset3 = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_euler_characteristic_random_monomial(gens):
     M = MonomialIdeal.from_monomials(R3, gens)
-    if M.is_unit() or M.is_zero():
+    if M.gens in ((), ((0, 0, 0),)):  # zero or unit ideal
         return
     betti_euler_check(M, R3.field)
 
@@ -223,7 +223,7 @@ def test_euler_characteristic_random_monomial(gens):
 def test_monomial_betti_char_independent_small(gens):
     # homology of complexes on <= 3 vertices is torsion-free
     M = MonomialIdeal.from_monomials(R3, gens)
-    if M.is_unit() or M.is_zero():
+    if M.gens in ((), ((0, 0, 0),)):  # zero or unit ideal
         return
     from regcert.resolution import monomial_quotient_betti
     assert monomial_quotient_betti(M, R3.field) == \
@@ -236,7 +236,7 @@ def test_monomial_betti_of_redundant_generators(gens, extra):
     # the Koszul engine takes the generators as given; multiples of them
     # only widen the box
     M = MonomialIdeal.from_monomials(R3, gens)
-    if M.is_unit() or M.is_zero():
+    if M.gens in ((), ((0, 0, 0),)):  # zero or unit ideal
         return
     redundant = tuple(tuple(a + b for a, b in zip(g, e))
                       for g, e in zip(M.gens, extra))

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from regcert.rings import (BlockOrder, DegRevLexOrder, EQUAL, GREATER, LESS,
-                           LexOrder, Polynomial, PowerMap, apply_power_map,
+from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial, PowerMap, apply_power_map,
                            constant, is_homogeneous, make_ring,
                            mono_div, mono_divides, mono_lcm, mono_mul,
                            mono_one, s_polynomial, variable)
@@ -17,32 +16,31 @@ monos3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 @pytest.mark.parametrize("order", ORDERS)
 @given(a=monos3, b=monos3, c=monos3)
 def test_order_is_total_and_multiplicative(order, a, b, c):
-    # antisymmetry
-    assert order.compare(a, b) == -order.compare(b, a)
+    key = order.key
+    # totality: distinct monomials get distinct keys
+    assert (key(a) == key(b)) == (a == b)
     # transitivity through the key
-    if order.compare(a, b) == LESS and order.compare(b, c) == LESS:
-        assert order.compare(a, c) == LESS
+    if key(a) < key(b) and key(b) < key(c):
+        assert key(a) < key(c)
     # multiplicativity
-    assert order.compare(a, b) == order.compare(mono_mul(a, c),
-                                                mono_mul(b, c))
+    assert (key(a) < key(b)) == (key(mono_mul(a, c)) < key(mono_mul(b, c)))
     # 1 is minimal
     one = mono_one(3)
     if a != one:
-        assert order.compare(one, a) == LESS
-    assert order.compare(a, a) == EQUAL
+        assert key(one) < key(a)
 
 
 def test_lex_precedence():
     # x3 > x2 > x1: x3 beats any power of smaller variables
     lex = LexOrder()
-    assert lex.compare((0, 0, 1), (5, 5, 0)) == GREATER
-    assert lex.compare((1, 0, 0), (0, 1, 0)) == LESS
+    assert lex.key((0, 0, 1)) > lex.key((5, 5, 0))
+    assert lex.key((1, 0, 0)) < lex.key((0, 1, 0))
 
 
 def test_degrevlex_classic_comparison():
     # x1*x3 < x2^2 in degrevlex with x3 > x2 > x1
     drl = DegRevLexOrder()
-    assert drl.compare((1, 0, 1), (0, 2, 0)) == LESS
+    assert drl.key((1, 0, 1)) < drl.key((0, 2, 0))
 
 
 def test_block_order_eliminates():
@@ -50,7 +48,7 @@ def test_block_order_eliminates():
     assert b.eliminates(2, 4)
     assert not b.eliminates(1, 4)
     # any monomial with an eliminated variable beats any kept monomial
-    assert b.compare((0, 0, 1, 0), (9, 9, 0, 0)) == GREATER
+    assert b.key((0, 0, 1, 0)) > b.key((9, 9, 0, 0))
     assert LexOrder().eliminates(1, 3)
     assert not DegRevLexOrder().eliminates(1, 3)
 
@@ -139,8 +137,8 @@ def test_power_map_respects_lex_leading_term(a, b):
     lex = LexOrder()
     phi = PowerMap((2, 3, 2))
     if a != b:
-        assert lex.compare(a, b) == lex.compare(phi.apply_mono(a),
-                                                phi.apply_mono(b))
+        assert (lex.key(a) < lex.key(b)) == \
+            (lex.key(phi.apply_mono(a)) < lex.key(phi.apply_mono(b)))
 
 
 def test_s_polynomial_cancels_leading_terms(ring):

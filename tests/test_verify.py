@@ -1,13 +1,15 @@
 """Verification pipelines and instance generators."""
 
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regcert.groebner import IdealPresentation, groebner_basis, initial_ideal
 from regcert.instances import random_ideal, random_parametrisation
-from regcert.monomials import g_cap, hilbert_function, monomials_of_degree
+from regcert.monomials import (HilbertSeries, compute_G, hilbert_function,
+                               monomials_of_degree)
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
 from regcert.rings import DegRevLexOrder, Polynomial, make_ring
@@ -60,7 +62,7 @@ def test_random_ideal_deterministic_and_nonzero():
 def test_hf_direct_matches_groebner_route():
     J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
     inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
-    assert hf_direct(J, 6).dims == hilbert_function(inJ, 6).dims
+    assert hf_direct(J, 6) == hilbert_function(inJ).dims(6)
 
 
 @st.composite
@@ -86,7 +88,7 @@ def small_homogeneous_ideals(draw):
 @settings(max_examples=60, deadline=None)
 def test_hf_direct_matches_initial_ideal_route(J, D):
     inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
-    assert hf_direct(J, D).dims == hilbert_function(inJ, D).dims
+    assert hf_direct(J, D) == hilbert_function(inJ).dims(D)
 
 
 def test_lex_ideal_of_presentation():
@@ -220,25 +222,30 @@ def test_main_runs_buchberger_three_times(monkeypatch):
 
 
 def test_main_builds_one_lex_ideal(monkeypatch):
-    # G is the regularity of the one lex ideal of the series; the check
+    # G is the regularity of the one lex ideal of the series, scanned
+    # through its scan bound B = 24, not the cap 64 plus 2; the check
     # HF(J') == series is what ties it to J', not a second scan
     import regcert.monomials as monomials_mod
     import regcert.verify as verify_mod
     scanned = []
     real = monomials_mod.lex_segment_ideal
 
-    def counted(h, ring, D=None):
-        scanned.append(h.cutoff if D is None else D)
+    def counted(h, ring, D):
+        scanned.append(D)
         return real(h, ring, D)
 
     for mod in (monomials_mod, verify_mod):
         monkeypatch.setattr(mod, "lex_segment_ideal", counted)
+    compute_G.cache_clear()
     p = param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
     rep = verify_main(p)
-    assert rep.status == "pass" and scanned == [g_cap(3, 2, 2) + 2]
-    scanned.clear()
+    assert rep.status == "pass" and scanned == [24]
+    # later instances of the shape reuse G; a cutoff below B scans nothing
+    rep = verify_main(p)
+    assert rep.status == "pass" and scanned == [24]
+    compute_G.cache_clear()
     rep = verify_main(p, cutoff=4)
-    assert len(scanned) == 1 and max(scanned) <= 4
+    assert rep.status == "inconclusive" and scanned == [24]
 
 
 def test_main_inconclusive_on_tiny_cutoff():
@@ -256,7 +263,8 @@ def test_report_fails_on_any_witness():
     rep.add_fail("b" * 16, {"ok": False}, {"reason": "injected"})
     rep.add_pass("c" * 16, {"ok": True})
     assert rep.status == "fail"
-    assert len(rep.witnesses()) == 1
+    assert [i.witness for i in rep.instances] == \
+        [None, {"reason": "injected"}, None]
 
 
 def test_report_inconclusive_beats_pass():
@@ -272,16 +280,15 @@ def test_regbound_detects_injected_hilbert_fault(monkeypatch):
     real = verify_mod.hf_direct
 
     def corrupted(J, D):
-        h = real(J, D)
-        dims = list(h.dims)
+        dims = list(real(J, D))
         dims[-1] += 1
-        return type(h)(tuple(dims), h.cutoff, h.side, h.nvars)
+        return tuple(dims)
 
     monkeypatch.setattr(verify_mod, "hf_direct", corrupted)
     rep = verify_mod.verify_regbound(
         ideal("ring x1 x2; gens: x1^2, x2^2"), 1)
     assert rep.status == "fail"
-    kinds = {f["kind"] for f in rep.witnesses()[0].witness["failures"]}
+    kinds = {f["kind"] for f in rep.instances[0].witness["failures"]}
     assert "hilbert-mismatch" in kinds
 
 
@@ -290,16 +297,18 @@ def test_main_detects_injected_series_fault(monkeypatch):
 
     real = verify_mod.ci_hilbert_function
 
-    def corrupted(n, d, m, D):
-        h = real(n, d, m, D)
-        dims = list(h.dims)
-        dims[3] += 1
-        return type(h)(tuple(dims), h.cutoff, h.side, h.nvars)
+    def corrupted(n, d, m):
+        # one more dimension in degree 3 only: add t^3 (1-t)^nvars
+        h = real(n, d, m)
+        num = list(h.numerator) + [0] * (h.nvars + 4)
+        for k in range(h.nvars + 1):
+            num[3 + k] += (-1) ** k * math.comb(h.nvars, k)
+        return HilbertSeries(tuple(num), h.nvars)
 
     monkeypatch.setattr(verify_mod, "ci_hilbert_function", corrupted)
     rep = verify_main(param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2"))
     assert rep.status == "fail"
-    kinds = {f["kind"] for f in rep.witnesses()[0].witness["failures"]}
+    kinds = {f["kind"] for f in rep.instances[0].witness["failures"]}
     assert "hilbert-vs-ci-series" in kinds
     assert rep.instances[0].values["G_actual"] is None
 
