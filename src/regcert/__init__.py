@@ -3,22 +3,22 @@
 from .groebner import (GroebnerBasis, IdealPresentation, buchberger,
                        eliminate, groebner_basis, ideal_equal, image_ideal,
                        initial_ideal, kernel_of_map, normal_form,
-                       passes_buchberger_criterion, verify_poweli)
+                       passes_buchberger_criterion)
 from .monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                         ci_hilbert_function, ci_lex_ideal, compute_G, g_cap,
                         hilbert_function, is_strongly_stable,
                         lex_segment_ideal, macaulay_rep, stable_regularity)
-from .parser import (Parametrisation, ParseError, format_file,
-                     format_polynomial, parse_ideal_file)
+from .parser import (Parametrisation, ParseError, format_polynomial,
+                     parse_ideal_file)
 from .reports import VerificationReport
-from .resolution import (BettiTable, betti_table, check_flat_betti,
-                         regularity, t_invariants)
+from .resolution import BettiTable, betti_table, regularity, t_invariants
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     PolyRing, PowerMap, apply_power_map, make_ring,
                     s_polynomial)
 from .scalars import DEFAULT_PRIME, QQ, PrimeField, field_of_characteristic
-from .verify import (verify_main, verify_main_trials, verify_poweli_trials,
-                     verify_regbound, verify_regbound_trials, verify_regflat)
+from .verify import (verify_main, verify_main_trials, verify_poweli,
+                     verify_poweli_trials, verify_regbound,
+                     verify_regbound_trials, verify_regflat)
 
 __version__ = "0.1.0"
 
@@ -28,8 +28,8 @@ __all__ = [
     "MacaulayViolation", "MonomialIdeal", "Parametrisation", "ParseError",
     "PolyRing", "Polynomial", "PowerMap", "PrimeField", "QQ",
     "VerificationReport", "apply_power_map", "betti_table", "buchberger",
-    "check_flat_betti", "ci_hilbert_function", "ci_lex_ideal", "compute_G",
-    "eliminate", "field_of_characteristic", "format_file",
+    "ci_hilbert_function", "ci_lex_ideal", "compute_G",
+    "eliminate", "field_of_characteristic",
     "format_polynomial", "g_cap", "groebner_basis", "hilbert_function",
     "ideal_equal", "image_ideal", "initial_ideal", "is_strongly_stable",
     "kernel_of_map", "lex_segment_ideal",

@@ -17,7 +17,7 @@ from .parser import (Parametrisation, format_monomial, format_polynomial,
 from .reports import FAIL, INCONCLUSIVE, PASS
 from .resolution import regularity
 from .rings import BlockOrder, DegRevLexOrder, LexOrder
-from .scalars import _is_prime
+from .scalars import check_characteristic
 from .verify import (lex_ideal_of_presentation, verify_main,
                      verify_main_trials, verify_poweli_trials,
                      verify_regbound, verify_regbound_trials, verify_regflat)
@@ -43,17 +43,13 @@ def _positive(text):
 
 
 def _characteristic(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a characteristic, not {text!r}")
     try:
-        char = int(text)
-    except ValueError:
-        char = -1
-    try:
-        if char == 0 or _is_prime(char):
-            return char
-    except ValueError as exc:  # above the range primality is proven in
+        return check_characteristic(int(text))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    raise argparse.ArgumentTypeError(
-        f"characteristic must be 0 or prime, not {text!r}")
 
 
 def _range(text):

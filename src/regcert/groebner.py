@@ -1,5 +1,5 @@
-"""Division with remainder, Buchberger's algorithm, elimination, and the
-power-substitution checks used throughout.
+"""Division with remainder, Buchberger's algorithm, elimination, kernels
+of polynomial maps, and images under power substitutions.
 
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
@@ -12,11 +12,9 @@ import heapq
 from dataclasses import dataclass
 
 from .monomials import MonomialIdeal
-from .reports import VerificationReport, digest_of
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
-                    PolyRing, PowerMap, apply_power_map, is_homogeneous,
-                    mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
-                    s_polynomial)
+                    PolyRing, apply_power_map, is_homogeneous, mono_deg,
+                    mono_div, mono_divides, mono_lcm, mono_mul, s_polynomial)
 
 
 @dataclass(frozen=True)
@@ -290,56 +288,3 @@ def kernel_of_map(images, order=None):
     if not order.eliminates(n, J.ring.nvars):
         raise ValueError("order must eliminate the parameter variables")
     return eliminate(groebner_basis(J, order), n)
-
-
-# ---------------------------------------------------------------------------
-# Lemma checks for the power substitution
-
-def verify_poweli(J, dvec, keep, order=None):
-    """Check, for phi(x_i) = x_i^{d_i} on all variables:
-    (i) phi(G) of a lex Groebner basis G of J satisfies the Buchberger
-        criterion (hence is a Groebner basis of phi(J)S), and
-    (ii) alpha(J cap R) R  =  phi(J) S cap R  as ideals of R."""
-    if order is None:
-        order = LexOrder()
-    if not isinstance(order, LexOrder):
-        raise ValueError("the power-substitution lemma is checked for lex only")
-    ring = J.ring
-    phi = dvec if isinstance(dvec, PowerMap) else PowerMap(tuple(dvec))
-    report = VerificationReport("poweli", ring.char)
-    dig = digest_of(f"poweli:{[str(g) for g in J.generators]}:{phi.exponents}:{keep}")
-
-    G = groebner_basis(J, order)
-    phiG = [apply_power_map(phi, g) for g in G.elements]
-    ok_i, witness_pair = passes_buchberger_criterion(phiG, order)
-
-    # alpha(I) R with I = J cap R, alpha = phi restricted to R
-    I = eliminate(G, keep)
-    R = I.ring
-    alpha = PowerMap(phi.exponents[:keep])
-    alpha_I = IdealPresentation(
-        R, tuple(apply_power_map(alpha, g) for g in I.elements))
-
-    # J' cap R via an independent Buchberger run on phi(J)
-    Jprime = image_ideal(phi, J)
-    Gprime = groebner_basis(Jprime, order)
-    JprimeR = eliminate(Gprime, keep)
-
-    ok_ii = ideal_equal(alpha_I, JprimeR, order)
-
-    values = {
-        "buchberger_criterion_on_phi_G": ok_i,
-        "alpha_I_equals_Jprime_cap_R": ok_ii,
-        "basis_size": len(G),
-    }
-    if ok_i and ok_ii:
-        report.add_pass(dig, values)
-    else:
-        witness = {}
-        if not ok_i:
-            witness["failing_pair"] = list(witness_pair)
-        if not ok_ii:
-            witness["alpha_I"] = [str(g) for g in alpha_I.generators]
-            witness["Jprime_cap_R"] = [str(g) for g in JprimeR.elements]
-        report.add_fail(dig, values, witness)
-    return report

@@ -1,12 +1,13 @@
-"""Text format for ideals and parametrisations, with a canonical printer.
+"""Text format for ideals and parametrisations, with a canonical printer
+for polynomials.
 
     ring x1 x2 x3 ; char 32003 ; order lex ; gens: x1^2 + x2*x3, x3^2
     param n=3 m=2 d=2 ; f: y1^2, y1*y2, y2^2
 
 The char and order clauses are optional (defaults: 32003, lex); a char
-passed to parse_ideal_file overrides the clause.  The printer emits the
-canonical normalized form; parsing its output and printing again is
-byte-identical.
+passed to parse_ideal_file overrides the clause.  format_polynomial emits
+the canonical normalized form of a polynomial; parsing its output and
+printing again is byte-identical.
 """
 
 import re
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     make_ring)
-from .scalars import DEFAULT_PRIME, _is_prime
+from .scalars import DEFAULT_PRIME, check_characteristic
 
 
 class ParseError(ValueError):
@@ -122,13 +123,10 @@ class _Parser:
     def parse_char(self):
         """The 'char P ;' clause after its keyword."""
         tok = self.expect("nat")
-        char = int(tok[1])
         try:
-            prime = char == 0 or _is_prime(char)
-        except ValueError as exc:  # above the range primality is proven in
+            char = check_characteristic(int(tok[1]))
+        except ValueError as exc:
             self.error(str(exc), tok)
-        if not prime:
-            self.error("characteristic must be 0 or prime", tok)
         self.expect("sym", ";")
         return char
 
@@ -306,7 +304,7 @@ def format_monomial(ring, m):
             parts.append(name)
         elif e > 1:
             parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(parts) or "1"
 
 
 def format_polynomial(f):
@@ -317,7 +315,7 @@ def format_polynomial(f):
         neg = isinstance(c, Fraction) and c < 0
         mag = -c if neg else c
         mono = format_monomial(f.ring, m)
-        if not mono:
+        if not any(m):
             body = _format_coeff(mag)
         elif mag == 1:
             body = mono
@@ -328,31 +326,3 @@ def format_polynomial(f):
         else:
             chunks.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(chunks)
-
-
-def _format_order(order):
-    if isinstance(order, LexOrder):
-        return "lex"
-    if isinstance(order, DegRevLexOrder):
-        return "degrevlex"
-    if isinstance(order, BlockOrder):
-        return f"elim {order.keep}"
-    raise ValueError(f"unknown order {order!r}")
-
-
-def format_ideal_file(ring, ideal, order):
-    gens = ", ".join(format_polynomial(g) for g in ideal.generators)
-    return (f"ring {' '.join(ring.names)} ; char {ring.char} ; "
-            f"order {_format_order(order)} ; gens: {gens}")
-
-
-def format_param_file(param):
-    forms = ", ".join(format_polynomial(g) for g in param.f)
-    return (f"param n={param.n} m={param.m} d={param.d} ; "
-            f"char {param.ring.char} ; f: {forms}")
-
-
-def format_file(ring, obj, order):
-    if isinstance(obj, Parametrisation):
-        return format_param_file(obj)
-    return format_ideal_file(ring, obj, order)

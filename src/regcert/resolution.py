@@ -1,5 +1,4 @@
-"""Graded Betti tables via Koszul homology, regularity, t-invariants, and
-the Betti relation under the power substitution.
+"""Graded Betti tables via Koszul homology, regularity and t-invariants.
 
 Two engines, both exact linear algebra over the coefficient field:
 
@@ -27,10 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .groebner import (GroebnerBasis, IdealPresentation, groebner_basis,
-                       image_ideal, initial_ideal, normal_form)
+                       initial_ideal, normal_form)
 from .monomials import MonomialIdeal, monomials_of_degree
-from .reports import VerificationReport, digest_of
-from .rings import DegRevLexOrder, Polynomial, PowerMap, mono_deg
+from .rings import DegRevLexOrder, Polynomial, mono_deg
 from .scalars import PrimeField
 
 
@@ -420,8 +418,6 @@ class BettiTable:
     beta_{i,j}(I) = beta_{i+1,j}(R/I)."""
 
     entries: dict
-    subject: str
-    certified_through: int
     characteristic: int
 
     def regularity(self):
@@ -450,17 +446,17 @@ def betti_table(I, order=None):
     """Certified ideal-side Betti table of a monomial ideal, a homogeneous
     ideal presentation, or a Groebner basis of one."""
     if isinstance(I, MonomialIdeal):
+        if any(mono_deg(g) == 0 for g in I.gens):
+            raise ValueError("Betti table of the unit ideal is not defined")
         q = monomial_quotient_betti(I, I.ring.field)
-        ent = _ideal_entries(q)
-        cert = max((j for (_, j) in ent), default=0)
-        return BettiTable(ent, "ideal", cert, I.ring.char)
+        return BettiTable(_ideal_entries(q), I.ring.char)
     if not isinstance(I, (IdealPresentation, GroebnerBasis)):
         raise TypeError("expected MonomialIdeal, IdealPresentation or "
                         "GroebnerBasis")
     if not I.homogeneous:
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
-        return BettiTable({}, "ideal", 0, I.ring.char)
+        return BettiTable({}, I.ring.char)
     G = groebner_basis(I, order or DegRevLexOrder())
     if G.is_unit_ideal():
         raise ValueError("Betti table of the unit ideal is not defined")
@@ -477,8 +473,7 @@ def betti_table(I, order=None):
             raise RuntimeError(f"Koszul rank inconsistency at cell {(i, j)}")
         if v:
             entries[(i - 1, j)] = v
-    cert = max((j for (_, j) in mono_q), default=0)
-    return BettiTable(entries, "ideal", cert, I.ring.char)
+    return BettiTable(entries, I.ring.char)
 
 
 def regularity(I, order=None):
@@ -494,71 +489,3 @@ def t_invariants(table):
     r = table.regularity()
     p = max(i for i, t in enumerate(ts) if t - i == r)
     return ts, p
-
-
-def check_flat_betti(I, d):
-    """Verify the Betti relation under x_i -> x_i^d on all variables:
-    beta_{i,jd}(I') = beta_{i,j}(I), vanishing off multiples of d,
-    t_i(I') = d t_i(I), the regularity gap inequality
-    reg(I')/d >= reg(I) + p(d-1)/d, and reg(I) <= reg(I')/d."""
-    if isinstance(I, MonomialIdeal):
-        ring = I.ring
-        Iprime = MonomialIdeal.from_monomials(
-            ring, [tuple(d * e for e in g) for g in I.gens])
-        desc = f"monomial:{I.gens}"
-    else:
-        ring = I.ring
-        phi = PowerMap((d,) * ring.nvars)
-        Iprime = image_ideal(phi, I)
-        desc = f"ideal:{[str(g) for g in I.generators]}"
-    report = VerificationReport("regflat-betti", ring.char)
-    dig = digest_of(f"flat:{desc}:d={d}")
-
-    T = betti_table(I)
-    Tp = betti_table(Iprime)
-    failures = []
-
-    for (i, j), v in T.entries.items():
-        if Tp.beta(i, j * d) != v:
-            failures.append({"cell": [i, j], "expected": v,
-                             "got": Tp.beta(i, j * d), "kind": "scaled-cell"})
-    for (i, j), v in Tp.entries.items():
-        if j % d != 0 and v:
-            failures.append({"cell": [i, j], "got": v,
-                             "kind": "off-multiple"})
-        if j % d == 0 and v != T.beta(i, j // d):
-            failures.append({"cell": [i, j], "got": v,
-                             "expected": T.beta(i, j // d),
-                             "kind": "scaled-cell"})
-
-    ts, p = t_invariants(T)
-    tsp, _ = t_invariants(Tp)
-    if tuple(d * t for t in ts) != tsp:
-        failures.append({"kind": "t-sequence", "t": list(ts),
-                         "t_prime": list(tsp)})
-
-    reg_I = T.regularity()
-    reg_Ip = Tp.regularity()
-    lhs = Fraction(reg_Ip, d)
-    rhs = reg_I + Fraction(p * (d - 1), d)
-    if lhs < rhs:
-        failures.append({"kind": "eq1", "lhs": str(lhs), "rhs": str(rhs)})
-    if reg_I > lhs:
-        failures.append({"kind": "reg-bound", "reg": reg_I,
-                         "reg_prime_over_d": str(lhs)})
-
-    values = {
-        "reg": reg_I,
-        "reg_prime": reg_Ip,
-        "p": p,
-        "t_sequence": list(ts),
-        "eq1_lhs": str(lhs),
-        "eq1_rhs": str(rhs),
-        "eq1_gap": str(lhs - rhs),
-        "d": d,
-    }
-    if failures:
-        report.add_fail(dig, values, {"failures": failures})
-    else:
-        report.add_pass(dig, values)
-    return report

@@ -259,18 +259,6 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def constant(ring, order, value):
-    K = ring.field
-    c = K.from_int(value) if isinstance(value, int) else value
-    return Polynomial.from_terms(ring, order, [(c, mono_one(ring.nvars))])
-
-
-def variable(ring, order, index, power=1):
-    e = [0] * ring.nvars
-    e[index] = power
-    return Polynomial.from_terms(ring, order, [(ring.field.one, tuple(e))])
-
-
 def is_homogeneous(f):
     """(flag, degree): zero reports (True, None)."""
     if f.is_zero():

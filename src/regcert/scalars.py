@@ -39,6 +39,14 @@ def _is_prime(p):
     return True
 
 
+def check_characteristic(char):
+    """char itself if it is 0 or a prime; ValueError otherwise, and for
+    primes too large for _is_prime to prove."""
+    if char != 0 and not _is_prime(char):
+        raise ValueError(f"characteristic must be 0 or prime, not {char}")
+    return char
+
+
 class PrimeField:
     """Arithmetic in GF(p); elements are ints in [0, p)."""
 
@@ -78,9 +86,6 @@ class PrimeField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def elements(self):
-        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

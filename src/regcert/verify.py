@@ -1,28 +1,32 @@
-"""End-to-end verification pipelines: the flattening inequality, the
+"""Every pass/fail/inconclusive check of regcert, one per lemma of the
+chain: the flattening inequality, the power-substitution lemma, the
 initial/lex regularity chain, and the main regularity bound for
-polynomially parametrised varieties.
+polynomially parametrised varieties, with the seeded trials over each.
 
 Every check recomputes each side of an (in)equality through an
 independent route before comparing; no check derives both sides from the
 same intermediate object.
 """
 
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
 from .groebner import (IdealPresentation, eliminate, graph_ideal,
-                       groebner_basis, initial_ideal, kernel_of_map,
-                       verify_poweli)
+                       groebner_basis, ideal_equal, image_ideal,
+                       initial_ideal, kernel_of_map,
+                       passes_buchberger_criterion)
 from .instances import random_ideal, random_parametrisation
-from .monomials import (ci_hilbert_function, compute_G, hilbert_function,
-                        lex_segment_ideal, monomials_of_degree,
-                        num_monomials, stable_regularity)
+from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
+                        hilbert_function, lex_segment_ideal,
+                        monomials_of_degree, num_monomials,
+                        stable_regularity)
 from .reports import VerificationReport, digest_of
-from .resolution import check_flat_betti, matrix_rank, regularity
+from .resolution import betti_table, matrix_rank, regularity, t_invariants
 from .rings import BlockOrder, LexOrder, PowerMap, apply_power_map, mono_mul
-from .scalars import PrimeField
+from .scalars import DEFAULT_PRIME, PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -79,37 +83,153 @@ def lex_ideal_of_presentation(J, cutoff=None, inJ=None):
 
 
 # ---------------------------------------------------------------------------
-# Lemma-level wrappers
+# Lemma-level checks
+
+def _trials(check, trials, seed, char, run):
+    """The merged reports of run(rng, trial, char) over the trials, each
+    with its own stream rng = Random(repr((check, seed, trial)))."""
+    char = DEFAULT_PRIME if char is None else char
+    report = VerificationReport(check, char, seed=seed)
+    for trial in range(trials):
+        rng = random.Random(repr((check, seed, trial)))
+        report.merge(run(rng, trial, char))
+    return report
+
 
 def verify_regflat(I, d):
-    """The flattening inequality reg(I) <= reg(I')/d for I' the image of I
-    under x_i -> x_i^d, together with the cellwise Betti identities."""
+    """The flattening inequality reg(I) <= reg(I')/d for I' the image of a
+    monomial ideal or a homogeneous ideal I under x_i -> x_i^d on all
+    variables, together with the Betti relation: beta_{i,jd}(I') =
+    beta_{i,j}(I), vanishing off multiples of d, t_i(I') = d t_i(I), and
+    the regularity gap inequality reg(I')/d >= reg(I) + p(d-1)/d."""
     if isinstance(I, IdealPresentation) and not I.homogeneous:
         raise ValueError("regflat requires a homogeneous ideal")
-    report = check_flat_betti(I, d)
-    report.check_name = "regflat"
+    if I.is_zero():
+        raise ValueError("regularity of the zero ideal is undefined")
+    ring = I.ring
+    if isinstance(I, MonomialIdeal):
+        Iprime = MonomialIdeal.from_monomials(
+            ring, [tuple(d * e for e in g) for g in I.gens])
+        desc = f"monomial:{I.gens}"
+    else:
+        Iprime = image_ideal(PowerMap.uniform(ring.nvars, d), I)
+        desc = f"ideal:{[str(g) for g in I.generators]}"
+    report = VerificationReport("regflat", ring.char)
+    dig = digest_of(f"flat:{desc}:d={d}")
+
+    T = betti_table(I)
+    Tp = betti_table(Iprime)
+    failures = []
+
+    for (i, j), v in T.entries.items():
+        if Tp.beta(i, j * d) != v:
+            failures.append({"cell": [i, j], "expected": v,
+                             "got": Tp.beta(i, j * d), "kind": "scaled-cell"})
+    for (i, j), v in Tp.entries.items():
+        if j % d != 0 and v:
+            failures.append({"cell": [i, j], "got": v,
+                             "kind": "off-multiple"})
+        if j % d == 0 and v != T.beta(i, j // d):
+            failures.append({"cell": [i, j], "got": v,
+                             "expected": T.beta(i, j // d),
+                             "kind": "scaled-cell"})
+
+    ts, p = t_invariants(T)
+    tsp, _ = t_invariants(Tp)
+    if tuple(d * t for t in ts) != tsp:
+        failures.append({"kind": "t-sequence", "t": list(ts),
+                         "t_prime": list(tsp)})
+
+    reg_I = T.regularity()
+    reg_Ip = Tp.regularity()
+    lhs = Fraction(reg_Ip, d)
+    rhs = reg_I + Fraction(p * (d - 1), d)
+    if lhs < rhs:
+        failures.append({"kind": "eq1", "lhs": str(lhs), "rhs": str(rhs)})
+    if reg_I > lhs:
+        failures.append({"kind": "reg-bound", "reg": reg_I,
+                         "reg_prime_over_d": str(lhs)})
+
+    values = {
+        "reg": reg_I,
+        "reg_prime": reg_Ip,
+        "p": p,
+        "t_sequence": list(ts),
+        "eq1_lhs": str(lhs),
+        "eq1_rhs": str(rhs),
+        "eq1_gap": str(lhs - rhs),
+        "d": d,
+    }
+    if failures:
+        report.add_fail(dig, values, {"failures": failures})
+    else:
+        report.add_pass(dig, values)
     return report
 
 
-def verify_poweli_trials(trials, seed, nvars=3, max_degree=3, max_power=3,
-                         char=None):
-    """Lemma-3 check over seeded random ideals and power maps."""
-    import random
-    from .scalars import DEFAULT_PRIME
-    char = DEFAULT_PRIME if char is None else char
-    report = VerificationReport("poweli", char, seed=seed)
-    for trial in range(trials):
+def verify_poweli(J, phi, keep):
+    """Check, for phi(x_i) = x_i^{d_i} on all variables and lex orders:
+    (i) phi(G) of a lex Groebner basis G of J satisfies the Buchberger
+        criterion (hence is a Groebner basis of phi(J)S), and
+    (ii) alpha(J cap R) R  =  phi(J) S cap R  as ideals of R, R the ring
+        of the first keep variables and alpha the restriction of phi."""
+    order = LexOrder()
+    ring = J.ring
+    report = VerificationReport("poweli", ring.char)
+    dig = digest_of(f"poweli:{[str(g) for g in J.generators]}:{phi.exponents}:{keep}")
+
+    G = groebner_basis(J, order)
+    phiG = [apply_power_map(phi, g) for g in G.elements]
+    ok_i, witness_pair = passes_buchberger_criterion(phiG, order)
+
+    # alpha(I) R with I = J cap R, alpha = phi restricted to R
+    I = eliminate(G, keep)
+    R = I.ring
+    alpha = PowerMap(phi.exponents[:keep])
+    alpha_I = IdealPresentation(
+        R, tuple(apply_power_map(alpha, g) for g in I.elements))
+
+    # J' cap R via an independent Buchberger run on phi(J)
+    Jprime = image_ideal(phi, J)
+    Gprime = groebner_basis(Jprime, order)
+    JprimeR = eliminate(Gprime, keep)
+
+    ok_ii = ideal_equal(alpha_I, JprimeR, order)
+
+    values = {
+        "buchberger_criterion_on_phi_G": ok_i,
+        "alpha_I_equals_Jprime_cap_R": ok_ii,
+        "basis_size": len(G),
+    }
+    if ok_i and ok_ii:
+        report.add_pass(dig, values)
+    else:
+        witness = {}
+        if not ok_i:
+            witness["failing_pair"] = list(witness_pair)
+        if not ok_ii:
+            witness["alpha_I"] = [str(g) for g in alpha_I.generators]
+            witness["Jprime_cap_R"] = [str(g) for g in JprimeR.elements]
+        report.add_fail(dig, values, witness)
+    return report
+
+
+def verify_poweli_trials(trials, seed, char=None):
+    """The power-substitution check over seeded random ideals in 3
+    variables with generators of degree at most 3, and power maps with
+    exponents at most 3.  Each trial's time is kept as trial{k}."""
+
+    def run(rng, trial, char):
         t0 = time.perf_counter()
-        rng = random.Random(("poweli", seed, trial).__repr__())
-        J = random_ideal(nvars, seed * 1000 + trial, ngens=rng.randint(2, 3),
-                         max_degree=max_degree, char=char)
-        dvec = PowerMap(tuple(rng.randint(1, max_power)
-                              for _ in range(nvars)))
-        keep = rng.randint(1, nvars - 1)
-        report.merge(verify_poweli(J, dvec, keep))
+        J = random_ideal(3, seed * 1000 + trial, ngens=rng.randint(2, 3),
+                         max_degree=3, char=char)
+        phi = PowerMap(tuple(rng.randint(1, 3) for _ in range(3)))
+        report = verify_poweli(J, phi, keep=rng.randint(1, 2))
         report.timings_ms[f"trial{trial}"] = round(
             1000 * (time.perf_counter() - t0), 3)
-    return report
+        return report
+
+    return _trials("poweli", trials, seed, char, run)
 
 
 def verify_regbound(J, keep, cutoff=None):
@@ -198,20 +318,15 @@ def verify_regbound(J, keep, cutoff=None):
 def verify_regbound_trials(trials, seed, char=None):
     """Regbound chain over seeded random homogeneous ideals in 3-4
     variables."""
-    import random
-    from .scalars import DEFAULT_PRIME
-    char = DEFAULT_PRIME if char is None else char
-    report = VerificationReport("regbound", char, seed=seed)
-    for trial in range(trials):
-        rng = random.Random(("regbound", seed, trial).__repr__())
+
+    def run(rng, trial, char):
         nvars = rng.choice([3, 4])
         J = random_ideal(nvars, seed * 1000 + trial,
                          ngens=rng.randint(2, nvars), max_degree=3,
                          char=char, homogeneous=True)
-        keep = rng.randint(1, nvars - 1)
-        report.merge(verify_regbound(J, keep))
-    report.seed = seed
-    return report
+        return verify_regbound(J, keep=rng.randint(1, nvars - 1))
+
+    return _trials("regbound", trials, seed, char, run)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +428,12 @@ def verify_main(param, cutoff=None):
 
 
 def verify_main_trials(n, m, d, trials, seed, char=None, cutoff=None):
-    """Main-theorem chain over seeded random parametrisations."""
-    from .scalars import DEFAULT_PRIME
-    char = DEFAULT_PRIME if char is None else char
-    report = VerificationReport("main", char, seed=seed)
-    for trial in range(trials):
+    """Main-theorem chain over seeded random parametrisations; each is
+    drawn from its own seed, so the trial stream is not read."""
+
+    def run(rng, trial, char):
         param = random_parametrisation(n, m, d, seed * 1000 + trial,
                                        char=char)
-        report.merge(verify_main(param, cutoff=cutoff))
-    return report
+        return verify_main(param, cutoff=cutoff)
+
+    return _trials("main", trials, seed, char, run)

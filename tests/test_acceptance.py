@@ -17,7 +17,7 @@ from conftest import record_criterion
 from regcert.instances import random_ideal, random_parametrisation
 from regcert.monomials import MonomialIdeal, ci_lex_ideal, stable_regularity
 from regcert.parser import parse_ideal_file
-from regcert.resolution import betti_table, check_flat_betti, t_invariants
+from regcert.resolution import betti_table, t_invariants
 from regcert.rings import make_ring
 from regcert.verify import (lex_ideal_of_presentation, verify_main,
                             verify_main_trials, verify_poweli_trials,
@@ -89,7 +89,7 @@ def criteria_1_to_4_values(char):
     ts, p = t_invariants(T)
     rem = {"t_sequence": list(ts), "reg": T.regularity(), "p": p}
     for d in (2, 3):
-        rep = check_flat_betti(M, d)
+        rep = verify_regflat(M, d)
         v = rep.instances[0].values
         rem[f"d{d}"] = {"status": rep.status, "reg_prime": v["reg_prime"],
                         "eq1_gap": v["eq1_gap"]}

@@ -23,6 +23,8 @@ def files(tmp_path):
         "gap11.txt": "ring x1 x2 x3; gens: x3, x2^11",
         "gap40.txt": "ring x1 x2 x3; gens: x3, x2^40",
         "x1_10.txt": "ring x1 x2 x3; gens: x1^10",
+        "unit.txt": "ring x1 x2; gens: 1",
+        "zero.txt": "ring x1 x2; gens: 0",
     }
     for name, text in specs.items():
         f = tmp_path / name
@@ -155,6 +157,26 @@ def test_verify_regflat(files, capsys):
                        files["squares.txt"], "--d", "2", "--json")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_regbound_on_the_unit_ideal(files, capsys):
+    code, out, err = run(capsys, "verify", "regbound", "--ideal",
+                         files["unit.txt"])
+    assert code == 64 and out == ""
+    assert "Betti table of the unit ideal is not defined" in err
+
+
+def test_verify_regflat_on_the_zero_ideal(files, capsys):
+    code, out, err = run(capsys, "verify", "regflat", "--ideal",
+                         files["zero.txt"])
+    assert code == 64 and out == ""
+    assert "regularity of the zero ideal is undefined" in err
+
+
+def test_lex_of_the_unit_ideal(files, capsys):
+    code, out, _ = run(capsys, "lex", "--ideal", files["unit.txt"], "--json")
+    assert code == 0
+    assert json.loads(out) == {"lex_generators": ["1"], "complete": True}
 
 
 def test_verify_poweli(files, capsys):

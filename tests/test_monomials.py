@@ -101,7 +101,7 @@ def test_contains_monomial_matches_scan(ideal, data):
 
 
 @given(monomial_ideals(max_exp=2, max_gens=3), st.integers(0, 2))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_is_strongly_stable_matches_all_moves(ideal, variant):
     ring, M = ideal
     if variant:  # strongly stable, or one generator short of it

@@ -11,12 +11,12 @@ from regcert import resolution
 from regcert.monomials import MonomialIdeal, hilbert_function
 from regcert.parser import parse_ideal_file
 from regcert.groebner import groebner_basis
-from regcert.resolution import (PANEL, BettiTable, betti_table,
-                                check_flat_betti, matrix_rank,
+from regcert.resolution import (PANEL, betti_table, matrix_rank,
                                 rank_exact_rational, rank_mod_p, regularity,
                                 t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, make_ring
 from regcert.scalars import QQ, PrimeField
+from regcert.verify import verify_regflat
 
 from oracles import monomial_quotient_betti_by_monomial
 
@@ -314,6 +314,11 @@ def test_zero_and_unit_ideal():
     U = ideal("ring x1 x2; char 0; gens: x1, 2")
     with pytest.raises(ValueError, match="unit"):
         betti_table(U)
+    # the monomial route refuses the unit ideal as the presentation route
+    # does; only the zero ideal has the empty table
+    with pytest.raises(ValueError, match="unit"):
+        betti_table(mi(R2, (0, 0)))
+    assert betti_table(mi(R2)).entries == {}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ def test_zero_and_unit_ideal():
 
 def test_check_flat_monomial_ci():
     M = mi(R2, (2, 0), (0, 2))
-    rep = check_flat_betti(M, 2)
+    rep = verify_regflat(M, 2)
     assert rep.status == "pass"
     v = rep.instances[0].values
     assert v["reg"] == 3 and v["reg_prime"] == 7 and v["p"] == 1
@@ -330,7 +335,7 @@ def test_check_flat_monomial_ci():
 def test_check_flat_principal_scales_exactly():
     M = mi(R3, (1, 1, 1))
     for d in (2, 3):
-        rep = check_flat_betti(M, d)
+        rep = verify_regflat(M, d)
         assert rep.status == "pass"
         v = rep.instances[0].values
         assert v["p"] == 0
@@ -341,7 +346,7 @@ def test_check_flat_principal_scales_exactly():
 
 def test_check_flat_general_ideal():
     J = ideal("ring x1 x2 x3; gens: x1*x3 - x2^2, x1^2*x2")
-    rep = check_flat_betti(J, 2)
+    rep = verify_regflat(J, 2)
     assert rep.status == "pass"
 
 

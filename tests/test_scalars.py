@@ -16,7 +16,7 @@ SMALL_PRIMES = [2, 3, 5, 7, 11]
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_prime_field_axioms_exhaustive(p):
     K = PrimeField(p)
-    els = list(K.elements())
+    els = list(range(p))
     for a in els:
         assert K.add(a, K.zero) == a
         assert K.mul(a, K.one) == a

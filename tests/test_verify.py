@@ -8,14 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from regcert.groebner import IdealPresentation, groebner_basis, initial_ideal
 from regcert.instances import random_ideal, random_parametrisation
-from regcert.monomials import (HilbertSeries, compute_G, hilbert_function,
-                               monomials_of_degree)
+from regcert.monomials import (HilbertSeries, MonomialIdeal, compute_G,
+                               hilbert_function, monomials_of_degree)
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
 from regcert.rings import DegRevLexOrder, Polynomial, make_ring
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
-                            verify_main, verify_poweli_trials,
-                            verify_regbound, verify_regflat)
+                            verify_main, verify_main_trials,
+                            verify_poweli_trials, verify_regbound,
+                            verify_regbound_trials, verify_regflat)
 
 
 def ideal(text):
@@ -111,6 +112,14 @@ def test_verify_regflat_rejects_nonhomogeneous():
         verify_regflat(ideal("ring x1 x2; gens: x1^2 + x2"), 2)
 
 
+def test_verify_regflat_refuses_the_zero_ideal():
+    R = make_ring(["x1", "x2"])
+    for zero in (ideal("ring x1 x2; gens: 0"), MonomialIdeal(R, ())):
+        with pytest.raises(ValueError,
+                           match="regularity of the zero ideal is undefined"):
+            verify_regflat(zero, 2)
+
+
 # ---------------------------------------------------------------------------
 # verify_regbound
 
@@ -154,6 +163,28 @@ def test_poweli_trials_deterministic_reports():
     assert json.dumps(da, sort_keys=True, default=str) == \
         json.dumps(db, sort_keys=True, default=str)
     assert a.status == "pass"
+
+
+# ---------------------------------------------------------------------------
+# seeded trial streams
+
+@pytest.mark.parametrize("run, seed, digests, timing_keys", [
+    (verify_poweli_trials, 1,
+     ["7edc55751f4b8632", "0a18131f55d167d7", "0789135737702bdd"],
+     ["trial0", "trial1", "trial2"]),
+    (verify_regbound_trials, 2,
+     ["ba7236ed69bf4a66", "8053e3f358ab5e36"], ["regbound"]),
+    (lambda trials, seed: verify_main_trials(3, 2, 2, trials, seed), 7,
+     ["8333f4a74b05d037", "66cb189022e77929"], ["main"]),
+], ids=["poweli", "regbound", "main"])
+def test_trial_streams_are_pinned(run, seed, digests, timing_keys):
+    # trial k of a check draws from Random(repr((check, seed, k))) and
+    # instance seed 1000 seed + k; these digests, in trial order, change
+    # with any change to that seeding
+    rep = run(len(digests), seed=seed)
+    assert [inst.digest for inst in rep.instances] == digests
+    assert sorted(rep.timings_ms) == timing_keys
+    assert rep.status == "pass" and rep.seed == seed
 
 
 # ---------------------------------------------------------------------------
