@@ -79,31 +79,30 @@ def normal_form(f, G, order=None):
     ring = f.ring
     K = ring.field
     lead = [(g.leading_monomial(), g.leading_coefficient()) for g in G]
-    quotients = [dict() for _ in G]
-    remainder = {}
-    work = dict(f.coeff_dict())
+    quotients = [[] for _ in G]
+    remainder = []
+    # work never holds a zero coefficient, and each popped monomial is the
+    # largest left, so the remainder and every quotient come out with
+    # nonzero terms in strictly decreasing order
+    work = f.coeff_dict()
     while work:
         m = max(work, key=order.key)
         c = work.pop(m)
-        if c == K.zero:
-            continue
         for idx, (lm, lc) in enumerate(lead):
             if mono_divides(lm, m):
                 q = mono_div(m, lm)
-                coeff = K.div(c, lc)
-                quotients[idx][q] = K.add(quotients[idx].get(q, K.zero), coeff)
+                coeff = K(c * K.inv(lc))
+                quotients[idx].append((coeff, q))
                 for gc, gm in G[idx].terms[1:]:
                     mm = mono_mul(gm, q)
-                    work[mm] = K.sub(work.get(mm, K.zero), K.mul(coeff, gc))
-                    if work[mm] == K.zero:
+                    work[mm] = K(work.get(mm, 0) - coeff * gc)
+                    if not work[mm]:
                         del work[mm]
                 break
         else:
-            remainder[m] = K.add(remainder.get(m, K.zero), c)
-    rem = Polynomial.from_terms(ring, order, [(c, m) for m, c in remainder.items()])
-    quots = [Polynomial.from_terms(ring, order, [(c, m) for m, c in q.items()])
-             for q in quotients]
-    return rem, quots
+            remainder.append((c, m))
+    return (Polynomial(ring, order, remainder),
+            [Polynomial(ring, order, q) for q in quotients])
 
 
 def _chain_criterion(i, j, lms, pairs_done, lcm_ij):
@@ -264,13 +263,12 @@ def graph_ideal(images, power, order):
     n = len(images)
     S = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + yring.names, n,
                  yring.field)
-    K = S.field
     gens = []
     for i, f in enumerate(images):
         xi = tuple(power if k == i else 0 for k in range(n))
         gens.append(Polynomial.from_terms(
-            S, order, [(K.one, xi + (0,) * yring.nvars)]
-            + [(K.neg(c), (0,) * n + m) for c, m in f.terms]))
+            S, order, [(1, xi + (0,) * yring.nvars)]
+            + [(-c, (0,) * n + m) for c, m in f.terms]))
     return IdealPresentation(S, tuple(gens))
 
 

@@ -447,8 +447,6 @@ def ci_lex_ideal(n, d, m):
 @lru_cache(maxsize=None)
 def compute_G(n, d, m):
     """reg(Lex(J')) for J' a complete intersection of n degree-d forms in
-    n+m variables; depends only on (n, d, m), so it is computed once."""
-    G = stable_regularity(ci_lex_ideal(n, d, m))
-    if m >= 1 and G > g_cap(n, d, m):
-        raise RuntimeError("lex ideal generator beyond the guaranteed cap")
-    return G
+    n+m variables; depends only on (n, d, m), so it is computed once.
+    Whether G stays within g_cap is checked by its callers."""
+    return stable_regularity(ci_lex_ideal(n, d, m))

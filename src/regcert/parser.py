@@ -232,27 +232,24 @@ class _Parser:
 
     def parse_term(self, ring, sign):
         K = ring.field
-        coeff = None
+        coeff = 1
         exps = [0] * ring.nvars
         saw_var = False
         tok = self.peek()
         if tok[0] == "nat":
             self.next()
-            num = int(tok[1])
+            coeff = K(int(tok[1]))
             if self.accept("sym", "/"):
                 den_tok = self.expect("nat")
-                den = K.from_int(int(den_tok[1]))
-                if den == K.zero:
+                den = K(int(den_tok[1]))
+                if not den:
                     self.error(f"zero denominator in characteristic "
                                f"{ring.char}", den_tok)
-                coeff = K.div(K.from_int(num), den)
-            else:
-                coeff = K.from_int(num)
+                coeff = K(coeff * K.inv(den))
             if not self.accept("sym", "*"):
                 if self.peek()[0] == "ident":
                     self.error("missing '*' between coefficient and variable")
-                return (K.mul(coeff, K.from_int(sign)) if sign < 0 else coeff,
-                        tuple(exps))
+                return K(sign * coeff), tuple(exps)
         while True:
             tok = self.peek()
             if tok[0] != "ident":
@@ -271,11 +268,7 @@ class _Parser:
             saw_var = True
             if not self.accept("sym", "*"):
                 break
-        if coeff is None:
-            coeff = K.one
-        if sign < 0:
-            coeff = K.neg(coeff)
-        return coeff, tuple(exps)
+        return K(sign * coeff), tuple(exps)
 
 
 def parse_ideal_file(text, char=None):

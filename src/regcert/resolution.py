@@ -442,9 +442,11 @@ def _ideal_entries(quotient_entries):
             if i >= 1 and v}
 
 
-def betti_table(I, order=None):
+def betti_table(I):
     """Certified ideal-side Betti table of a monomial ideal, a homogeneous
-    ideal presentation, or a Groebner basis of one."""
+    ideal presentation, or a Groebner basis of one.  The table does not
+    depend on the term order; it is computed from the reduced degrevlex
+    basis, and a given basis that is already that one is reused."""
     if isinstance(I, MonomialIdeal):
         if any(mono_deg(g) == 0 for g in I.gens):
             raise ValueError("Betti table of the unit ideal is not defined")
@@ -457,7 +459,7 @@ def betti_table(I, order=None):
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable({}, I.ring.char)
-    G = groebner_basis(I, order or DegRevLexOrder())
+    G = groebner_basis(I, DegRevLexOrder())
     if G.is_unit_ideal():
         raise ValueError("Betti table of the unit ideal is not defined")
     inI = initial_ideal(G)
@@ -476,10 +478,10 @@ def betti_table(I, order=None):
     return BettiTable(entries, I.ring.char)
 
 
-def regularity(I, order=None):
+def regularity(I):
     """Castelnuovo-Mumford regularity, ideal side:
     max{j - i : beta_{i,j}(I) != 0}."""
-    return betti_table(I, order).regularity()
+    return betti_table(I).regularity()
 
 
 def t_invariants(table):

@@ -45,20 +45,12 @@ def mono_one(nvars):
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# term orders: frozen values; key(m) sorts monomials increasing with the
+# order, and eliminates(keep, nvars) is true iff the order eliminates the
+# last nvars-keep variables
 
-class TermOrder:
-    """Base class; subclasses provide a sort key increasing with the order."""
-
-    def key(self, m):
-        raise NotImplementedError
-
-    def eliminates(self, keep, nvars):
-        """True iff this order is an elimination order for the last nvars-keep variables."""
-        return False
-
-
-class LexOrder(TermOrder):
+@dataclass(frozen=True)
+class LexOrder:
     """Lexicographic order with x_l > ... > x_1."""
 
     def key(self, m):
@@ -70,14 +62,9 @@ class LexOrder(TermOrder):
     def __repr__(self):
         return "lex"
 
-    def __eq__(self, other):
-        return isinstance(other, LexOrder)
 
-    def __hash__(self):
-        return hash("lex")
-
-
-class DegRevLexOrder(TermOrder):
+@dataclass(frozen=True)
+class DegRevLexOrder:
     """Degree reverse lexicographic order with x_l > ... > x_1."""
 
     def key(self, m):
@@ -89,19 +76,13 @@ class DegRevLexOrder(TermOrder):
     def __repr__(self):
         return "degrevlex"
 
-    def __eq__(self, other):
-        return isinstance(other, DegRevLexOrder)
 
-    def __hash__(self):
-        return hash("degrevlex")
-
-
-class BlockOrder(TermOrder):
+@dataclass(frozen=True)
+class BlockOrder:
     """Elimination block order: degrevlex on the last nvars-keep variables,
     ties broken by degrevlex on the first keep variables."""
 
-    def __init__(self, keep):
-        self.keep = keep
+    keep: int
 
     def key(self, m):
         hi = m[self.keep:]
@@ -113,12 +94,6 @@ class BlockOrder(TermOrder):
 
     def __repr__(self):
         return f"elim({self.keep})"
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and other.keep == self.keep
-
-    def __hash__(self):
-        return hash(("elim", self.keep))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +153,8 @@ class Polynomial:
             m = tuple(m)
             if len(m) != ring.nvars:
                 raise ValueError("monomial dimension does not match ring")
-            acc[m] = K.add(acc.get(m, K.zero), c)
-        terms = [(c, m) for m, c in acc.items() if c != K.zero]
+            acc[m] = K(acc.get(m, 0) + c)
+        terms = [(c, m) for m, c in acc.items() if c]
         terms.sort(key=lambda t: order.key(t[1]), reverse=True)
         return cls(ring, order, terms)
 
@@ -209,28 +184,26 @@ class Polynomial:
                                      list(self.terms) + list(other.terms))
 
     def __sub__(self, other):
-        K = self.ring.field
         return Polynomial.from_terms(
             self.ring, self.order,
-            list(self.terms) + [(K.neg(c), m) for c, m in other.terms])
+            list(self.terms) + [(-c, m) for c, m in other.terms])
 
     def __neg__(self):
         K = self.ring.field
         return Polynomial(self.ring, self.order,
-                          [(K.neg(c), m) for c, m in self.terms])
+                          [(K(-c), m) for c, m in self.terms])
 
     def __mul__(self, other):
-        K = self.ring.field
-        raw = [(K.mul(c1, c2), mono_mul(m1, m2))
+        raw = [(c1 * c2, mono_mul(m1, m2))
                for c1, m1 in self.terms for c2, m2 in other.terms]
         return Polynomial.from_terms(self.ring, self.order, raw)
 
     def mul_term(self, coeff, mono):
         K = self.ring.field
-        if coeff == K.zero:
+        if not coeff:
             return Polynomial.zero(self.ring, self.order)
         return Polynomial(self.ring, self.order,
-                          [(K.mul(c, coeff), mono_mul(m, mono))
+                          [(K(c * coeff), mono_mul(m, mono))
                            for c, m in self.terms])
 
     def scale(self, coeff):

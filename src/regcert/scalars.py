@@ -1,5 +1,10 @@
-"""Exact coefficient fields: GF(p) for a prime p and the rationals."""
+"""Exact coefficient fields: GF(p) for a prime p and the rationals.
 
+A field K is a coercion: K(x) reduces a Python number into the field, and
+callers do arithmetic with Python's operators plus one K(...).  With
+K.inv, K.zero, K.one and K.char that is the whole field protocol."""
+
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -47,93 +52,52 @@ def check_characteristic(char):
     return char
 
 
+@dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic in GF(p); elements are ints in [0, p)."""
+    """GF(p); elements are ints in [0, p), and K(x) reduces an int into
+    the field."""
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
+    zero = 0
+    one = 1
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     @property
     def char(self):
         return self.p
 
-    zero = 0
-    one = 1
-
-    def from_int(self, a):
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def __call__(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"GF({self.p})"
 
 
+@dataclass(frozen=True)
 class RationalField:
-    """Exact rational arithmetic via fractions.Fraction."""
-
-    __slots__ = ()
+    """The rationals; elements are fractions.Fraction, and K(x) is
+    Fraction(x)."""
 
     char = 0
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, a):
-        return Fraction(a)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def __call__(self, x):
+        return Fraction(x)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a / b
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
 
     def __repr__(self):
         return "QQ"

@@ -76,7 +76,8 @@ def lex_ideal_of_presentation(J, cutoff=None, inJ=None):
     Returns (MonomialIdeal, complete), complete as in lex_segment_ideal.
     Pass inJ to reuse an initial ideal of J the caller already has."""
     if inJ is None:
-        inJ = initial_ideal(groebner_basis(J, LexOrder()))
+        inJ = (MonomialIdeal(J.ring, ()) if J.is_zero()
+               else initial_ideal(groebner_basis(J, LexOrder())))
     h = hilbert_function(inJ)
     D = h.scan_bound() if cutoff is None else min(h.scan_bound(), cutoff)
     return lex_segment_ideal(h, J.ring, D)
@@ -238,6 +239,8 @@ def verify_regbound(J, keep, cutoff=None):
     Hilbert-function equality HF(J) = HF(in J)."""
     if not J.homogeneous:
         raise ValueError("regbound requires a homogeneous ideal")
+    if J.is_zero():
+        raise ValueError("regularity of the zero ideal is undefined")
     ring = J.ring
     report = VerificationReport("regbound", ring.char)
     dig = digest_of(f"regbound:{[str(g) for g in J.generators]}:{keep}")

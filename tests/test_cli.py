@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+import regcert.monomials as monomials_mod
 from regcert.cli import main
+from regcert.monomials import MonomialIdeal, compute_G, monomials_of_degree
+from regcert.rings import make_ring
+from regcert.verify import verify_main_trials
 
 
 @pytest.fixture
@@ -114,6 +118,32 @@ def test_gtable_command(capsys):
     assert any(l.split()[:4] == ["1", "2", "1", "2"] for l in lines)
 
 
+@pytest.fixture
+def g_above_cap(monkeypatch):
+    """compute_G gives 5 for every shape: each lex ideal is replaced by all
+    degree-5 monomials in 3 variables, above the cap 4 of (n,d,m) =
+    (2,2,1)."""
+    L = MonomialIdeal(make_ring(["z1", "z2", "z3"]),
+                      tuple(monomials_of_degree(3, 5)))
+    monkeypatch.setattr(monomials_mod, "ci_lex_ideal", lambda n, d, m: L)
+    compute_G.cache_clear()
+    yield
+    compute_G.cache_clear()
+
+
+def test_G_above_its_cap_is_a_failure(g_above_cap, capsys):
+    # a counterexample to G <= d^(n 2^(m-1)) is reported with its witness,
+    # not raised from compute_G
+    report = verify_main_trials(2, 1, 2, 1, 0)
+    assert report.status == "fail"
+    assert {"kind": "G<=d^(n*2^(m-1))", "G": 5} in \
+        report.instances[0].witness["failures"]
+    code, out, _ = run(capsys, "gtable", "--n", "2", "--d", "2", "--m", "1",
+                       "--json")
+    assert code == 1
+    assert json.loads(out) == [{"n": 2, "d": 2, "m": 1, "G": 5, "cap": 4}]
+
+
 def test_verify_main_exit_zero(files, capsys):
     code, out, _ = run(capsys, "verify", "main", "--n", "2", "--m", "2",
                        "--d", "2", "--trials", "5", "--seed", "7")
@@ -168,6 +198,19 @@ def test_verify_regbound_on_the_unit_ideal(files, capsys):
 
 def test_verify_regflat_on_the_zero_ideal(files, capsys):
     code, out, err = run(capsys, "verify", "regflat", "--ideal",
+                         files["zero.txt"])
+    assert code == 64 and out == ""
+    assert "regularity of the zero ideal is undefined" in err
+
+
+def test_lex_of_the_zero_ideal(files, capsys):
+    code, out, _ = run(capsys, "lex", "--ideal", files["zero.txt"], "--json")
+    assert code == 0
+    assert json.loads(out) == {"lex_generators": [], "complete": True}
+
+
+def test_verify_regbound_on_the_zero_ideal(files, capsys):
+    code, out, err = run(capsys, "verify", "regbound", "--ideal",
                          files["zero.txt"])
     assert code == 64 and out == ""
     assert "regularity of the zero ideal is undefined" in err
@@ -272,10 +315,12 @@ def test_counts_must_be_positive(files, capsys, argv):
     ["kernel", "--param", "conic.txt", "--cutoff", "3"],
     ["reg", "--ideal", "squares.txt", "--cutoff", "3"],
     ["lex", "--ideal", "squares.txt", "--order", "lex"],
+    ["reg", "--ideal", "squares.txt", "--order", "lex"],
 ], ids=["regbound-order-seed", "regbound-ideal-seed", "regbound-ideal-trials",
         "regbound-trials-cutoff", "main-param-n", "main-param-trials",
         "poweli-ideal", "regflat-seed", "gtable-ideal-trials", "gtable-char",
-        "kernel-degrevlex", "kernel-cutoff", "reg-cutoff", "lex-order"])
+        "kernel-degrevlex", "kernel-cutoff", "reg-cutoff", "lex-order",
+        "reg-order"])
 def test_flags_a_command_does_not_read_are_usage_errors(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]
     code, out, _ = run(capsys, *argv)

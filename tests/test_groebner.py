@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from regcert.groebner import (IdealPresentation, buchberger, eliminate,
                               graph_ideal, groebner_basis, ideal_equal,
@@ -40,6 +41,44 @@ def test_normal_form_division_identity():
     from regcert.rings import mono_divides
     for _, m in rem.terms:
         assert not any(mono_divides(lm, m) for lm in lms)
+
+
+FIELD_CHARS = [2, 32003, 0]
+ORDERS = [LexOrder(), DegRevLexOrder(), BlockOrder(1), BlockOrder(2)]
+raw_polys = st.lists(
+    st.tuples(st.integers(-50, 50), st.sampled_from([1, 3, 5, 7]),
+              st.tuples(*[st.integers(0, 3)] * 3)),
+    min_size=1, max_size=6)
+
+
+def _poly(ring, order, raw):
+    """A polynomial from (numerator, odd denominator, monomial) triples."""
+    K = ring.field
+    return Polynomial.from_terms(
+        ring, order, [(K(a * K.inv(K(b))), m) for a, b, m in raw])
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=st.sampled_from(FIELD_CHARS), order=st.sampled_from(ORDERS),
+       f=raw_polys, divisors=st.lists(raw_polys, min_size=1, max_size=3))
+def test_normal_form_results_are_normalized(char, order, f, divisors):
+    # remainder and quotients are built directly from their terms, which
+    # must already be nonzero and strictly decreasing: from_terms of the
+    # same terms changes nothing
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    f = _poly(ring, order, f)
+    G = [_poly(ring, order, g) for g in divisors]
+    assume(all(not g.is_zero() for g in G))
+    rem, quots = normal_form(f, G, order)
+    recombined = rem
+    for q, g in zip(quots, G):
+        recombined = recombined + q * g
+    assert recombined == f
+    for p in [rem] + quots:
+        assert all(c for c, _ in p.terms)
+        keys = [order.key(m) for _, m in p.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert Polynomial.from_terms(ring, order, p.terms).terms == p.terms
 
 
 def test_normal_form_zero_in_ideal():
@@ -98,7 +137,7 @@ def test_reduced_basis_unique_under_shuffles():
     for _ in range(10):
         gens = list(J.generators)
         rng.shuffle(gens)
-        scale = gens[0].ring.field.from_int(rng.randrange(1, 100))
+        scale = gens[0].ring.field(rng.randrange(1, 100))
         gens[0] = gens[0].scale(scale)
         G = groebner_basis(IdealPresentation(J.ring, tuple(gens)), order)
         assert G.elements == reference

@@ -277,15 +277,7 @@ def test_betti_table_of_groebner_basis():
     for order in (DegRevLexOrder(), LexOrder()):
         G = groebner_basis(J, order)
         assert betti_table(G).entries == betti_table(J).entries
-        assert betti_table(G, order).entries == \
-            betti_table(G.as_presentation(), order).entries
     assert regularity(groebner_basis(J, DegRevLexOrder())) == regularity(J)
-
-
-def test_betti_independent_of_order():
-    J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
-    assert betti_table(J, LexOrder()).entries == \
-        betti_table(J, DegRevLexOrder()).entries
 
 
 def test_betti_char_zero_agrees():

@@ -1,14 +1,15 @@
 """Field axioms for both scalar representations, and the primality test
 behind every characteristic."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from regcert.scalars import (DEFAULT_PRIME, QQ, PrimeField, _is_prime,
-                             field_of_characteristic)
+from regcert.scalars import (DEFAULT_PRIME, QQ, PrimeField, RationalField,
+                             _is_prime, field_of_characteristic)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11]
 
@@ -18,24 +19,23 @@ def test_prime_field_axioms_exhaustive(p):
     K = PrimeField(p)
     els = list(range(p))
     for a in els:
-        assert K.add(a, K.zero) == a
-        assert K.mul(a, K.one) == a
-        assert K.add(a, K.neg(a)) == K.zero
+        assert K(a + K.zero) == a
+        assert K(a * K.one) == a
+        assert K(a + K(-a)) == K.zero
         for b in els:
-            assert K.add(a, b) == K.add(b, a)
-            assert K.mul(a, b) == K.mul(b, a)
+            assert K(a + b) == K(b + a) and K(a + b) in els
+            assert K(a * b) == K(b * a) and K(a * b) in els
             if b != K.zero:
-                assert K.mul(K.mul(a, b), K.inv(b)) == a
+                assert K(K(a * b) * K.inv(b)) == a
             for c in els:
-                assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b),
-                                                      K.mul(a, c))
+                assert K(a * K(b + c)) == K(K(a * b) + K(a * c))
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_prime_field_inverse(p):
     K = PrimeField(p)
     for a in range(1, p):
-        assert K.mul(a, K.inv(a)) == K.one
+        assert K(a * K.inv(a)) == K.one
 
 
 def test_prime_field_rejects_composite():
@@ -58,12 +58,21 @@ rationals = st.fractions(min_value=-1000, max_value=1000,
 
 @given(rationals, rationals, rationals)
 def test_rational_field_axioms(a, b, c):
-    assert QQ.add(a, b) == QQ.add(b, a)
-    assert QQ.mul(a, QQ.add(b, c)) == QQ.add(QQ.mul(a, b), QQ.mul(a, c))
-    assert QQ.add(a, QQ.neg(a)) == QQ.zero
+    assert QQ(a + b) == QQ(b + a)
+    assert QQ(a * QQ(b + c)) == QQ(QQ(a * b) + QQ(a * c))
+    assert QQ(a + QQ(-a)) == QQ.zero
     if b != 0:
-        assert QQ.mul(QQ.mul(a, b), QQ.inv(b)) == a
-        assert QQ.div(QQ.mul(a, b), b) == a
+        assert QQ(QQ(a * b) * QQ.inv(b)) == a
+
+
+def test_fields_are_frozen_values():
+    assert PrimeField(7) == PrimeField(7) != PrimeField(11)
+    assert hash(PrimeField(7)) == hash(PrimeField(7))
+    assert RationalField() == QQ != PrimeField(7)
+    assert hash(RationalField()) == hash(QQ)
+    assert (repr(PrimeField(7)), repr(QQ)) == ("GF(7)", "QQ")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PrimeField(7).p = 11
 
 
 def test_field_of_characteristic():
@@ -72,11 +81,14 @@ def test_field_of_characteristic():
     assert field_of_characteristic(DEFAULT_PRIME).char == DEFAULT_PRIME
 
 
-def test_from_int_wraps():
+def test_coercion_wraps():
     K = PrimeField(7)
-    assert K.from_int(-1) == 6
-    assert K.from_int(14) == 0
-    assert QQ.from_int(3) == Fraction(3)
+    assert K(-1) == 6
+    assert K(-5) == 2
+    assert K(14) == 0
+    assert K(2 ** 70) == 2  # 2^3 = 1 in GF(7) and 70 = 3 * 23 + 1
+    assert type(QQ(3)) is Fraction and QQ(3) == 3
+    assert QQ(Fraction(-5, 3)) == Fraction(-5, 3)
 
 
 def is_prime_by_trial_division(n):
@@ -102,7 +114,7 @@ def test_61_bit_prime_accepted_within_a_second():
     start = time.perf_counter()
     K = PrimeField(2305843009213693951)  # 2^61 - 1
     assert time.perf_counter() - start < 1.0
-    assert K.mul(K.inv(12345), 12345) == K.one
+    assert K(K.inv(12345) * 12345) == K.one
 
 
 @pytest.mark.parametrize("n", [
