@@ -1,6 +1,10 @@
 """Division with remainder, Buchberger's algorithm, elimination, kernels
 of polynomial maps, and images under power substitutions.
 
+Division keeps the live terms in a heap keyed by the reversed order key,
+computed once when a monomial enters; a term that cancels stays in the
+heap with coefficient zero and is skipped when popped.
+
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
 (deg lcm, order key of lcm, i, j, lcm), each entry computed once when its
@@ -67,6 +71,12 @@ class GroebnerBasis:
         return self.as_presentation().homogeneous
 
 
+def _descending(key):
+    """An order key reversed: every int of the (nested) tuple negated, so
+    the smallest descending key belongs to the largest monomial."""
+    return tuple([-k if isinstance(k, int) else _descending(k) for k in key])
+
+
 def normal_form(f, G, order=None):
     """Divide f by the list G: returns (remainder, quotients) with
     f = sum q_g * g + remainder and no remainder term divisible by a
@@ -78,26 +88,34 @@ def normal_form(f, G, order=None):
     f = f.with_order(order)
     ring = f.ring
     K = ring.field
-    lead = [(g.leading_monomial(), g.leading_coefficient()) for g in G]
+    lead = [(g.leading_monomial(), K.inv(g.leading_coefficient()))
+            for g in G]
     quotients = [[] for _ in G]
     remainder = []
-    # work never holds a zero coefficient, and each popped monomial is the
-    # largest left, so the remainder and every quotient come out with
+    # work maps each monomial still in the heap to its coefficient, zero
+    # once it has cancelled; a popped monomial is the largest left and
+    # never comes back, so the remainder and every quotient come out with
     # nonzero terms in strictly decreasing order
     work = f.coeff_dict()
-    while work:
-        m = max(work, key=order.key)
+    heap = [(_descending(order.key(m)), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
-        for idx, (lm, lc) in enumerate(lead):
+        if not c:
+            continue
+        for idx, (lm, inv) in enumerate(lead):
             if mono_divides(lm, m):
                 q = mono_div(m, lm)
-                coeff = K(c * K.inv(lc))
+                coeff = K(c * inv)
                 quotients[idx].append((coeff, q))
                 for gc, gm in G[idx].terms[1:]:
                     mm = mono_mul(gm, q)
-                    work[mm] = K(work.get(mm, 0) - coeff * gc)
-                    if not work[mm]:
-                        del work[mm]
+                    old = work.get(mm)
+                    if old is None:
+                        heapq.heappush(heap, (_descending(order.key(mm)), mm))
+                        old = 0
+                    work[mm] = K(old - coeff * gc)
                 break
         else:
             remainder.append((c, m))

@@ -14,21 +14,27 @@ Two engines, both exact linear algebra over the coefficient field:
   are kept in 64-bit chunks.
 * general homogeneous ideals: ranks of the Koszul differentials on total
   degree pieces, expressed in the standard monomial basis of the initial
-  ideal via division with remainder; cells are restricted by the termwise
-  bound beta(I) <= beta(in I).
+  ideal.  Normal forms come from one table per degree, filled in
+  increasing term order from the reduced Groebner basis (the Macaulay
+  matrix view of F4: Faugere, JPAA 139, 1999); each differential is
+  assembled from blocks of the multiplication matrices x_k.  Cells are
+  restricted by the termwise bound beta(I) <= beta(in I).
+
+Ranks over GF(p) use blocked LU (rank_mod_p), over the rationals
+fraction-free Bareiss elimination (rank_exact_rational).
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .groebner import (GroebnerBasis, IdealPresentation, groebner_basis,
-                       initial_ideal, normal_form)
+                       initial_ideal)
 from .monomials import MonomialIdeal, monomials_of_degree
-from .rings import DegRevLexOrder, Polynomial, mono_deg
+from .rings import (DegRevLexOrder, mono_deg, mono_div, mono_divides,
+                    mono_mul)
 from .scalars import PrimeField
 
 
@@ -147,22 +153,32 @@ def rank_mod_p(rows, p):
 
 
 def rank_exact_rational(rows):
-    """Rank over the rationals by fraction Gaussian elimination."""
-    A = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not A:
-        return 0
-    nc = len(A[0])
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, len(A)) if A[r][col] != 0), None)
+    """Rank over the rationals by fraction-free elimination (Bareiss 1968).
+
+    Each row is scaled by the lcm of its denominators to Python ints.
+    Eliminating with pivot pv replaces each entry x of a lower row, whose
+    entry in the pivot column is a, by (pv x - a y) // prev, y the pivot
+    row's entry and prev the previous pivot (1 at first).  The division is
+    exact: every entry is then a minor of the scaled matrix (Sylvester's
+    identity), which also bounds its size."""
+    A = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            A.append(ints)
+    rank, prev = 0, 1
+    for col in range(len(A[0]) if A else 0):
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        pv = A[rank][col]
-        for r in range(rank + 1, len(A)):
-            if A[r][col]:
-                f = A[r][col] / pv
-                A[r] = [a - f * b for a, b in zip(A[r], A[rank])]
+        pv, tail = A[rank][col], A[rank][col + 1:]
+        for row in A[rank + 1:]:
+            a = row[col]
+            row[col + 1:] = [(pv * x - a * y) // prev
+                             for x, y in zip(row[col + 1:], tail)]
+        prev = pv
         rank += 1
         if rank == len(A):
             break
@@ -332,7 +348,18 @@ def standard_monomial_basis(M, t):
 
 
 class _KoszulWorkspace:
-    """Shared state for Koszul ranks of one homogeneous ideal."""
+    """Shared state for Koszul ranks of one homogeneous ideal, given by its
+    reduced Groebner basis G and initial ideal inI.
+
+    Normal forms come from one table per degree t: a dense row over std(t)
+    for every monomial of degree t, filled in increasing term order.  A
+    standard monomial gets a unit row; any other x = w lm(g), g the first
+    element of G whose leading monomial divides x, gets
+    NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g, whose
+    rows are already filled (same degree, smaller).  Over GF(p) the rows
+    are int64 below 2^31, as in rank_mod_p, reduced after every term so
+    each product stays below 2^62; otherwise they are Python ints or
+    Fractions (dtype=object)."""
 
     def __init__(self, G, inI):
         self.G = G
@@ -340,8 +367,11 @@ class _KoszulWorkspace:
         self.ring = G.ring
         self.order = G.order
         self.field = self.ring.field
+        p = self.field.char
+        self.dtype = np.int64 if 0 < p < 2 ** 31 else object
         self._std = {}
-        self._nf = {}
+        self._table = {}
+        self._mult = {}
         self._rank = {}
 
     def std(self, t):
@@ -349,22 +379,48 @@ class _KoszulWorkspace:
             self._std[t] = standard_monomial_basis(self.inI, t)
         return self._std[t]
 
-    def nf_of_monomial(self, m):
-        """Normal form of a monomial as {standard monomial: coefficient}."""
-        hit = self._nf.get(m)
+    def nf_table(self, t):
+        """({monomial of degree t: row}, matrix of their normal forms over
+        std(t))."""
+        hit = self._table.get(t)
+        if hit is not None:
+            return hit
+        K, p = self.field, self.field.char
+        col = {v: c for c, v in enumerate(self.std(t))}
+        monos = sorted(monomials_of_degree(self.ring.nvars, t),
+                       key=self.order.key)
+        row_of = {x: r for r, x in enumerate(monos)}
+        leads = [(g.leading_monomial(), g) for g in self.G.elements]
+        N = np.zeros((len(monos), len(col)), self.dtype)
+        for r, x in enumerate(monos):
+            if x in col:
+                N[r, col[x]] = 1
+                continue
+            lm, g = next((lm, g) for lm, g in leads if mono_divides(lm, x))
+            w = mono_div(x, lm)
+            inv = K.inv(g.leading_coefficient())
+            for c, m in g.terms[1:]:
+                N[r] -= K(c * inv) * N[row_of[mono_mul(w, m)]]
+                if p:
+                    N[r] %= p
+        self._table[t] = row_of, N
+        return row_of, N
+
+    def multiplication(self, t):
+        """[x_k : std(t - 1) -> std(t) for each variable k], as matrices
+        whose rows are normal forms."""
+        hit = self._mult.get(t)
         if hit is None:
-            if not self.inI.contains_monomial(m):
-                hit = {m: self.field.one}
-            else:
-                poly = Polynomial.from_terms(self.ring, self.order,
-                                             [(self.field.one, m)])
-                rem, _ = normal_form(poly, list(self.G.elements), self.order)
-                hit = rem.coeff_dict()
-            self._nf[m] = hit
+            row_of, N = self.nf_table(t)
+            src = self.std(t - 1)
+            hit = [N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]] for x in src]]
+                   for k in range(self.ring.nvars)]
+            self._mult[t] = hit
         return hit
 
     def diff_rank(self, i, j):
-        """Rank of the Koszul differential (K_i tensor R/I)_j -> (K_{i-1})_j."""
+        """Rank of the Koszul differential (K_i tensor R/I)_j -> (K_{i-1})_j:
+        block (T, T minus its pos-th element k) is (-1)^pos x_k."""
         key = (i, j)
         hit = self._rank.get(key)
         if hit is not None:
@@ -374,29 +430,20 @@ class _KoszulWorkspace:
                 and self.std(j - i + 1)):
             self._rank[key] = 0
             return 0
-        src_std, tgt_std = self.std(j - i), self.std(j - i + 1)
-        tgt_sets = list(itertools.combinations(range(l), i - 1))
-        tgt_index = {}
-        for si, T in enumerate(tgt_sets):
-            for mi, v in enumerate(tgt_std):
-                tgt_index[(T, v)] = si * len(tgt_std) + mi
-        K = self.field
-        is_p = isinstance(K, PrimeField)
-        rows = []
-        for T in itertools.combinations(range(l), i):
-            for u in src_std:
-                row = [0] * (len(tgt_sets) * len(tgt_std))
-                for pos, k in enumerate(T):
-                    sign = -1 if pos % 2 else 1
-                    Tk = tuple(v for v in T if v != k)
-                    xu = tuple(e + (1 if idx == k else 0)
-                               for idx, e in enumerate(u))
-                    for v, c in self.nf_of_monomial(xu).items():
-                        col = tgt_index[(Tk, v)]
-                        val = int(c) * sign if is_p else c * sign
-                        row[col] = row[col] + val if row[col] else val
-                rows.append(row)
-        r = matrix_rank(rows, K)
+        ns, nt = len(self.std(j - i)), len(self.std(j - i + 1))
+        X = self.multiplication(j - i + 1)
+        src_sets = list(itertools.combinations(range(l), i))
+        tgt_sets = {T: b for b, T in
+                    enumerate(itertools.combinations(range(l), i - 1))}
+        A = np.zeros((len(src_sets) * ns, len(tgt_sets) * nt), self.dtype)
+        for a, T in enumerate(src_sets):
+            for pos, k in enumerate(T):
+                b = tgt_sets[T[:pos] + T[pos + 1:]]
+                A[a * ns:(a + 1) * ns, b * nt:(b + 1) * nt] = \
+                    -X[k] if pos % 2 else X[k]
+        # matrix_rank takes a list of rows
+        r = matrix_rank(list(A) if self.field.char else A.tolist(),
+                        self.field)
         self._rank[key] = r
         return r
 

@@ -5,11 +5,13 @@ quantity the package computes another way.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from regcert.monomials import HilbertSeries, MacaulayViolation, num_monomials
 from regcert.resolution import _reduced_homology
-from regcert.rings import LexOrder, Polynomial, mono_deg, mono_lcm
+from regcert.rings import (LexOrder, Polynomial, mono_deg, mono_div,
+                           mono_divides, mono_lcm, mono_mul)
 
 
 def hilbert_function_incl_excl(M, D):
@@ -288,3 +290,58 @@ def monomial_quotient_betti_by_monomial(M, field):
                 break
             ex = (ex - 1) & extra
     return entries
+
+
+def normal_form_by_max(f, G, order):
+    """groebner.normal_form with the largest live term found by max over
+    the order key of every term at each step."""
+    G = [g.with_order(order) for g in G]
+    f = f.with_order(order)
+    ring = f.ring
+    K = ring.field
+    lead = [(g.leading_monomial(), g.leading_coefficient()) for g in G]
+    quotients = [[] for _ in G]
+    remainder = []
+    work = f.coeff_dict()
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for idx, (lm, lc) in enumerate(lead):
+            if mono_divides(lm, m):
+                q = mono_div(m, lm)
+                coeff = K(c * K.inv(lc))
+                quotients[idx].append((coeff, q))
+                for gc, gm in G[idx].terms[1:]:
+                    mm = mono_mul(gm, q)
+                    work[mm] = K(work.get(mm, 0) - coeff * gc)
+                    if not work[mm]:
+                        del work[mm]
+                break
+        else:
+            remainder.append((c, m))
+    return (Polynomial(ring, order, remainder),
+            [Polynomial(ring, order, q) for q in quotients])
+
+
+def rank_by_fractions(rows):
+    """resolution.rank_exact_rational by Gaussian elimination over
+    fractions.Fraction."""
+    A = [[Fraction(x) for x in row] for row in rows if any(row)]
+    if not A:
+        return 0
+    nc = len(A[0])
+    rank = 0
+    for col in range(nc):
+        piv = next((r for r in range(rank, len(A)) if A[r][col] != 0), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        pv = A[rank][col]
+        for r in range(rank + 1, len(A)):
+            if A[r][col]:
+                f = A[r][col] / pv
+                A[r] = [a - f * b for a, b in zip(A[r], A[rank])]
+        rank += 1
+        if rank == len(A):
+            break
+    return rank

@@ -15,7 +15,7 @@ from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring)
 from regcert.verify import verify_poweli
 
-from oracles import substitute
+from oracles import normal_form_by_max, substitute
 
 
 def ideal(text):
@@ -79,6 +79,39 @@ def test_normal_form_results_are_normalized(char, order, f, divisors):
         keys = [order.key(m) for _, m in p.terms]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         assert Polynomial.from_terms(ring, order, p.terms).terms == p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=st.sampled_from(FIELD_CHARS), order=st.sampled_from(ORDERS),
+       f=raw_polys, divisors=st.lists(raw_polys, min_size=1, max_size=3))
+def test_normal_form_heap_matches_max_per_step_oracle(char, order, f,
+                                                      divisors):
+    # the heap changes how the largest live term is found, not which one:
+    # remainder and quotients are the same term lists
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    f = _poly(ring, order, f)
+    G = [_poly(ring, order, g) for g in divisors]
+    assume(all(not g.is_zero() for g in G))
+    rem, quots = normal_form(f, G, order)
+    rem_o, quots_o = normal_form_by_max(f, G, order)
+    assert rem.terms == rem_o.terms
+    assert [q.terms for q in quots] == [q.terms for q in quots_o]
+
+
+def test_normal_form_computes_each_order_key_once(monkeypatch):
+    # one key per monomial that enters the work list: x1^3 - x2^3 divided
+    # by x1 - x2 (leading term x2 under lex) passes x1 x2^2 and x1^2 x2
+    # once each, and x1^3 cancels
+    order = LexOrder()
+    f = polys("ring x1 x2; char 0; gens: x1^3 - x2^3")[0].with_order(order)
+    g = polys("ring x1 x2; char 0; gens: x1 - x2")[0].with_order(order)
+    seen = []
+    monkeypatch.setattr(LexOrder, "key",
+                        lambda self, m: seen.append(m) or tuple(reversed(m)))
+    rem, (q,) = normal_form(f, [g], order)
+    assert rem.is_zero() and len(q.terms) == 3
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {(3, 0), (0, 3), (2, 1), (1, 2)}
 
 
 def test_normal_form_zero_in_ideal():

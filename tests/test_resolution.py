@@ -2,23 +2,27 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regcert import resolution
-from regcert.monomials import MonomialIdeal, hilbert_function
+from regcert.monomials import (MonomialIdeal, hilbert_function,
+                               monomials_of_degree)
 from regcert.parser import parse_ideal_file
-from regcert.groebner import groebner_basis
+from regcert.groebner import (IdealPresentation, groebner_basis,
+                              initial_ideal, normal_form)
+from regcert.instances import random_form
 from regcert.resolution import (PANEL, betti_table, matrix_rank,
                                 rank_exact_rational, rank_mod_p, regularity,
                                 t_invariants)
-from regcert.rings import DegRevLexOrder, LexOrder, make_ring
+from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
 from regcert.scalars import QQ, PrimeField
 from regcert.verify import verify_regflat
 
-from oracles import monomial_quotient_betti_by_monomial
+from oracles import monomial_quotient_betti_by_monomial, rank_by_fractions
 
 R2 = make_ring(["x1", "x2"])
 R3 = make_ring(["x1", "x2", "x3"])
@@ -49,6 +53,28 @@ def test_rank_small_matrices():
 def test_rank_routes_agree_away_from_char(rows):
     # entries are far below the prime, so ranks agree
     assert rank_mod_p(rows, 32003) == rank_exact_rational(rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small matrices of fractions; some rows are rational combinations of
+    earlier ones, so the rank is often below both dimensions."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-6, 6),
+                      st.sampled_from([1, 2, 3, 7]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    for a, b, c in draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1),
+            entry), max_size=3)):
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    return draw(st.permutations(rows))
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_rank_matches_fraction_elimination(rows):
+    assert rank_exact_rational(rows) == rank_by_fractions(rows)
 
 
 def rank_by_python_ints(rows, p):
@@ -285,6 +311,65 @@ def test_betti_char_zero_agrees():
     Jp = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
     assert betti_table(J0).entries == betti_table(Jp).entries
     assert betti_table(J0).characteristic == 0
+
+
+NF_FIELDS = [PrimeField(2), PrimeField(32003), PrimeField(2 ** 31 - 1),
+             PrimeField(2 ** 61 - 1), QQ]
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """1-3 sparse forms of degrees 1-3 in 2-4 variables over one field,
+    from a seeded random.Random; coefficients a / b with |a| < 10^12 and
+    b odd, so QQ gets fractions and GF(p) residues of every size."""
+    K = draw(st.sampled_from(NF_FIELDS))
+    l = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    R = make_ring([f"x{i + 1}" for i in range(l)], char=K.char)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        monos = monomials_of_degree(l, rng.randint(1, 3))
+        support = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+        terms = [(K(rng.randrange(-10 ** 12, 10 ** 12)
+                    * K.inv(K(rng.choice([1, 3, 7])))), m) for m in support]
+        gens.append(Polynomial.from_terms(R, DegRevLexOrder(), terms))
+    return IdealPresentation.from_polynomials(R, gens)
+
+
+@given(homogeneous_ideals())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_table_matches_division(J):
+    # every row of the degree-t table is the remainder of the monomial on
+    # division by the reduced basis, written over std(t)
+    assume(not J.is_zero())
+    G = groebner_basis(J, DegRevLexOrder())
+    assume(not G.is_unit_ideal())
+    ws = resolution._KoszulWorkspace(G, initial_ideal(G))
+    p = J.ring.char
+    assert ws.dtype == (np.int64 if 0 < p < 2 ** 31 else object)
+    for t in range(5):
+        row_of, N = ws.nf_table(t)
+        assert sorted(row_of) == sorted(monomials_of_degree(J.ring.nvars, t))
+        for x, r in row_of.items():
+            rem, _ = normal_form(Polynomial(J.ring, G.order, [(1, x)]),
+                                 G.elements)
+            nf = rem.coeff_dict()
+            assert set(nf) <= set(ws.std(t))
+            assert list(N[r]) == [nf.get(v, 0) for v in ws.std(t)]
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2147483629])
+@pytest.mark.parametrize("seed", range(4))
+def test_koszul_rows_near_int64_limit(p, seed):
+    # four random cubics in 4 variables: a complete intersection.  Rows of
+    # the normal-form table reduced only once per row, after all tail
+    # terms, overflow int64 at these primes and break the rank check
+    R = make_ring(["x1", "x2", "x3", "x4"], char=p)
+    rng = random.Random(seed)
+    J = IdealPresentation(R, tuple(random_form(R, DegRevLexOrder(), 3, rng)
+                                   for _ in range(4)))
+    assert betti_table(J).entries == {(0, 3): 4, (1, 6): 6, (2, 9): 4,
+                                      (3, 12): 1}
 
 
 def test_regularity_matches_initial_ideal_for_monomial():
