@@ -53,13 +53,16 @@ def _characteristic(text):
 
 
 def _range(text):
-    """'2' -> [2]; '1..3' -> [1, 2, 3]."""
-    lo, _, hi = text.partition("..")
+    """'2' -> [2]; '1..3' -> [1, 2, 3]; an empty range is an error."""
+    lo, sep, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi or lo) + 1))
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(
-            f"expected N or LO..HI, not {text!r}") from None
+            f"expected N or LO..HI with LO <= HI, not {text!r}")
+    return values
 
 
 def _load(args, flag):

@@ -37,10 +37,10 @@ class VerificationReport:
     inconclusive_reasons: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
 
-    def add_pass(self, digest, values, bound=None):
-        self.instances.append(Instance(digest, values, bound or {}))
-
-    def add_fail(self, digest, values, witness, bound=None):
+    def add(self, digest, values, failures=(), bound=None):
+        """One checked instance; it fails exactly when failures, a list of
+        {"kind": ...} dicts, is non-empty, with witness {"failures": ...}."""
+        witness = {"failures": list(failures)} if failures else None
         self.instances.append(Instance(digest, values, bound or {}, witness))
 
     def add_inconclusive(self, digest, reason):

@@ -49,6 +49,14 @@ PANEL = 128
 _CHUNK = 1 << 18
 
 
+def matrix_dtype(p):
+    """The dtype of an exact matrix over the field of characteristic p:
+    int64 over GF(p) for p below 2^31, where rank_mod_p's float64 block
+    products are exact and a product of two entries stays below 2^62;
+    Python objects (ints, or Fractions over QQ) otherwise."""
+    return np.int64 if 0 < p < 2 ** 31 else object
+
+
 def _limbs(p):
     """(bits, count) of the limbs of U12: the widest w with
     PANEL (p - 1) (2^w - 1) < 2^53, spread evenly over as few limbs as
@@ -96,14 +104,13 @@ def rank_mod_p(rows, p):
     int64 and the block products are float64, one per limb of U12 (see
     _limbs), each exact because every partial sum is an integer below
     2^53.  For larger p the matrix and the products are Python ints
-    (dtype=object).  The dtype follows from p alone.  The kernel works on
-    its own copy of rows, which it leaves unchanged."""
+    (dtype=object).  The dtype follows from p alone (matrix_dtype).  The
+    kernel works on its own copy of rows, which it leaves unchanged."""
     if not rows:
         return 0
-    in_float = p < 2 ** 31
-    A = np.array(rows, dtype=np.int64 if in_float else object)
+    A = np.array(rows, dtype=matrix_dtype(p))
     A %= p
-    work = np.float64 if in_float else object
+    work = np.float64 if A.dtype == np.int64 else object
     bits, count = _limbs(p)
     nr, nc = A.shape
     rank = 0
@@ -356,10 +363,9 @@ class _KoszulWorkspace:
     standard monomial gets a unit row; any other x = w lm(g), g the first
     element of G whose leading monomial divides x, gets
     NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g, whose
-    rows are already filled (same degree, smaller).  Over GF(p) the rows
-    are int64 below 2^31, as in rank_mod_p, reduced after every term so
-    each product stays below 2^62; otherwise they are Python ints or
-    Fractions (dtype=object)."""
+    rows are already filled (same degree, smaller).  Rows have the
+    matrix_dtype of the field; over GF(p) they are reduced after every
+    term, so each int64 product stays below 2^62."""
 
     def __init__(self, G, inI):
         self.G = G
@@ -367,10 +373,8 @@ class _KoszulWorkspace:
         self.ring = G.ring
         self.order = G.order
         self.field = self.ring.field
-        p = self.field.char
-        self.dtype = np.int64 if 0 < p < 2 ** 31 else object
+        self.dtype = matrix_dtype(self.field.char)
         self._std = {}
-        self._table = {}
         self._mult = {}
         self._rank = {}
 
@@ -381,10 +385,7 @@ class _KoszulWorkspace:
 
     def nf_table(self, t):
         """({monomial of degree t: row}, matrix of their normal forms over
-        std(t))."""
-        hit = self._table.get(t)
-        if hit is not None:
-            return hit
+        std(t)); called once per degree, through multiplication(t)."""
         K, p = self.field, self.field.char
         col = {v: c for c, v in enumerate(self.std(t))}
         monos = sorted(monomials_of_degree(self.ring.nvars, t),
@@ -403,7 +404,6 @@ class _KoszulWorkspace:
                 N[r] -= K(c * inv) * N[row_of[mono_mul(w, m)]]
                 if p:
                     N[r] %= p
-        self._table[t] = row_of, N
         return row_of, N
 
     def multiplication(self, t):
@@ -441,9 +441,7 @@ class _KoszulWorkspace:
                 b = tgt_sets[T[:pos] + T[pos + 1:]]
                 A[a * ns:(a + 1) * ns, b * nt:(b + 1) * nt] = \
                     -X[k] if pos % 2 else X[k]
-        # matrix_rank takes a list of rows
-        r = matrix_rank(list(A) if self.field.char else A.tolist(),
-                        self.field)
+        r = matrix_rank(list(A), self.field)  # a list of rows
         self._rank[key] = r
         return r
 

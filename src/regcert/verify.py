@@ -20,13 +20,14 @@ from .groebner import (IdealPresentation, eliminate, graph_ideal,
                        passes_buchberger_criterion)
 from .instances import random_ideal, random_parametrisation
 from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
-                        hilbert_function, lex_segment_ideal,
+                        g_cap, hilbert_function, lex_segment_ideal,
                         monomials_of_degree, num_monomials,
                         stable_regularity)
 from .reports import VerificationReport, digest_of
-from .resolution import betti_table, matrix_rank, regularity, t_invariants
+from .resolution import (betti_table, matrix_dtype, matrix_rank, regularity,
+                         t_invariants)
 from .rings import BlockOrder, LexOrder, PowerMap, apply_power_map, mono_mul
-from .scalars import DEFAULT_PRIME, PrimeField
+from .scalars import DEFAULT_PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +39,10 @@ def hf_direct(J, D):
     corank of the span of (monomial multiples of) the generators.
 
     Each degree's Macaulay matrix is one array filled from (row, column,
-    coefficient) lists: int64 over GF(p) for p < 2^63, Python objects
-    otherwise.  matrix_rank gets it as a list of rows."""
+    coefficient) lists, of the field's matrix_dtype.  matrix_rank gets it
+    as a list of rows."""
     ring = J.ring
     K = ring.field
-    dtype = np.int64 if isinstance(K, PrimeField) and K.p < 2 ** 63 else object
     dims = []
     for t in range(D + 1):
         basis = monomials_of_degree(ring.nvars, t)
@@ -61,7 +61,7 @@ def hf_direct(J, D):
                 nrows += 1
         rank = 0
         if nrows:
-            A = np.zeros((nrows, len(basis)), dtype=dtype)
+            A = np.zeros((nrows, len(basis)), dtype=matrix_dtype(K.char))
             A[ri, ci] = vals
             rank = matrix_rank(list(A), K)
         dims.append(num_monomials(ring.nvars, t) - rank)
@@ -97,41 +97,22 @@ def _trials(check, trials, seed, char, run):
     return report
 
 
-def verify_regflat(I, d):
-    """The flattening inequality reg(I) <= reg(I')/d for I' the image of a
-    monomial ideal or a homogeneous ideal I under x_i -> x_i^d on all
-    variables, together with the Betti relation: beta_{i,jd}(I') =
-    beta_{i,j}(I), vanishing off multiples of d, t_i(I') = d t_i(I), and
-    the regularity gap inequality reg(I')/d >= reg(I) + p(d-1)/d."""
-    if isinstance(I, IdealPresentation) and not I.homogeneous:
-        raise ValueError("regflat requires a homogeneous ideal")
-    if I.is_zero():
-        raise ValueError("regularity of the zero ideal is undefined")
-    ring = I.ring
-    if isinstance(I, MonomialIdeal):
-        Iprime = MonomialIdeal.from_monomials(
-            ring, [tuple(d * e for e in g) for g in I.gens])
-        desc = f"monomial:{I.gens}"
-    else:
-        Iprime = image_ideal(PowerMap.uniform(ring.nvars, d), I)
-        desc = f"ideal:{[str(g) for g in I.generators]}"
-    report = VerificationReport("regflat", ring.char)
-    dig = digest_of(f"flat:{desc}:d={d}")
-
-    T = betti_table(I)
-    Tp = betti_table(Iprime)
+def _flat_failures(T, Tp, d):
+    """(failures, values) of the flattening relations between the Betti
+    tables T of I and Tp of its image I' under x_i -> x_i^d:
+    beta_{i,jd}(I') = beta_{i,j}(I), vanishing off multiples of d,
+    t_i(I') = d t_i(I), the regularity gap inequality
+    reg(I')/d >= reg(I) + p(d-1)/d, and reg(I) <= reg(I')/d.  A bad cell
+    is reported once, in I' coordinates."""
     failures = []
-
-    for (i, j), v in T.entries.items():
-        if Tp.beta(i, j * d) != v:
-            failures.append({"cell": [i, j], "expected": v,
-                             "got": Tp.beta(i, j * d), "kind": "scaled-cell"})
-    for (i, j), v in Tp.entries.items():
-        if j % d != 0 and v:
-            failures.append({"cell": [i, j], "got": v,
-                             "kind": "off-multiple"})
-        if j % d == 0 and v != T.beta(i, j // d):
-            failures.append({"cell": [i, j], "got": v,
+    for i, j in sorted({(i, j * d) for i, j in T.entries} | set(Tp.entries)):
+        got = Tp.beta(i, j)
+        if j % d:
+            if got:
+                failures.append({"cell": [i, j], "got": got,
+                                 "kind": "off-multiple"})
+        elif got != T.beta(i, j // d):
+            failures.append({"cell": [i, j], "got": got,
                              "expected": T.beta(i, j // d),
                              "kind": "scaled-cell"})
 
@@ -161,11 +142,39 @@ def verify_regflat(I, d):
         "eq1_gap": str(lhs - rhs),
         "d": d,
     }
-    if failures:
-        report.add_fail(dig, values, {"failures": failures})
+    return failures, values
+
+
+def verify_regflat(I, d):
+    """The flattening inequality reg(I) <= reg(I')/d for I' the image of a
+    monomial ideal or a homogeneous ideal I under x_i -> x_i^d on all
+    variables, with the Betti relations of _flat_failures."""
+    if isinstance(I, IdealPresentation) and not I.homogeneous:
+        raise ValueError("regflat requires a homogeneous ideal")
+    if I.is_zero():
+        raise ValueError("regularity of the zero ideal is undefined")
+    ring = I.ring
+    if isinstance(I, MonomialIdeal):
+        Iprime = MonomialIdeal.from_monomials(
+            ring, [tuple(d * e for e in g) for g in I.gens])
+        desc = f"monomial:{I.gens}"
     else:
-        report.add_pass(dig, values)
+        Iprime = image_ideal(PowerMap.uniform(ring.nvars, d), I)
+        desc = f"ideal:{[str(g) for g in I.generators]}"
+    report = VerificationReport("regflat", ring.char)
+    failures, values = _flat_failures(betti_table(I), betti_table(Iprime), d)
+    report.add(digest_of(f"flat:{desc}:d={d}"), values, failures)
     return report
+
+
+def _identity_failures(alpha_I, JprimeR, order):
+    """Failures of the power-substitution identity alpha(I) R = J' cap R
+    (poweli (ii)), both sides given as ideals of R."""
+    if ideal_equal(alpha_I, JprimeR, order):
+        return []
+    return [{"kind": "Pprime-mismatch",
+             "alpha_I": [str(g) for g in alpha_I.generators],
+             "Jprime_cap_R": [str(g) for g in JprimeR.elements]}]
 
 
 def verify_poweli(J, phi, keep):
@@ -182,36 +191,22 @@ def verify_poweli(J, phi, keep):
     G = groebner_basis(J, order)
     phiG = [apply_power_map(phi, g) for g in G.elements]
     ok_i, witness_pair = passes_buchberger_criterion(phiG, order)
+    failures = [] if ok_i else [{"kind": "buchberger-criterion",
+                                 "failing_pair": list(witness_pair)}]
 
-    # alpha(I) R with I = J cap R, alpha = phi restricted to R
-    I = eliminate(G, keep)
-    R = I.ring
-    alpha = PowerMap(phi.exponents[:keep])
-    alpha_I = IdealPresentation(
-        R, tuple(apply_power_map(alpha, g) for g in I.elements))
-
-    # J' cap R via an independent Buchberger run on phi(J)
-    Jprime = image_ideal(phi, J)
-    Gprime = groebner_basis(Jprime, order)
-    JprimeR = eliminate(Gprime, keep)
-
-    ok_ii = ideal_equal(alpha_I, JprimeR, order)
+    # alpha(I) R with I = J cap R, alpha = phi restricted to R, against
+    # J' cap R from an independent Buchberger run on phi(J)
+    alpha_I = image_ideal(PowerMap(phi.exponents[:keep]),
+                          eliminate(G, keep).as_presentation())
+    JprimeR = eliminate(groebner_basis(image_ideal(phi, J), order), keep)
+    identity = _identity_failures(alpha_I, JprimeR, order)
 
     values = {
         "buchberger_criterion_on_phi_G": ok_i,
-        "alpha_I_equals_Jprime_cap_R": ok_ii,
+        "alpha_I_equals_Jprime_cap_R": not identity,
         "basis_size": len(G),
     }
-    if ok_i and ok_ii:
-        report.add_pass(dig, values)
-    else:
-        witness = {}
-        if not ok_i:
-            witness["failing_pair"] = list(witness_pair)
-        if not ok_ii:
-            witness["alpha_I"] = [str(g) for g in alpha_I.generators]
-            witness["Jprime_cap_R"] = [str(g) for g in JprimeR.elements]
-        report.add_fail(dig, values, witness)
+    report.add(dig, values, failures + identity)
     return report
 
 
@@ -235,8 +230,8 @@ def verify_poweli_trials(trials, seed, char=None):
 
 def verify_regbound(J, keep, cutoff=None):
     """The chain reg(I) <= reg(in I) <= reg(in J) <= reg(Lex J) for
-    I = J cap R, all initial ideals taken for lex, plus the degreewise
-    Hilbert-function equality HF(J) = HF(in J)."""
+    I = J cap R, all initial ideals taken for lex, with reg(J) <= reg(in J)
+    and the degreewise Hilbert-function equality HF(J) = HF(in J)."""
     if not J.homogeneous:
         raise ValueError("regbound requires a homogeneous ideal")
     if J.is_zero():
@@ -281,7 +276,11 @@ def verify_regbound(J, keep, cutoff=None):
     hf_equal = hJ == h_inJ
     hf_lex_equal = h_lex == hJ
 
+    # Betti numbers only grow under Groebner degeneration
     failures = []
+    if not reg_J <= reg_inJ:
+        failures.append({"kind": "reg_J<=reg_inJ", "reg_J": reg_J,
+                         "reg_inJ": reg_inJ})
     if reg_I is not None:
         if not reg_I <= reg_inI:
             failures.append({"kind": "reg_I<=reg_inI", "reg_I": reg_I,
@@ -309,10 +308,7 @@ def verify_regbound(J, keep, cutoff=None):
         "hf_equal": hf_equal,
         "I_gens": [str(g) for g in I.generators],
     }
-    if failures:
-        report.add_fail(dig, values, {"failures": failures})
-    else:
-        report.add_pass(dig, values)
+    report.add(dig, values, failures)
     report.timings_ms["regbound"] = round(1000 * (time.perf_counter() - t0),
                                           3)
     return report
@@ -341,6 +337,8 @@ def verify_main(param, cutoff=None):
     regularity of the lex ideal of the complete-intersection series, and
     the chain
         reg(P) <= reg(P')/d <= G/d <= d^(n 2^(m-1) - 1).
+    The first link is the regflat check on the Betti tables of P and P',
+    the identity alpha(P)R = J' cap R the poweli (ii) check.
 
     G is certified for the actual J' only when the independent route
     agrees: the Hilbert series of the initial ideal of J' equals the
@@ -373,7 +371,7 @@ def verify_main(param, cutoff=None):
     # P = J cap R via elimination from the graph ideal; for the block
     # order both eliminations are reduced degrevlex bases over R
     P = kernel_of_map(param.f, order=order)
-    Pprime_from_Jprime = eliminate(Gp, n)
+    Pprime = eliminate(Gp, n)
 
     values = {
         "n": n, "m": m, "d": d,
@@ -383,49 +381,29 @@ def verify_main(param, cutoff=None):
         "bound": d ** (n * 2 ** (m - 1) - 1),
     }
 
+    failures += _identity_failures(
+        image_ideal(PowerMap.uniform(n, d), P.as_presentation()), Pprime,
+        P.order)
     if P.is_zero():
-        if not Pprime_from_Jprime.is_zero():
-            failures.append({
-                "kind": "Pprime-mismatch", "alpha_P": [],
-                "Jprime_cap_R": [str(g)
-                                 for g in Pprime_from_Jprime.elements]})
         values["reg_P"] = None
+    elif not P.homogeneous:
+        failures.append({"kind": "P-not-homogeneous"})
     else:
-        if not P.homogeneous:
-            failures.append({"kind": "P-not-homogeneous"})
-        else:
-            alpha = PowerMap.uniform(n, d)
-            alpha_P = tuple(apply_power_map(alpha, g) for g in P.elements)
-            Pprime = groebner_basis(IdealPresentation(P.ring, alpha_P),
-                                    P.order)
-            if Pprime.elements != Pprime_from_Jprime.elements:
-                failures.append({
-                    "kind": "Pprime-mismatch",
-                    "alpha_P": [str(g) for g in alpha_P],
-                    "Jprime_cap_R": [str(g)
-                                     for g in Pprime_from_Jprime.elements]})
-            reg_P = regularity(P)
-            reg_Pp = regularity(Pprime)
-            values["reg_P"] = reg_P
-            values["reg_Pprime"] = reg_Pp
-            lhs = Fraction(reg_Pp, d)
-            if not reg_P <= lhs:
-                failures.append({"kind": "reg_P<=reg_Pprime/d",
-                                 "reg_P": reg_P, "rhs": str(lhs)})
-            if G_actual is not None:
-                if not lhs <= Fraction(G_actual, d):
-                    failures.append({"kind": "reg_Pprime/d<=G/d",
-                                     "lhs": str(lhs), "G": G_actual})
-    if G_actual is not None and not G_actual <= d ** (n * 2 ** (m - 1)):
+        # the regflat check on P, with P' = J' cap R standing for alpha(P)R
+        flat, v = _flat_failures(betti_table(P), betti_table(Pprime), d)
+        failures += flat
+        values["reg_P"], values["reg_Pprime"] = v["reg"], v["reg_prime"]
+        lhs = Fraction(v["reg_prime"], d)
+        if G_actual is not None and not lhs <= Fraction(G_actual, d):
+            failures.append({"kind": "reg_Pprime/d<=G/d",
+                             "lhs": str(lhs), "G": G_actual})
+    if G_actual is not None and not G_actual <= g_cap(n, d, m):
         failures.append({"kind": "G<=d^(n*2^(m-1))", "G": G_actual})
 
-    bound = {"reg_P": values["bound"]}
-    if failures:
-        report.add_fail(dig, values, {"failures": failures}, bound)
-    elif inconclusive:
+    if inconclusive and not failures:
         report.add_inconclusive(dig, inconclusive)
     else:
-        report.add_pass(dig, values, bound)
+        report.add(dig, values, failures, {"reg_P": values["bound"]})
     report.timings_ms["main"] = round(1000 * (time.perf_counter() - t0), 3)
     return report
 

@@ -118,6 +118,15 @@ def test_gtable_command(capsys):
     assert any(l.split()[:4] == ["1", "2", "1", "2"] for l in lines)
 
 
+@pytest.mark.parametrize("flag, text", [("--n", "3..1"), ("--d", "3..2"),
+                                        ("--m", "2..1"), ("--m", "2..")])
+def test_gtable_rejects_an_empty_range(capsys, flag, text):
+    # LO > HI would print only the header and pass vacuously; LO.. is
+    # malformed, not LO
+    code, out, err = run(capsys, "gtable", flag, text)
+    assert code == 64 and out == "" and "LO <= HI" in err
+
+
 @pytest.fixture
 def g_above_cap(monkeypatch):
     """compute_G gives 5 for every shape: each lex ideal is replaced by all

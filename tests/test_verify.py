@@ -12,7 +12,8 @@ from regcert.monomials import (HilbertSeries, MonomialIdeal, compute_G,
                                hilbert_function, monomials_of_degree)
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
-from regcert.rings import DegRevLexOrder, Polynomial, make_ring
+from regcert.resolution import BettiTable
+from regcert.rings import DegRevLexOrder, Polynomial, PowerMap, make_ring
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
                             verify_main, verify_main_trials,
                             verify_poweli_trials, verify_regbound,
@@ -69,8 +70,10 @@ def test_hf_direct_matches_groebner_route():
 @st.composite
 def small_homogeneous_ideals(draw):
     """Sparse forms of degree 1-3 in 1-3 variables over GF(2), GF(32003),
-    QQ or GF(2^64 + 13), whose coefficients int64 cannot hold."""
-    char = draw(st.sampled_from([2, 32003, 0, 2 ** 64 + 13]))
+    QQ, GF(2^31 - 1) and GF(2^61 - 1) on either side of the int64 limit of
+    matrix_dtype, or GF(2^64 + 13), whose coefficients int64 cannot hold."""
+    char = draw(st.sampled_from([2, 32003, 0, 2 ** 31 - 1, 2 ** 61 - 1,
+                                 2 ** 64 + 13]))
     nvars = draw(st.integers(1, 3))
     ring = make_ring([f"x{i + 1}" for i in range(nvars)], char=char)
     gens = []
@@ -290,17 +293,17 @@ def test_main_inconclusive_on_tiny_cutoff():
 
 def test_report_fails_on_any_witness():
     rep = VerificationReport("fault", 32003)
-    rep.add_pass("a" * 16, {"ok": True})
-    rep.add_fail("b" * 16, {"ok": False}, {"reason": "injected"})
-    rep.add_pass("c" * 16, {"ok": True})
+    rep.add("a" * 16, {"ok": True})
+    rep.add("b" * 16, {"ok": False}, [{"kind": "injected"}])
+    rep.add("c" * 16, {"ok": True}, [])
     assert rep.status == "fail"
     assert [i.witness for i in rep.instances] == \
-        [None, {"reason": "injected"}, None]
+        [None, {"failures": [{"kind": "injected"}]}, None]
 
 
 def test_report_inconclusive_beats_pass():
     rep = VerificationReport("fault", 32003)
-    rep.add_pass("a" * 16, {})
+    rep.add("a" * 16, {})
     rep.add_inconclusive("b" * 16, "cutoff")
     assert rep.status == "inconclusive"
 
@@ -321,6 +324,89 @@ def test_regbound_detects_injected_hilbert_fault(monkeypatch):
     assert rep.status == "fail"
     kinds = {f["kind"] for f in rep.instances[0].witness["failures"]}
     assert "hilbert-mismatch" in kinds
+
+
+def test_regbound_checks_reg_J_against_reg_inJ(monkeypatch):
+    # reg(J) <= reg(in J): Betti numbers only grow under degeneration
+    import regcert.verify as verify_mod
+    J = ideal("ring x1 x2; gens: x1^2, x2^2")
+    real = verify_mod.regularity
+    monkeypatch.setattr(verify_mod, "regularity",
+                        lambda I: real(I) + (10 if I is J else 0))
+    rep = verify_mod.verify_regbound(J, 1)
+    assert rep.status == "fail"
+    assert rep.instances[0].witness["failures"] == [
+        {"kind": "reg_J<=reg_inJ", "reg_J": 13, "reg_inJ": 3}]
+
+
+def _corrupt_second_table(monkeypatch, cell):
+    """verify.betti_table, with one more at cell of the second table built,
+    which is that of I' in verify_regflat and of P' in verify_main."""
+    import regcert.verify as verify_mod
+    real = verify_mod.betti_table
+    built = []
+
+    def corrupted(I):
+        T = real(I)
+        built.append(T)
+        if len(built) != 2:
+            return T
+        entries = dict(T.entries)
+        entries[cell] = entries.get(cell, 0) + 1
+        return BettiTable(entries, T.characteristic)
+
+    monkeypatch.setattr(verify_mod, "betti_table", corrupted)
+
+
+def test_regflat_reports_a_bad_cell_once(monkeypatch):
+    # beta_{0,4}(I') = 3 against beta_{0,2}(I) = 2: one cell of I', not a
+    # second report of the same cell in I coordinates
+    _corrupt_second_table(monkeypatch, (0, 4))
+    rep = verify_regflat(ideal("ring x1 x2; gens: x1^2, x2^2"), 2)
+    assert rep.status == "fail"
+    assert rep.instances[0].witness["failures"] == [
+        {"cell": [0, 4], "got": 3, "expected": 2, "kind": "scaled-cell"}]
+
+
+@pytest.mark.parametrize("cell, kind", [((0, 4), "scaled-cell"),
+                                        ((0, 3), "off-multiple")])
+def test_main_runs_the_regflat_check(monkeypatch, cell, kind):
+    # the second Betti table main builds is that of P' = J' cap R
+    _corrupt_second_table(monkeypatch, cell)
+    rep = verify_main(param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2"))
+    assert rep.status == "fail"
+    kinds = [f["kind"] for f in rep.instances[0].witness["failures"]]
+    assert kinds == [kind]
+
+
+def test_main_runs_the_poweli_identity_check(monkeypatch):
+    # alpha(P) missing a generator of P no longer generates J' cap R
+    import regcert.verify as verify_mod
+    real = verify_mod.image_ideal
+
+    def dropping(phi, I):
+        return real(phi, IdealPresentation(I.ring, I.generators[:-1]))
+
+    monkeypatch.setattr(verify_mod, "image_ideal", dropping)
+    rep = verify_main(param("param n=4 m=2 d=2; "
+                            "f: y1^2, y1*y2, y2^2, y1^2 + y2^2"))
+    assert rep.status == "fail"
+    failures = rep.instances[0].witness["failures"]
+    assert [f["kind"] for f in failures] == ["Pprime-mismatch"]
+    assert len(failures[0]["alpha_I"]) == 1
+    assert len(failures[0]["Jprime_cap_R"]) == 2
+
+
+def test_poweli_witness_has_the_failures_schema(monkeypatch):
+    import regcert.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "passes_buchberger_criterion",
+                        lambda polys, order: (False, (0, 1)))
+    J = ideal("ring x1 x2 x3; gens: x1*x2 - x3^2, x2^2 - x1*x3")
+    rep = verify_mod.verify_poweli(J, PowerMap((2, 1, 3)), keep=2)
+    assert rep.status == "fail"
+    assert rep.instances[0].witness == {"failures": [
+        {"kind": "buchberger-criterion", "failing_pair": [0, 1]}]}
+    assert rep.instances[0].values["alpha_I_equals_Jprime_cap_R"]
 
 
 def test_main_detects_injected_series_fault(monkeypatch):
@@ -346,8 +432,8 @@ def test_main_detects_injected_series_fault(monkeypatch):
 
 def test_report_serialization_sorted_and_stable():
     rep = VerificationReport("demo", 0, seed=3)
-    rep.add_pass("zzzz", {"v": 1})
-    rep.add_pass("aaaa", {"v": 2})
+    rep.add("zzzz", {"v": 1})
+    rep.add("aaaa", {"v": 2})
     d = rep.to_dict()
     assert [i["digest"] for i in d["instances"]] == ["aaaa", "zzzz"]
     assert d["check"] == "demo" and d["field"] == 0 and d["seed"] == 3
