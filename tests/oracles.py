@@ -8,8 +8,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from regcert.monomials import HilbertSeries, MacaulayViolation, num_monomials
-from regcert.resolution import _reduced_homology
+from regcert.monomials import (HilbertSeries, MacaulayViolation,
+                               monomials_of_degree, num_monomials)
+from regcert.resolution import _reduced_homology, matrix_rank
 from regcert.rings import (LexOrder, Polynomial, mono_deg, mono_div,
                            mono_divides, mono_lcm, mono_mul)
 
@@ -345,3 +346,27 @@ def rank_by_fractions(rows):
         if rank == len(A):
             break
     return rank
+
+
+def hf_direct_all_rows(J, D):
+    """verify.hf_direct with every row m g of each degree's Macaulay
+    matrix, for every generator g and every monomial m of the degree
+    that fits."""
+    ring = J.ring
+    dims = []
+    for t in range(D + 1):
+        basis = monomials_of_degree(ring.nvars, t)
+        idx = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for g in J.generators:
+            e = g.degree()
+            if e > t:
+                continue
+            for m in monomials_of_degree(ring.nvars, t - e):
+                row = [0] * len(basis)
+                for c, gm in g.terms:
+                    row[idx[mono_mul(m, gm)]] = c
+                rows.append(row)
+        rank = matrix_rank(rows, ring.field) if rows else 0
+        dims.append(num_monomials(ring.nvars, t) - rank)
+    return tuple(dims)

@@ -13,11 +13,14 @@ from regcert.monomials import (HilbertSeries, MonomialIdeal, compute_G,
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
 from regcert.resolution import BettiTable
-from regcert.rings import DegRevLexOrder, Polynomial, PowerMap, make_ring
+from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
+                           PowerMap, make_ring)
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
                             verify_main, verify_main_trials,
                             verify_poweli_trials, verify_regbound,
                             verify_regbound_trials, verify_regflat)
+
+from oracles import hf_direct_all_rows
 
 
 def ideal(text):
@@ -68,13 +71,14 @@ def test_hf_direct_matches_groebner_route():
 
 
 @st.composite
-def small_homogeneous_ideals(draw):
-    """Sparse forms of degree 1-3 in 1-3 variables over GF(2), GF(32003),
-    QQ, GF(2^31 - 1) and GF(2^61 - 1) on either side of the int64 limit of
-    matrix_dtype, or GF(2^64 + 13), whose coefficients int64 cannot hold."""
+def small_homogeneous_ideals(draw, max_vars=3):
+    """Sparse forms of degree 1-3 in 1-max_vars variables over GF(2),
+    GF(32003), QQ, GF(2^31 - 1) and GF(2^61 - 1) on either side of the
+    int64 limit of matrix_dtype, or GF(2^64 + 13), whose coefficients
+    int64 cannot hold."""
     char = draw(st.sampled_from([2, 32003, 0, 2 ** 31 - 1, 2 ** 61 - 1,
                                  2 ** 64 + 13]))
-    nvars = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, max_vars))
     ring = make_ring([f"x{i + 1}" for i in range(nvars)], char=char)
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -93,6 +97,78 @@ def small_homogeneous_ideals(draw):
 def test_hf_direct_matches_initial_ideal_route(J, D):
     inJ = initial_ideal(groebner_basis(J, DegRevLexOrder()))
     assert hf_direct(J, D) == hilbert_function(inJ).dims(D)
+
+
+@st.composite
+def row_cut_ideals(draw):
+    """small_homogeneous_ideals in 1-4 variables, with a duplicated
+    generator and a generator that shares another's degrevlex leading
+    monomial drawn in, in shuffled order, each generator under degrevlex,
+    lex or an elimination order: the cases the row cut of hf_direct
+    meets."""
+    J = draw(small_homogeneous_ideals(max_vars=4))
+    ring, gens, drl = J.ring, list(J.generators), DegRevLexOrder()
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(gens))
+        lm = max((m for _, m in g.terms), key=drl.key)
+        lower = [m for m in monomials_of_degree(ring.nvars, sum(lm))
+                 if drl.key(m) < drl.key(lm)]
+        chosen = draw(st.lists(st.sampled_from(lower), max_size=3,
+                               unique=True)) if lower else []
+        terms = [(draw(st.sampled_from([1, -1])), lm)]
+        terms += [(draw(st.integers(-5, 5)), m) for m in chosen]
+        gens.append(Polynomial.from_terms(ring, drl, terms))
+    orders = st.sampled_from([drl, LexOrder(), BlockOrder(1)])
+    return IdealPresentation(ring, tuple(
+        g.with_order(draw(orders)) for g in draw(st.permutations(gens))))
+
+
+@given(row_cut_ideals(), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_hf_direct_matches_all_rows(J, D):
+    assert hf_direct(J, D) == hf_direct_all_rows(J, D)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003, 2 ** 64 + 13])
+@pytest.mark.parametrize("order", [DegRevLexOrder(), BlockOrder(1)])
+def test_hf_direct_reads_leading_monomials_under_one_order(char, order):
+    # x1 x3 + x2^2 leads with x1 x3 under lex and with x2^2 under order;
+    # cutting the rows of x1^2 + x3^2 by both would drop one row too many
+    # from degree 4 on, as each generator's own order would have it
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    f = [(1, (1, 0, 1)), (1, (0, 2, 0))]
+    J = IdealPresentation(ring, (
+        Polynomial.from_terms(ring, LexOrder(), f),
+        Polynomial.from_terms(ring, order, f),
+        Polynomial.from_terms(ring, LexOrder(),
+                              [(1, (2, 0, 0)), (1, (0, 0, 2))])))
+    assert hf_direct(J, 6) == hf_direct_all_rows(J, 6) == \
+        (1, 3, 4, 4, 4, 4, 4)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_hf_direct_rows_of_a_regular_sequence_are_independent(
+        monkeypatch, char):
+    # pairwise coprime degrevlex leading monomials x3^2, x2^2, x1^3: every
+    # row the cut keeps is independent of the others, so each Macaulay
+    # matrix has full row rank
+    import regcert.verify as verify_mod
+    J = ideal(f"ring x1 x2 x3; char {char}; "
+              "gens: x3^2 + x1*x2, x2^2 + x1*x3, x1^3")
+    shapes = []
+    real = verify_mod.matrix_rank
+
+    def recorded(rows, K):
+        rank = real(rows, K)
+        shapes.append((len(rows), rank))
+        return rank
+
+    monkeypatch.setattr(verify_mod, "matrix_rank", recorded)
+    assert hf_direct(J, 8) == (1, 3, 4, 3, 1, 0, 0, 0, 0)
+    assert len(shapes) == 7
+    assert all(nrows == rank for nrows, rank in shapes)
 
 
 def test_lex_ideal_of_presentation():
@@ -148,6 +224,16 @@ def test_regbound_zero_elimination():
     rep = verify_regbound(ideal("ring x1 x2; gens: x2^2"), 1)
     assert rep.status == "pass"
     assert rep.instances[0].values["reg_I"] is None
+
+
+def test_regbound_times_inconclusive_reports():
+    # a cutoff below the scan bound stops before the chain, with the time
+    # spent so far still reported
+    J = ideal("ring x1 x2 x3; gens: x1*x2 + x2*x3, x1*x3, x3^2")
+    for cutoff, status in ((2, "inconclusive"), (3, "pass")):
+        rep = verify_regbound(J, 2, cutoff=cutoff)
+        assert rep.status == status
+        assert sorted(rep.timings_ms) == ["regbound"]
 
 
 def test_regbound_rejects_nonhomogeneous():
