@@ -1,15 +1,14 @@
 """Exact regularity certificates for polynomially parametrised varieties."""
 
-from .groebner import (GroebnerBasis, IdealPresentation, buchberger,
-                       eliminate, groebner_basis, ideal_equal, image_ideal,
-                       initial_ideal, kernel_of_map, normal_form,
+from .groebner import (GroebnerBasis, IdealPresentation, Parametrisation,
+                       buchberger, eliminate, groebner_basis, ideal_equal,
+                       image_ideal, initial_ideal, kernel_of_map, normal_form,
                        passes_buchberger_criterion)
 from .monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                         ci_hilbert_function, ci_lex_ideal, compute_G, g_cap,
                         hilbert_function, is_strongly_stable,
                         lex_segment_ideal, macaulay_rep, stable_regularity)
-from .parser import (Parametrisation, ParseError, format_polynomial,
-                     parse_ideal_file)
+from .parser import ParseError, format_polynomial, parse_ideal_file
 from .reports import VerificationReport
 from .resolution import BettiTable, betti_table, regularity, t_invariants
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,

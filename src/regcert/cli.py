@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-from .groebner import kernel_of_map
+from .groebner import Parametrisation, kernel_of_map
 from .monomials import compute_G, g_cap
-from .parser import (Parametrisation, format_monomial, format_polynomial,
-                     parse_ideal_file)
+from .parser import format_monomial, format_polynomial, parse_ideal_file
 from .reports import FAIL, INCONCLUSIVE, PASS
 from .resolution import regularity
 from .rings import BlockOrder, LexOrder
@@ -66,13 +65,14 @@ def _range(text):
 
 
 def _load(args, flag):
-    """Parse the file of --ideal or --param at the field of --char."""
+    """Parse the file of --ideal or --param at the field of --char; returns
+    (ideal or parametrisation, order of the file's order clause)."""
     with open(getattr(args, flag), encoding="utf-8") as fh:
-        ring, obj, _ = parse_ideal_file(fh.read(), char=args.char)
+        _, obj, order = parse_ideal_file(fh.read(), char=args.char)
     if isinstance(obj, Parametrisation) != (flag == "param"):
         kind = "a parametrisation" if flag == "param" else "an ideal"
         raise _Usage(f"--{flag} expects {kind} file")
-    return ring, obj
+    return obj, order
 
 
 def _trials(args):
@@ -109,11 +109,11 @@ def _emit(report, args, out):
 
 
 def cmd_kernel(args, out):
-    _, param = _load(args, "param")
+    param, _ = _load(args, "param")
     # elim keeps the n x variables
     order = BlockOrder(param.n) if args.order == "elim" else LexOrder()
-    G = kernel_of_map(list(param.f), order=order)
-    gens = [format_polynomial(g) for g in G.elements]
+    G = kernel_of_map(param, order=order)
+    gens = [format_polynomial(g) for g in G.generators]
     if args.json:
         print(json.dumps({"ring": list(G.ring.names), "kernel": gens},
                          indent=2), file=out)
@@ -128,25 +128,25 @@ def cmd_kernel(args, out):
 
 
 def cmd_reg(args, out):
-    ring, J = _load(args, "ideal")
+    J, _ = _load(args, "ideal")
     if not J.homogeneous:
         raise _Usage("reg requires a homogeneous ideal")
     if J.is_zero():
         raise _Usage("regularity of the zero ideal is undefined")
     r = regularity(J)
     if args.json:
-        print(json.dumps({"regularity": r, "field": ring.char}), file=out)
+        print(json.dumps({"regularity": r, "field": J.ring.char}), file=out)
     else:
         print(f"regularity: {r}", file=out)
     return EXIT_PASS
 
 
 def cmd_lex(args, out):
-    ring, J = _load(args, "ideal")
+    J, _ = _load(args, "ideal")
     if not J.homogeneous:
         raise _Usage("lex requires a homogeneous ideal")
     L, complete = lex_ideal_of_presentation(J, args.cutoff)
-    gens = [format_monomial(ring, m) for m in L.gens]
+    gens = [format_monomial(J.ring, m) for m in L.gens]
     if args.json:
         print(json.dumps({"lex_generators": gens, "complete": complete},
                          indent=2), file=out)
@@ -180,7 +180,7 @@ def cmd_gtable(args, out):
 
 
 def cmd_regflat(args, out):
-    _, J = _load(args, "ideal")
+    J, _ = _load(args, "ideal")
     return _emit(verify_regflat(J, args.d), args, out)
 
 
@@ -192,8 +192,10 @@ def cmd_poweli(args, out):
 def cmd_regbound(args, out):
     if args.ideal:
         _not_with(args, ["trials", "seed"], "with --ideal")
-        _, J = _load(args, "ideal")
-        report = verify_regbound(J, J.ring.kept, cutoff=args.cutoff)
+        J, order = _load(args, "ideal")
+        # an 'order elim k' clause keeps its k variables, any other all
+        keep = order.keep if isinstance(order, BlockOrder) else J.ring.nvars
+        report = verify_regbound(J, keep, cutoff=args.cutoff)
     else:
         _not_with(args, ["cutoff"], "without --ideal")
         report = verify_regbound_trials(*_trials(args), char=args.char)
@@ -203,7 +205,7 @@ def cmd_regbound(args, out):
 def cmd_main(args, out):
     if args.param:
         _not_with(args, ["n", "m", "d", "trials", "seed"], "with --param")
-        _, param = _load(args, "param")
+        param, _ = _load(args, "param")
         report = verify_main(param, cutoff=args.cutoff)
     else:
         if None in (args.n, args.m, args.d):

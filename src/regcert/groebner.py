@@ -1,5 +1,7 @@
-"""Division with remainder, Buchberger's algorithm, elimination, kernels
-of polynomial maps, and images under power substitutions.
+"""The ideal types (a presentation, a Groebner basis, which is one, and a
+parametrisation), division with remainder, Buchberger's algorithm,
+elimination, kernels of polynomial maps, and images under power
+substitutions.
 
 Division keeps the live terms in a heap keyed by the reversed order key,
 computed once when a monomial enters; a term that cancels stays in the
@@ -42,33 +44,43 @@ class IdealPresentation:
 
 
 @dataclass(frozen=True)
-class GroebnerBasis:
-    ring: object
+class GroebnerBasis(IdealPresentation):
+    """A presentation whose generators are a Groebner basis for order."""
+
     order: object
-    elements: tuple
     reduced: bool = False
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __len__(self):
-        return len(self.elements)
-
-    def leading_monomials(self):
-        return [g.leading_monomial() for g in self.elements]
-
-    def as_presentation(self):
-        return IdealPresentation(self.ring, self.elements)
+        return len(self.generators)
 
     def is_unit_ideal(self):
-        return any(mono_deg(g.leading_monomial()) == 0 for g in self.elements)
+        return any(mono_deg(g.leading_monomial()) == 0
+                   for g in self.generators)
 
-    def is_zero(self):
-        return not self.elements
 
-    @property
-    def homogeneous(self):
-        return self.as_presentation().homogeneous
+@dataclass(frozen=True)
+class Parametrisation:
+    """n forms f in ring = K[y_1..y_m], each homogeneous of degree d; the
+    one check of a parametrisation's images is made here."""
+
+    n: int
+    m: int
+    d: int
+    f: tuple
+    ring: object
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1 or self.d < 1:
+            raise ValueError("n, m, d must be positive")
+        if len(self.f) != self.n:
+            raise ValueError("expected n image polynomials")
+        if self.ring.nvars != self.m or any(g.ring != self.ring
+                                            for g in self.f):
+            raise ValueError("images must lie in the ring of m variables")
+        if all(g.is_zero() for g in self.f):
+            raise ValueError("parametrisation must not be identically zero")
+        if any(is_homogeneous(g) != (True, self.d) for g in self.f):
+            raise ValueError("each image must be homogeneous of degree d")
 
 
 def _descending(key):
@@ -137,16 +149,12 @@ def _chain_criterion(i, j, lms, pairs_done, lcm_ij):
     return False
 
 
-def buchberger(gens, order, use_criteria=True):
-    """Buchberger's algorithm; returns an (unreduced) Groebner basis."""
-    if isinstance(gens, IdealPresentation):
-        polys, ring = gens.generators, gens.ring
-    else:
-        polys = tuple(p for p in gens if not p.is_zero())
-        ring = polys[0].ring if polys else None
-    if not polys:
+def buchberger(I, order, use_criteria=True):
+    """Buchberger's algorithm on an ideal's generators; returns an
+    (unreduced) Groebner basis."""
+    if I.is_zero():
         raise ValueError("need at least one nonzero generator")
-    G = [p.with_order(order).monic() for p in polys]
+    G = [p.with_order(order).monic() for p in I.generators]
     lms = [g.leading_monomial() for g in G]
     pairs = []
     done = set()
@@ -172,13 +180,14 @@ def buchberger(gens, order, use_criteria=True):
             G.append(rem.monic())
             lms.append(rem.leading_monomial())
             add_pairs(len(G) - 1)
-    return GroebnerBasis(ring, order, tuple(G), reduced=False)
+    return GroebnerBasis(I.ring, tuple(G), order)
 
 
 def reduce_basis(G):
     """Minimal, interreduced, monic Groebner basis; unique for (ideal, order)."""
     order = G.order
-    elems = sorted(G.elements, key=lambda g: order.key(g.leading_monomial()))
+    elems = sorted(G.generators,
+                   key=lambda g: order.key(g.leading_monomial()))
     minimal = []
     for g in elems:
         if not any(mono_divides(h.leading_monomial(), g.leading_monomial())
@@ -190,16 +199,15 @@ def reduce_basis(G):
         rem, _ = normal_form(g, others, order)
         reduced.append(rem.monic())
     reduced.sort(key=lambda g: order.key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(G.ring, order, tuple(reduced), reduced=True)
+    return GroebnerBasis(G.ring, tuple(reduced), order, reduced=True)
 
 
-def groebner_basis(gens, order):
-    """Reduced Groebner basis of an ideal presentation.  A basis that is
-    already the reduced one for this order is returned as it is."""
-    if (isinstance(gens, GroebnerBasis) and gens.reduced
-            and gens.order == order):
-        return gens
-    return reduce_basis(buchberger(gens, order))
+def groebner_basis(I, order):
+    """Reduced Groebner basis of an ideal.  A basis that is already the
+    reduced one for this order is returned as it is."""
+    if isinstance(I, GroebnerBasis) and I.reduced and I.order == order:
+        return I
+    return reduce_basis(buchberger(I, order))
 
 
 def passes_buchberger_criterion(polys, order):
@@ -218,7 +226,8 @@ def passes_buchberger_criterion(polys, order):
 
 def initial_ideal(G):
     """Monomial ideal of leading monomials of a Groebner basis."""
-    return MonomialIdeal.from_monomials(G.ring, G.leading_monomials())
+    return MonomialIdeal.from_monomials(
+        G.ring, [g.leading_monomial() for g in G.generators])
 
 
 def eliminate(G, keep):
@@ -229,14 +238,14 @@ def eliminate(G, keep):
                          f"{G.ring.nvars - keep} variables")
     if keep == G.ring.nvars:
         return G
-    R = PolyRing(G.ring.names[:keep], keep, G.ring.field)
+    R = PolyRing(G.ring.names[:keep], G.ring.field)
     sub_order = _restrict_order(G.order, keep)
     kept = []
-    for g in G.elements:
+    for g in G.generators:
         if all(all(e == 0 for e in m[keep:]) for _, m in g.terms):
             kept.append(Polynomial.from_terms(
                 R, sub_order, [(c, m[:keep]) for c, m in g.terms]))
-    return GroebnerBasis(R, sub_order, tuple(kept), reduced=G.reduced)
+    return GroebnerBasis(R, tuple(kept), sub_order, reduced=G.reduced)
 
 
 def _restrict_order(order, keep):
@@ -254,35 +263,25 @@ def image_ideal(phi, I):
 
 
 def ideal_equal(A, B, order):
-    """True iff A and B, presentations or Groebner bases, generate the same
-    ideal (reduced Groebner bases coincide)."""
+    """True iff A and B generate the same ideal (reduced Groebner bases
+    coincide)."""
     if A.ring != B.ring:
         raise ValueError("presentations live in different rings")
     if A.is_zero() or B.is_zero():
         return A.is_zero() and B.is_zero()
     GA = groebner_basis(A, order)
     GB = groebner_basis(B, order)
-    return list(GA.elements) == list(GB.elements)
+    return GA.generators == GB.generators
 
 
-def graph_ideal(images, power, order):
-    """The ideal (x_i^power - f_i) in K[x_1..x_n, y_1..y_m] of n nonzero
-    forms f_i of one degree in K[y_1..y_m]; the x variables are the kept
-    ones."""
-    images = list(images)
-    if not images:
-        raise ValueError("need at least one image polynomial")
-    degs = {is_homogeneous(f) for f in images}
-    if any(not flag or not deg for flag, deg in degs):
-        raise ValueError("images must be nonzero homogeneous forms")
-    if len(degs) != 1:
-        raise ValueError("images must share one degree")
-    yring = images[0].ring
-    n = len(images)
-    S = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + yring.names, n,
+def graph_ideal(param, power, order):
+    """The ideal (x_i^power - f_i) in K[x_1..x_n, y_1..y_m] of a
+    parametrisation; the x variables are the kept ones."""
+    n, yring = param.n, param.ring
+    S = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + yring.names,
                  yring.field)
     gens = []
-    for i, f in enumerate(images):
+    for i, f in enumerate(param.f):
         xi = tuple(power if k == i else 0 for k in range(n))
         gens.append(Polynomial.from_terms(
             S, order, [(1, xi + (0,) * yring.nvars)]
@@ -290,17 +289,14 @@ def graph_ideal(images, power, order):
     return IdealPresentation(S, tuple(gens))
 
 
-def kernel_of_map(images, order=None):
-    """Defining ideal of the image of the polynomial map given by n forms of
-    equal degree d in K[y_1..y_m]: eliminates the y variables from the graph
-    ideal (x_i - f_i).
+def kernel_of_map(param, order=None):
+    """Defining ideal of the image of the map y -> (f_1(y), ..., f_n(y)) of
+    a parametrisation: eliminates the y variables from the graph ideal
+    (x_i - f_i).
 
     Returns a Groebner basis over R = K[x_1..x_n].  Pure lex by default;
-    pass a BlockOrder for the faster block elimination variant."""
+    pass BlockOrder(n) for the faster block elimination variant."""
     if order is None:
         order = LexOrder()
-    J = graph_ideal(images, 1, order)
-    n = J.ring.kept
-    if not order.eliminates(n, J.ring.nvars):
-        raise ValueError("order must eliminate the parameter variables")
-    return eliminate(groebner_basis(J, order), n)
+    return eliminate(groebner_basis(graph_ideal(param, 1, order), order),
+                     param.n)

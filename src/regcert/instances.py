@@ -9,8 +9,8 @@ zero is excluded to keep leading structure stable.
 import random
 from fractions import Fraction
 
-from .groebner import IdealPresentation
-from .parser import Parametrisation
+from .groebner import IdealPresentation, Parametrisation
+from .monomials import monomials_of_degree
 from .rings import DegRevLexOrder, Polynomial, make_ring
 from .scalars import DEFAULT_PRIME, PrimeField
 
@@ -24,7 +24,6 @@ def _random_coeff(K, rng):
 
 def random_form(ring, order, degree, rng):
     """Dense nonzero homogeneous form of the given degree."""
-    from .monomials import monomials_of_degree
     K = ring.field
     terms = [(_random_coeff(K, rng), m)
              for m in monomials_of_degree(ring.nvars, degree)]
@@ -34,7 +33,6 @@ def random_form(ring, order, degree, rng):
 def random_polynomial(ring, order, max_degree, rng, nterms=3):
     """Nonzero sparse polynomial: nterms monomials of degree <= max_degree
     (with repetition merged), uniform nonzero coefficients."""
-    from .monomials import monomials_of_degree
     K = ring.field
     pool = [m for t in range(max_degree + 1)
             for m in monomials_of_degree(ring.nvars, t)]

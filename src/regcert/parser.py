@@ -11,9 +11,9 @@ printing again is byte-identical.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .groebner import IdealPresentation, Parametrisation
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     make_ring)
 from .scalars import DEFAULT_PRIME, check_characteristic
@@ -24,30 +24,6 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         super().__init__(f"line {line}, column {col}: {message}")
-
-
-@dataclass(frozen=True)
-class Parametrisation:
-    """n homogeneous degree-d forms in K[y_1..y_m]."""
-
-    n: int
-    m: int
-    d: int
-    f: tuple  # polynomials in the y-ring
-    ring: object
-
-    def __post_init__(self):
-        from .rings import is_homogeneous
-        if self.n < 1 or self.m < 1 or self.d < 1:
-            raise ValueError("n, m, d must be positive")
-        if len(self.f) != self.n:
-            raise ValueError("expected n image polynomials")
-        if all(g.is_zero() for g in self.f):
-            raise ValueError("parametrisation must not be identically zero")
-        for g in self.f:
-            flag, deg = is_homogeneous(g)
-            if g.is_zero() or not flag or deg != self.d:
-                raise ValueError("each image must be homogeneous of degree d")
 
 
 _TOKEN_RE = re.compile(r"""
@@ -130,9 +106,8 @@ class _Parser:
         self.expect("sym", ";")
         return char
 
-    def ring(self, names, kept, char):
-        return make_ring(names, kept=kept,
-                         char=char if self.char is None else self.char)
+    def ring(self, names, char):
+        return make_ring(names, char=char if self.char is None else self.char)
 
     def parse_file(self):
         if self.at_keyword("ring"):
@@ -151,7 +126,6 @@ class _Parser:
         self.expect("sym", ";")
         char = DEFAULT_PRIME
         order = LexOrder()
-        kept = len(names)
         while True:
             if self.at_keyword("char"):
                 self.next()
@@ -168,7 +142,6 @@ class _Parser:
                     if not 0 <= k <= len(names):
                         self.error("elimination split out of range", tok)
                     order = BlockOrder(k)
-                    kept = k
                 else:
                     self.error(f"unknown order {tok[1]!r}", tok)
                 self.expect("sym", ";")
@@ -176,12 +149,11 @@ class _Parser:
                 break
         self.expect("ident", "gens")
         self.expect("sym", ":")
-        ring = self.ring(names, kept, char)
+        ring = self.ring(names, char)
         polys = [self.parse_poly(ring, order)]
         while self.accept("sym", ","):
             polys.append(self.parse_poly(ring, order))
         self.expect("eof")
-        from .groebner import IdealPresentation
         return ring, IdealPresentation.from_polynomials(ring, polys), order
 
     def parse_param(self):
@@ -198,8 +170,7 @@ class _Parser:
             char = self.parse_char()
         self.expect("ident", "f")
         self.expect("sym", ":")
-        ring = self.ring([f"y{i + 1}" for i in range(vals["m"])], None,
-                         char)
+        ring = self.ring([f"y{i + 1}" for i in range(vals["m"])], char)
         order = LexOrder()
         polys = [self.parse_poly(ring, order)]
         while self.accept("sym", ","):

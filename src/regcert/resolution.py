@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groebner import (GroebnerBasis, IdealPresentation, groebner_basis,
-                       initial_ideal)
+from .groebner import groebner_basis, initial_ideal
 from .monomials import MonomialIdeal, monomials_of_degree
 from .rings import (DegRevLexOrder, mono_deg, mono_div, mono_divides,
                     mono_mul)
@@ -391,7 +390,7 @@ class _KoszulWorkspace:
         monos = sorted(monomials_of_degree(self.ring.nvars, t),
                        key=self.order.key)
         row_of = {x: r for r, x in enumerate(monos)}
-        leads = [(g.leading_monomial(), g) for g in self.G.elements]
+        leads = [(g.leading_monomial(), g) for g in self.G.generators]
         N = np.zeros((len(monos), len(col)), self.dtype)
         for r, x in enumerate(monos):
             if x in col:
@@ -465,18 +464,24 @@ class BettiTable:
     entries: dict
     characteristic: int
 
-    def regularity(self):
-        if not self.entries:
+    def _cells(self):
+        """The cells (i, j) with beta_{i,j} != 0; the zero ideal has none,
+        and no regularity, pdim or t-sequence."""
+        cells = [c for c, v in self.entries.items() if v]
+        if not cells:
             raise ValueError("regularity of the zero ideal is undefined")
-        return max(j - i for (i, j), v in self.entries.items() if v)
+        return cells
+
+    def regularity(self):
+        return max(j - i for i, j in self._cells())
 
     def pdim(self):
-        return max(i for (i, j), v in self.entries.items() if v)
+        return max(i for i, _ in self._cells())
 
     def t_sequence(self):
-        pd = self.pdim()
-        return tuple(max(j for (i2, j), v in self.entries.items()
-                         if v and i2 == i) for i in range(pd + 1))
+        cells = self._cells()
+        return tuple(max(j for i2, j in cells if i2 == i)
+                     for i in range(self.pdim() + 1))
 
     def beta(self, i, j):
         return self.entries.get((i, j), 0)
@@ -497,9 +502,6 @@ def betti_table(I):
             raise ValueError("Betti table of the unit ideal is not defined")
         q = monomial_quotient_betti(I, I.ring.field)
         return BettiTable(_ideal_entries(q), I.ring.char)
-    if not isinstance(I, (IdealPresentation, GroebnerBasis)):
-        raise TypeError("expected MonomialIdeal, IdealPresentation or "
-                        "GroebnerBasis")
     if not I.homogeneous:
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():

@@ -2,7 +2,7 @@
 
 Monomials are dense exponent tuples.  Variable precedence is fixed
 ring-wide as x_l > x_{l-1} > ... > x_1 (index l-1 down to index 0), and
-the kept subring R consists of the first (smallest) `kept` variables, so
+a kept subring R consists of the first (smallest) variables, so
 eliminating the large variables is "drop every element with a large
 variable".
 """
@@ -101,17 +101,14 @@ class BlockOrder:
 
 @dataclass(frozen=True)
 class PolyRing:
-    """K[x_1, ..., x_l] with the first `kept` variables forming the subring R."""
+    """K[x_1, ..., x_l]."""
 
     names: tuple
-    kept: int
     field: object
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
-        if not 0 <= self.kept <= len(self.names):
-            raise ValueError("kept count out of range")
 
     @property
     def nvars(self):
@@ -122,11 +119,8 @@ class PolyRing:
         return self.field.char
 
 
-def make_ring(names, kept=None, char=DEFAULT_PRIME):
-    names = tuple(names)
-    if kept is None:
-        kept = len(names)
-    return PolyRing(names, kept, field_of_characteristic(char))
+def make_ring(names, char=DEFAULT_PRIME):
+    return PolyRing(tuple(names), field_of_characteristic(char))
 
 
 # ---------------------------------------------------------------------------

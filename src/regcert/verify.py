@@ -195,7 +195,7 @@ def _identity_failures(alpha_I, JprimeR, order):
         return []
     return [{"kind": "Pprime-mismatch",
              "alpha_I": [str(g) for g in alpha_I.generators],
-             "Jprime_cap_R": [str(g) for g in JprimeR.elements]}]
+             "Jprime_cap_R": [str(g) for g in JprimeR.generators]}]
 
 
 def verify_poweli(J, phi, keep):
@@ -210,15 +210,14 @@ def verify_poweli(J, phi, keep):
     dig = digest_of(f"poweli:{[str(g) for g in J.generators]}:{phi.exponents}:{keep}")
 
     G = groebner_basis(J, order)
-    phiG = [apply_power_map(phi, g) for g in G.elements]
+    phiG = [apply_power_map(phi, g) for g in G.generators]
     ok_i, witness_pair = passes_buchberger_criterion(phiG, order)
     failures = [] if ok_i else [{"kind": "buchberger-criterion",
                                  "failing_pair": list(witness_pair)}]
 
     # alpha(I) R with I = J cap R, alpha = phi restricted to R, against
     # J' cap R from an independent Buchberger run on phi(J)
-    alpha_I = image_ideal(PowerMap(phi.exponents[:keep]),
-                          eliminate(G, keep).as_presentation())
+    alpha_I = image_ideal(PowerMap(phi.exponents[:keep]), eliminate(G, keep))
     JprimeR = eliminate(groebner_basis(image_ideal(phi, J), order), keep)
     identity = _identity_failures(alpha_I, JprimeR, order)
 
@@ -263,15 +262,13 @@ def verify_regbound(J, keep, cutoff=None):
     order = LexOrder()
     G = groebner_basis(J, order)
     inJ = initial_ideal(G)
-    GI = eliminate(G, keep)
-    I = GI.as_presentation()
-    inI = initial_ideal(GI)
+    I = eliminate(G, keep)
+    inI = initial_ideal(I)
 
     reg_inJ = regularity(inJ)
-    # reg(J) and reg(I) are order-independent.  They are computed from the
-    # presentations, so regularity runs its own degrevlex bases rather than
-    # reusing the lex bases G and GI: degrevlex keeps the Koszul cell
-    # support small
+    # reg(J) and reg(I) are order-independent; regularity runs its own
+    # degrevlex bases from the generators of J and of the lex basis I:
+    # degrevlex keeps the Koszul cell support small
     reg_J = regularity(J)
     if I.is_zero():
         reg_I = None
@@ -370,7 +367,7 @@ def verify_main(param, cutoff=None):
     t0 = time.perf_counter()
     order = BlockOrder(n)
 
-    Gp = groebner_basis(graph_ideal(param.f, d, order), order)
+    Gp = groebner_basis(graph_ideal(param, d, order), order)
     h_actual = hilbert_function(initial_ideal(Gp))
     h_series = ci_hilbert_function(n, d, m)
     hf_ci = h_actual == h_series
@@ -390,20 +387,19 @@ def verify_main(param, cutoff=None):
 
     # P = J cap R via elimination from the graph ideal; for the block
     # order both eliminations are reduced degrevlex bases over R
-    P = kernel_of_map(param.f, order=order)
+    P = kernel_of_map(param, order=order)
     Pprime = eliminate(Gp, n)
 
     values = {
         "n": n, "m": m, "d": d,
         "G_series": G_series, "G_actual": G_actual,
         "hf_matches_ci_series": hf_ci,
-        "P_gens": [str(g) for g in P.elements],
+        "P_gens": [str(g) for g in P.generators],
         "bound": d ** (n * 2 ** (m - 1) - 1),
     }
 
-    failures += _identity_failures(
-        image_ideal(PowerMap.uniform(n, d), P.as_presentation()), Pprime,
-        P.order)
+    failures += _identity_failures(image_ideal(PowerMap.uniform(n, d), P),
+                                   Pprime, P.order)
     if P.is_zero():
         values["reg_P"] = None
     elif not P.homogeneous:

@@ -18,8 +18,13 @@ def files(tmp_path):
         "squares.txt": "ring x1 x2; char 0; gens: x1^2, x2^2",
         "nonhomog.txt": "ring x1 x2; gens: x1^2 + x2",
         "conic.txt": "param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2",
+        "cubic.txt": "param n=4 m=2 d=3; f: y1^3, y1^2*y2, y1*y2^2, y2^3",
         "elim.txt": "ring x1 x2 x3; order elim 2; "
                     "gens: x1*x2 + x2*x3, x1*x3, x3^2",
+        "elim0.txt": "ring x1 x2 x3; order elim 0; "
+                     "gens: x1*x2 + x2*x3, x1*x3, x3^2",
+        "degrevlex.txt": "ring x1 x2 x3; order degrevlex; "
+                         "gens: x1*x2 + x2*x3, x1*x3, x3^2",
         "broken.txt": "ring x1; gens: x1 +",
         "zero_den.txt": "ring x1 x2; char 32003; gens: x1^2 + 1/32003*x2^2",
         # lex generators in degrees 1 and 11 only: no generator appears in
@@ -243,6 +248,45 @@ def test_verify_regbound_with_elim_file(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["instances"][0]["values"]["reg_I"] == 3
+
+
+@pytest.mark.parametrize("name", ["squares.txt", "degrevlex.txt"])
+def test_verify_regbound_keeps_every_variable_without_an_elim_clause(
+        files, capsys, name):
+    code, out, _ = run(capsys, "verify", "regbound", "--ideal", files[name],
+                       "--json")
+    assert code == 0
+    values = json.loads(out)["instances"][0]["values"]
+    assert values["reg_I"] == values["reg_J"]
+
+
+def test_verify_regbound_keeps_no_variable_under_elim_0(files, capsys):
+    code, out, _ = run(capsys, "verify", "regbound", "--ideal",
+                       files["elim0.txt"], "--json")
+    assert code == 0
+    values = json.loads(out)["instances"][0]["values"]
+    assert values["reg_I"] is None and values["I_gens"] == []
+
+
+# the kernels that test_kernel_of_map_outputs_unchanged pins
+KERNELS = {
+    ("conic.txt", "lex"): ["x1*x3 + 32002*x2^2"],
+    ("conic.txt", "elim"): ["x2^2 + 32002*x1*x3"],
+    ("cubic.txt", "lex"): ["x2*x4 + 32002*x3^2", "x1*x4 + 32002*x2*x3",
+                           "x1*x3 + 32002*x2^2"],
+    ("cubic.txt", "elim"): ["x3^2 + 32002*x2*x4", "x2*x3 + 32002*x1*x4",
+                            "x2^2 + 32002*x1*x3"],
+}
+
+
+@pytest.mark.parametrize("name, order", KERNELS)
+def test_kernel_command_prints_the_pinned_kernels(files, capsys, name,
+                                                  order):
+    code, out, _ = run(capsys, "kernel", "--param", files[name], "--order",
+                       order)
+    assert code == 0
+    assert out == "kernel:\n" + "".join(f"  {g}\n"
+                                        for g in KERNELS[name, order])
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):

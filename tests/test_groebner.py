@@ -5,15 +5,16 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from regcert.groebner import (IdealPresentation, buchberger, eliminate,
-                              graph_ideal, groebner_basis, ideal_equal,
-                              image_ideal, initial_ideal, kernel_of_map,
-                              normal_form, passes_buchberger_criterion,
-                              reduce_basis)
+from regcert.groebner import (IdealPresentation, Parametrisation, buchberger,
+                              eliminate, graph_ideal, groebner_basis,
+                              ideal_equal, image_ideal, initial_ideal,
+                              kernel_of_map, normal_form,
+                              passes_buchberger_criterion, reduce_basis)
 from regcert.parser import parse_ideal_file
+from regcert.resolution import betti_table, regularity
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring)
-from regcert.verify import verify_poweli
+from regcert.verify import verify_poweli, verify_regflat
 
 from oracles import normal_form_by_max, substitute
 
@@ -24,6 +25,14 @@ def ideal(text):
 
 def polys(text):
     return list(ideal(text).generators)
+
+
+def param(text):
+    return parse_ideal_file(text)[1]
+
+
+CONIC = "param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2"
+CUBIC = "param n=4 m=2 d=3; f: y1^3, y1^2*y2, y1*y2^2, y2^3"
 
 
 def test_normal_form_division_identity():
@@ -121,7 +130,7 @@ def test_normal_form_zero_in_ideal():
     rem, _ = normal_form(f, gens + [gens[0]], order)
     # f is in the ideal generated by a Groebner basis of it
     G = groebner_basis(IdealPresentation(gens[0].ring, tuple(gens)), order)
-    rem, _ = normal_form(f, list(G.elements), order)
+    rem, _ = normal_form(f, list(G.generators), order)
     assert rem.is_zero()
 
 
@@ -129,7 +138,7 @@ def test_buchberger_criterion_certifies_output():
     J = ideal("ring x1 x2 x3; gens: x1*x2 + x2*x3, x1*x3, x3^2")
     for order in (LexOrder(), DegRevLexOrder(), BlockOrder(2)):
         G = groebner_basis(J, order)
-        ok, witness = passes_buchberger_criterion(list(G.elements), order)
+        ok, witness = passes_buchberger_criterion(list(G.generators), order)
         assert ok and witness is None
 
 
@@ -144,14 +153,14 @@ def test_paper_elimination_two_squares():
     J = ideal("ring x1 x2; char 0; gens: x1^2, x2^2")
     G = groebner_basis(J, LexOrder())
     I = eliminate(G, 1)
-    assert [g.coeff_dict() for g in I.elements] == [{(2,): 1}]
+    assert [g.coeff_dict() for g in I.generators] == [{(2,): 1}]
 
 
 def test_paper_elimination_three_gens():
     J = ideal("ring x1 x2 x3; char 0; gens: x1*x2 + x2*x3, x1*x3, x3^2")
     G = groebner_basis(J, LexOrder())
     I = eliminate(G, 2)
-    assert [g.coeff_dict() for g in I.elements] == [{(2, 1): 1}]
+    assert [g.coeff_dict() for g in I.generators] == [{(2, 1): 1}]
 
 
 def test_eliminate_requires_elimination_order():
@@ -165,7 +174,7 @@ def test_reduced_basis_unique_under_shuffles():
     J = ideal("ring x1 x2 x3; gens: "
               "x1^2 - x2*x3, x2^2 + x1*x3, x3^2 - x1*x2, x1*x2*x3")
     order = DegRevLexOrder()
-    reference = groebner_basis(J, order).elements
+    reference = groebner_basis(J, order).generators
     rng = random.Random(11)
     for _ in range(10):
         gens = list(J.generators)
@@ -173,7 +182,7 @@ def test_reduced_basis_unique_under_shuffles():
         scale = gens[0].ring.field(rng.randrange(1, 100))
         gens[0] = gens[0].scale(scale)
         G = groebner_basis(IdealPresentation(J.ring, tuple(gens)), order)
-        assert G.elements == reference
+        assert G.generators == reference
 
 
 def test_reduced_basis_is_not_recomputed():
@@ -183,16 +192,39 @@ def test_reduced_basis_is_not_recomputed():
     assert groebner_basis(G, DegRevLexOrder()) is G
     # another order, or an unreduced basis, is computed from the elements
     lex = groebner_basis(G, LexOrder())
-    assert lex.elements == groebner_basis(J, LexOrder()).elements
+    assert lex.generators == groebner_basis(J, LexOrder()).generators
     raw = buchberger(J, DegRevLexOrder())
     assert groebner_basis(raw, raw.order) is not raw
-    assert groebner_basis(raw, raw.order).elements == G.elements
+    assert groebner_basis(raw, raw.order).generators == G.generators
     # an elimination of a reduced basis is reduced for the restricted order
-    P = kernel_of_map(ideal("ring y1 y2; gens: y1^2, y1*y2, y2^2").generators,
-                      order=BlockOrder(3))
+    P = kernel_of_map(param(CONIC), order=BlockOrder(3))
     assert groebner_basis(P, DegRevLexOrder()) is P
-    assert P.elements == groebner_basis(P.as_presentation(),
-                                        DegRevLexOrder()).elements
+    I = IdealPresentation(P.ring, P.generators)
+    assert P.generators == groebner_basis(I, DegRevLexOrder()).generators
+
+
+@pytest.mark.parametrize("which", ["lex", "degrevlex", "eliminate"])
+def test_a_basis_is_the_ideal_it_generates(which):
+    # a Groebner basis goes wherever an ideal goes, with the results of
+    # the presentation of its generators
+    J = ideal("ring x1 x2 x3; gens: x1*x2 + x2*x3, x1*x3, x3^2")
+    lex = groebner_basis(J, LexOrder())
+    G = {"lex": lex, "degrevlex": groebner_basis(J, DegRevLexOrder()),
+         "eliminate": eliminate(lex, 2)}[which]
+    I = IdealPresentation(G.ring, G.generators)
+    assert len(G) == len(I.generators) > 0
+    assert betti_table(G) == betti_table(I)
+    assert regularity(G) == regularity(I)
+    phi = PowerMap.uniform(G.ring.nvars, 2)
+    assert image_ideal(phi, G) == image_ideal(phi, I)
+    for order in (LexOrder(), DegRevLexOrder()):
+        assert groebner_basis(G, order) == groebner_basis(I, order)
+        for other in (I, image_ideal(phi, I)):
+            assert ideal_equal(G, other, order) == \
+                ideal_equal(I, other, order)
+    flat_G, flat_I = (verify_regflat(X, 2).to_dict() for X in (G, I))
+    del flat_G["timings_ms"], flat_I["timings_ms"]
+    assert flat_G == flat_I and flat_G["status"] == "pass"
 
 
 def test_ideal_equal_accepts_bases():
@@ -208,7 +240,7 @@ def test_criteria_do_not_change_result():
     for order in (LexOrder(), DegRevLexOrder()):
         with_c = reduce_basis(buchberger(J, order, use_criteria=True))
         without = reduce_basis(buchberger(J, order, use_criteria=False))
-        assert with_c.elements == without.elements
+        assert with_c.generators == without.generators
 
 
 def test_initial_ideal():
@@ -269,10 +301,10 @@ def kernel_hilbert_ideal_side(G, max_degree):
 
 
 def test_kernel_of_conic_parametrisation():
-    _, p, _ = parse_ideal_file("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
-    G = kernel_of_map(list(p.f))
+    p = param(CONIC)
+    G = kernel_of_map(p)
     assert len(G) == 1
-    g = G.elements[0]
+    g = G.generators[0]
     # x1*x3 - x2^2 up to sign/scaling
     assert set(g.coeff_dict()) == {(1, 0, 1), (0, 2, 0)}
     # degreewise dimensions match the linear-algebra oracle
@@ -281,40 +313,37 @@ def test_kernel_of_conic_parametrisation():
 
 
 def test_kernel_twisted_cubic():
-    _, p, _ = parse_ideal_file("param n=4 m=2 d=3; "
-                               "f: y1^3, y1^2*y2, y1*y2^2, y2^3")
-    G = kernel_of_map(list(p.f), order=BlockOrder(4))
+    p = param(CUBIC)
+    G = kernel_of_map(p, order=BlockOrder(4))
     # the 2x2 minors of the 2x3 Hankel matrix: three quadrics
     assert len(G) == 3
-    assert all(g.degree() == 2 for g in G.elements)
+    assert all(g.degree() == 2 for g in G.generators)
     assert kernel_hilbert_ideal_side(G, 4) == \
         kernel_by_linear_algebra(list(p.f), 4)
     # every kernel element vanishes after substitution
-    for g in G.elements:
+    for g in G.generators:
         assert substitute(g, list(p.f)).is_zero()
 
 
 def test_kernel_generic_forms_is_zero():
     from regcert.instances import random_parametrisation
     p = random_parametrisation(2, 2, 2, seed=5)
-    G = kernel_of_map(list(p.f))
-    assert len(G.elements) == 0
+    G = kernel_of_map(p)
+    assert len(G.generators) == 0
 
 
 def test_kernel_random_parametrisations_substitute_to_zero():
     from regcert.instances import random_parametrisation
     for seed in range(10):
         p = random_parametrisation(3, 2, 2, seed=seed)
-        G = kernel_of_map(list(p.f), order=BlockOrder(3))
-        for g in G.elements:
+        G = kernel_of_map(p, order=BlockOrder(3))
+        for g in G.generators:
             assert substitute(g, list(p.f)).is_zero()
 
 
 def test_kernel_of_map_outputs_unchanged():
     # reference outputs of kernel_of_map before graph_ideal was shared
-    conic = list(ideal("ring y1 y2; gens: y1^2, y1*y2, y2^2").generators)
-    cubic = list(ideal("ring y1 y2; gens: y1^3, y1^2*y2, y1*y2^2, y2^3")
-                 .generators)
+    conic, cubic = param(CONIC), param(CUBIC)
     cases = [
         (conic, LexOrder(), "lex", ["x1*x3 + 32002*x2^2"]),
         (conic, BlockOrder(3), "degrevlex", ["x2^2 + 32002*x1*x3"]),
@@ -325,34 +354,48 @@ def test_kernel_of_map_outputs_unchanged():
          ["x3^2 + 32002*x2*x4", "x2*x3 + 32002*x1*x4",
           "x2^2 + 32002*x1*x3"]),
     ]
-    for images, order, sub_order, gens in cases:
-        G = kernel_of_map(images, order=order)
-        n = len(images)
+    for p, order, sub_order, gens in cases:
+        G = kernel_of_map(p, order=order)
+        n = p.n
         assert G.ring == make_ring([f"x{i + 1}" for i in range(n)])
         assert repr(G.order) == sub_order and G.reduced
-        assert [str(g) for g in G.elements] == gens
+        assert [str(g) for g in G.generators] == gens
         assert all(g.terms == g.with_order(G.order).terms
-                   for g in G.elements)
+                   for g in G.generators)
 
 
 def test_graph_ideal():
-    forms = list(ideal("ring y1 y2; gens: y1^2, y1*y2 - y2^2").generators)
-    J = graph_ideal(forms, 3, BlockOrder(2))
-    assert J.ring.names == ("x1", "x2", "y1", "y2") and J.ring.kept == 2
+    p = param("param n=2 m=2 d=2; f: y1^2, y1*y2 - y2^2")
+    J = graph_ideal(p, 3, BlockOrder(2))
+    assert J.ring == make_ring(["x1", "x2", "y1", "y2"])
     assert [str(g) for g in J.generators] == [
         "32002*y1^2 + x1^3", "y2^2 + 32002*y1*y2 + x2^3"]
     assert all(g.order == BlockOrder(2) for g in J.generators)
-    with pytest.raises(ValueError, match="share one degree"):
-        graph_ideal(forms + [forms[0] * forms[1]], 1, LexOrder())
-    with pytest.raises(ValueError, match="nonzero homogeneous"):
-        graph_ideal([forms[0] + forms[0] * forms[0]], 1, LexOrder())
+    # the images are checked once, when the parametrisation is made: no
+    # images, forms of two degrees, a form that is not homogeneous
+    f0, f1 = p.f
+    with pytest.raises(ValueError, match="must be positive"):
+        Parametrisation(0, 2, 2, (), p.ring)
+    with pytest.raises(ValueError, match="homogeneous of degree d"):
+        Parametrisation(3, 2, 2, (f0, f1, f0 * f1), p.ring)
+    with pytest.raises(ValueError, match="homogeneous of degree d"):
+        Parametrisation(1, 2, 2, (f0 + f0 * f0,), p.ring)
+    # m and the images' ring must be the ring's: a shape that disagrees
+    # would certify the series of another m
+    with pytest.raises(ValueError, match="ring of m variables"):
+        Parametrisation(2, 3, 2, p.f, p.ring)
+    with pytest.raises(ValueError, match="ring of m variables"):
+        Parametrisation(2, 2, 2, p.f, make_ring(["y1", "y2"], char=0))
 
 
 def test_kernel_rejects_bad_images():
-    _, p, _ = parse_ideal_file("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
-    bad = list(p.f)[:2] + [list(p.f)[0] * list(p.f)[1]]
-    with pytest.raises(ValueError, match="share one degree"):
-        kernel_of_map(bad)
+    p = param(CONIC)
+    f = p.f
+    with pytest.raises(ValueError, match="homogeneous of degree d"):
+        Parametrisation(3, 2, 2, f[:2] + (f[0] * f[1],), p.ring)
+    # an order that does not eliminate y is refused by eliminate
+    with pytest.raises(ValueError, match="does not eliminate"):
+        kernel_of_map(p, order=DegRevLexOrder())
 
 
 def test_image_ideal_and_power_map():
@@ -420,5 +463,5 @@ def test_reduced_basis_matches_sympy(char, order):
             char) for e in expected.exprs)
         got = sorted(_scaled_terms(
             [(m, sympy.Rational(str(c))) for c, m in g.terms], char)
-            for g in G)
+            for g in G.generators)
         assert got == want

@@ -15,7 +15,7 @@ from regcert.parser import parse_ideal_file
 from regcert.groebner import (IdealPresentation, groebner_basis,
                               initial_ideal, normal_form)
 from regcert.instances import random_form
-from regcert.resolution import (PANEL, betti_table, matrix_rank,
+from regcert.resolution import (PANEL, BettiTable, betti_table, matrix_rank,
                                 rank_exact_rational, rank_mod_p, regularity,
                                 t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
@@ -352,7 +352,7 @@ def test_normal_form_table_matches_division(J):
         assert sorted(row_of) == sorted(monomials_of_degree(J.ring.nvars, t))
         for x, r in row_of.items():
             rem, _ = normal_form(Polynomial(J.ring, G.order, [(1, x)]),
-                                 G.elements)
+                                 G.generators)
             nf = rem.coeff_dict()
             assert set(nf) <= set(ws.std(t))
             assert list(N[r]) == [nf.get(v, 0) for v in ws.std(t)]
@@ -439,6 +439,17 @@ def test_t_invariants_p_index():
     assert ts == (2, 4, 5, 5, 6)
     assert T.regularity() == 3
     assert p == 2
+
+
+@pytest.mark.parametrize("entries", [{}, {(0, 2): 0}])
+def test_zero_table_has_no_invariants(entries):
+    # the zero ideal's table has no nonzero cell: every invariant refuses
+    # it as regularity does, not with max() of an empty sequence
+    T = BettiTable(entries, 32003)
+    for invariant in (T.regularity, T.pdim, T.t_sequence,
+                      lambda: t_invariants(T)):
+        with pytest.raises(ValueError, match="zero ideal is undefined"):
+            invariant()
 
 
 def test_betti_table_quotient_side():
