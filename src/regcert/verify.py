@@ -26,8 +26,8 @@ from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
 from .reports import VerificationReport, digest_of
 from .resolution import (betti_table, matrix_dtype, matrix_rank, regularity,
                          t_invariants)
-from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
-                    PowerMap, apply_power_map, mono_divides, mono_mul)
+from .rings import (BlockOrder, LexOrder, Polynomial, PowerMap,
+                    apply_power_map)
 from .scalars import DEFAULT_PRIME
 
 
@@ -39,48 +39,127 @@ def hf_direct(J, D):
     """Quotient dimensions of R/J in degrees 0..D, as a tuple, computed as
     corank of the span of (monomial multiples of) the generators.
 
-    With g_1, ..., g_k the generators by ascending degree and lm taken
-    under degrevlex whatever order g_i carries, the degree-t rows are the
-    m g_i with m not in (lm g_1, ..., lm g_{i-1}).  They span every m g_i:
-    for m = m' lm(g_j), j < i, and g_j = c lm(g_j) + tail(g_j),
+    Columns.  The degree-t columns are the monomials of degree t in
+    increasing degrevlex order, so a row's leading monomial under
+    degrevlex is its last nonzero column.  That order is descending lex
+    with x_1 compared first, so the column of x^a is the number of
+    degree-t monomials before it: the sum over k of the monomials of
+    degree s_k - 1 in x_k, ..., x_n, s_k the degree of a_{k+1}, ..., a_n.
+
+    Row cut.  With g_1, ..., g_k the generators by ascending degree and
+    lm taken under degrevlex whatever order g_i carries, the degree-t rows
+    are the m g_i with m not in (lm g_1, ..., lm g_{i-1}).  They span
+    every m g_i: for m = m' lm(g_j), j < i, and g_j = c lm(g_j) + tail(g_j),
         m g_i = (m' g_i g_j - m' tail(g_j) g_i) / c,
     a sum of rows of g_j and of rows (m' u) g_i with m' u < m, so both lie
-    in the span of the rows kept, by induction on i and then on m.  This
-    holds over every field and reads only the generators' own leading
-    monomials: the route stays independent of Groebner bases.
+    in the span of the rows kept, by induction on i and then on m.
 
-    Each degree's Macaulay matrix is one array filled from (row, column,
-    coefficient) lists, of the field's matrix_dtype.  matrix_rank gets it
-    as a list of rows."""
+    Pivot split (Faugere and Lachartre, PASCO 2010).  Each generator is
+    divided by its lead coefficient, so the row m g_i leads with
+    1 m lm(g_i).  For each of the U_t distinct leads, the first kept row
+    with that lead, in (generator, multiplier) order, is a pivot; pivots
+    have distinct leads, so they are independent.  Each pivot, less
+    multiples of the pivots with smaller leads, becomes its lead plus a
+    tail over the N_t - U_t non-pivot columns; each other row, less
+    multiples of these, becomes a row over the non-pivot columns alone.
+    Both are invertible row operations, so they keep the span, and the
+    reduced pivots restrict to the identity on the pivot columns, where
+    the reduced rows vanish: the rank is U_t plus the rank of the reduced
+    rows.  matrix_rank gets only these,
+    (kept rows - U_t) by (N_t - U_t), and is not called when that matrix
+    is empty.  Rows are reduced in levels, one batch each: a row that
+    meets no pivot column but its own lead has level 0, any other row one
+    more than the highest level of the pivots it meets.  A pivot meets
+    only pivots with smaller leads, so levels are well defined, and each
+    batch reads only pivots that are already reduced.
+
+    The argument holds over every field and reads only the rows built
+    from the generators: the route stays independent of Groebner bases.
+    Matrices have the field's matrix_dtype; over GF(p) each product of
+    two entries is reduced mod p before the sums, which int64 then holds
+    while a generator has fewer than 2^32 terms."""
     ring = J.ring
-    K = ring.field
-    gens = sorted(J.generators, key=Polynomial.degree)
-    lms = [max((m for _, m in g.terms), key=DegRevLexOrder().key)
-           for g in gens]
+    K, p, n = ring.field, ring.char, ring.nvars
+    dtype = matrix_dtype(p)
+    gens = sorted((g for g in J.generators if g.degree() <= D),
+                  key=Polynomial.degree)
+    count = np.array([[num_monomials(n - k, s - 1) for s in range(D + 1)]
+                      for k in range(n)], np.int64)
+
+    def column(exps):
+        after = np.cumsum(exps[..., ::-1], -1)[..., ::-1] - exps
+        return count[np.arange(n), after].sum(-1)
+
+    def red(A):
+        if p:
+            np.remainder(A, p, out=A)
+        return A
+
+    exps = [np.array([m for _, m in g.terms], np.int64) for g in gens]
+    lead = [column(e).argmax() for e in exps]
+    lms = np.array([e[s] for e, s in zip(exps, lead)])
+    coeffs = [np.array([K(c * K.inv(g.terms[s][0])) for c, _ in g.terms],
+                       dtype) for g, s in zip(gens, lead)]
     dims = []
     for t in range(D + 1):
-        basis = monomials_of_degree(ring.nvars, t)
-        idx = {m: i for i, m in enumerate(basis)}
-        ri, ci, vals = [], [], []
-        nrows = 0
+        N = num_monomials(n, t)
+        ri, ci, vals, lead_cols = [], [], [], []
+        R = 0
         for i, g in enumerate(gens):
             e = g.degree()
             if e > t:
                 break
-            for m in monomials_of_degree(ring.nvars, t - e):
-                if any(mono_divides(lm, m) for lm in lms[:i]):
-                    continue
-                for c, gm in g.terms:
-                    ri.append(nrows)
-                    ci.append(idx[mono_mul(m, gm)])
-                    vals.append(c)
-                nrows += 1
-        rank = 0
-        if nrows:
-            A = np.zeros((nrows, len(basis)), dtype=matrix_dtype(K.char))
-            A[ri, ci] = vals
-            rank = matrix_rank(list(A), K)
-        dims.append(num_monomials(ring.nvars, t) - rank)
+            M = np.array(monomials_of_degree(n, t - e), np.int64)
+            M = M[~(M[:, None] >= lms[:i]).all(2).any(1)]
+            cols = column(M[:, None] + exps[i])
+            ri.append(np.repeat(np.arange(R, R + len(M)), len(g.terms)))
+            ci.append(cols.ravel())
+            vals.append(np.tile(coeffs[i], len(M)))
+            lead_cols.append(cols[:, lead[i]])
+            R += len(M)
+        if not R:
+            dims.append(N)
+            continue
+        ri, ci, vals = map(np.concatenate, (ri, ci, vals))
+        pivot_cols, pivots = np.unique(np.concatenate(lead_cols),
+                                       return_index=True)
+        U = len(pivots)
+        pivot_of = np.full(N, -1)
+        pivot_of[pivot_cols] = pivots
+        free = pivot_of < 0
+        B = np.zeros((R, N - U), dtype)
+        at_free = free[ci]
+        B[ri[at_free], (np.cumsum(free) - 1)[ci[at_free]]] = vals[at_free]
+        # (row, pivot, coefficient) for every pivot column a row meets,
+        # but a pivot's own lead; ri ascends, so each row's entries are
+        # contiguous
+        meets = ~at_free & (pivot_of[ci] != ri)
+        dr, dp, dc = ri[meets], pivot_of[ci[meets]], vals[meets]
+        # a pivot meets only pivots with smaller leads: U + 1 passes settle
+        level = np.zeros(R, np.int64)
+        for _ in range(U + 1):
+            higher = np.zeros(R, np.int64)
+            np.maximum.at(higher, dr, level[dp] + 1)
+            if (higher == level).all():
+                break
+            level = higher
+        # each level takes the j-th pivot entry of all its rows at once, for
+        # j = 0, 1, ...: one product per row in memory at a time
+        nth = np.arange(len(dr)) - np.searchsorted(dr, dr)
+        for L in range(level.max() + 1):
+            at = level[dr] == L
+            q, c, k = dp[at], dc[at], nth[at]
+            rows, group = np.unique(dr[at], return_inverse=True)
+            sub = np.zeros((len(rows), N - U), dtype)
+            for j in range(k.max(initial=-1) + 1):
+                jth = k == j
+                prod = B[q[jth]]
+                prod *= c[jth, None]
+                sub[group[jth]] += red(prod)
+            B[rows] = red(B[rows] - sub)
+        rest = np.delete(B, pivots, axis=0)
+        rank = U + (matrix_rank(list(rest), K) if rest.size else 0)
+        dims.append(N - rank)
     return tuple(dims)
 
 

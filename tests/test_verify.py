@@ -2,19 +2,22 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from regcert.groebner import IdealPresentation, groebner_basis, initial_ideal
-from regcert.instances import random_ideal, random_parametrisation
+from regcert.instances import (random_form, random_ideal,
+                               random_parametrisation)
 from regcert.monomials import (HilbertSeries, MonomialIdeal, compute_G,
-                               hilbert_function, monomials_of_degree)
+                               hilbert_function, monomials_of_degree,
+                               num_monomials)
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
 from regcert.resolution import BettiTable
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
-                           PowerMap, make_ring)
+                           PowerMap, make_ring, mono_divides, mono_mul)
 from regcert.verify import (hf_direct, lex_ideal_of_presentation,
                             verify_main, verify_main_trials,
                             verify_poweli_trials, verify_regbound,
@@ -148,27 +151,90 @@ def test_hf_direct_reads_leading_monomials_under_one_order(char, order):
         (1, 3, 4, 4, 4, 4, 4)
 
 
-@pytest.mark.parametrize("char", [0, 32003])
-def test_hf_direct_rows_of_a_regular_sequence_are_independent(
-        monkeypatch, char):
-    # pairwise coprime degrevlex leading monomials x3^2, x2^2, x1^3: every
-    # row the cut keeps is independent of the others, so each Macaulay
-    # matrix has full row rank
+def kept_rows_and_pivots(J, t):
+    """(kept rows, distinct leads) of hf_direct's degree-t Macaulay matrix,
+    counted from their definition: rows m g_i with m outside
+    (lm g_1, ..., lm g_{i-1}), generators by ascending degree, leads
+    m lm(g_i) under degrevlex."""
+    drl = DegRevLexOrder()
+    gens = sorted(J.generators, key=Polynomial.degree)
+    lms = [max((m for _, m in g.terms), key=drl.key) for g in gens]
+    rows, leads = 0, set()
+    for i, g in enumerate(gens):
+        if g.degree() > t:
+            break
+        for m in monomials_of_degree(J.ring.nvars, t - g.degree()):
+            if not any(mono_divides(lm, m) for lm in lms[:i]):
+                rows += 1
+                leads.add(mono_mul(m, lms[i]))
+    return rows, len(leads)
+
+
+def record_matrix_rank(monkeypatch):
+    """The (rows, columns) of every matrix hf_direct hands matrix_rank."""
     import regcert.verify as verify_mod
-    J = ideal(f"ring x1 x2 x3; char {char}; "
-              "gens: x3^2 + x1*x2, x2^2 + x1*x3, x1^3")
     shapes = []
     real = verify_mod.matrix_rank
 
     def recorded(rows, K):
-        rank = real(rows, K)
-        shapes.append((len(rows), rank))
-        return rank
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows, K)
 
     monkeypatch.setattr(verify_mod, "matrix_rank", recorded)
-    assert hf_direct(J, 8) == (1, 3, 4, 3, 1, 0, 0, 0, 0)
-    assert len(shapes) == 7
-    assert all(nrows == rank for nrows, rank in shapes)
+    return shapes
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_hf_direct_rows_of_a_regular_sequence_are_independent(
+        monkeypatch, char):
+    # pairwise coprime degrevlex leading monomials x3^2, x2^2, x1^3: every
+    # row the cut keeps has a lead of its own, so it is a pivot, no degree
+    # hands matrix_rank a row, and HF(t) is N_t less the kept rows
+    J = ideal(f"ring x1 x2 x3; char {char}; "
+              "gens: x3^2 + x1*x2, x2^2 + x1*x3, x1^3")
+    shapes = record_matrix_rank(monkeypatch)
+    hf = hf_direct(J, 8)
+    assert hf == (1, 3, 4, 3, 1, 0, 0, 0, 0)
+    assert shapes == []
+    for t in range(9):
+        kept, pivots = kept_rows_and_pivots(J, t)
+        assert kept == pivots == num_monomials(3, t) - hf[t]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_hf_direct_ranks_only_the_rows_off_the_pivots(monkeypatch, char):
+    # generic forms of degrees 2, 2, 3 in 4 variables all lead with x4^2
+    # or x4^3, so from degree 2 on some kept rows are not pivots: each
+    # degree's matrix_rank gets (kept rows - U_t) rows over the
+    # N_t - U_t columns that no pivot leads with
+    ring = make_ring(["x1", "x2", "x3", "x4"], char=char)
+    rng = random.Random(5)
+    J = IdealPresentation(ring, tuple(
+        random_form(ring, DegRevLexOrder(), d, rng) for d in (2, 2, 3)))
+    expected = []
+    for t in range(9):
+        kept, pivots = kept_rows_and_pivots(J, t)
+        if kept > pivots and num_monomials(4, t) > pivots:
+            expected.append((kept - pivots, num_monomials(4, t) - pivots))
+    shapes = record_matrix_rank(monkeypatch)
+    assert hf_direct(J, 8) == hf_direct_all_rows(J, 8) == \
+        (1, 4, 8, 11, 12, 12, 12, 12, 12)
+    assert len(expected) == 7
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("char", [2 ** 31 - 1, 0, 2 ** 64 + 13])
+def test_hf_direct_is_exact_for_coefficients_next_to_the_int64_limit(char):
+    # each generator leads with 1 and has four terms with -1, which is
+    # p - 1 at p = 2^31 - 1: products of two entries come near 2^62, and a
+    # row that meets three or more pivots sums past 2^63 unless each
+    # product is reduced mod p first
+    J = ideal(f"ring x1 x2 x3; char {char}; gens: "
+              "x3^2 - x2*x3 - x2^2 - x1*x3 - x1^2, "
+              "x3^3 - x1*x2*x3 - x1*x2^2 - x1^2*x3 - x1^3, "
+              "x3^3 - x2^2*x3 - x1*x3^2 - x1*x2*x3 - x1^2*x3")
+    assert hf_direct(J, 6) == hf_direct_all_rows(J, 6) == \
+        (1, 3, 5, 5, 4, 4, 4)
 
 
 def test_lex_ideal_of_presentation():
