@@ -21,7 +21,10 @@ Two engines, both exact linear algebra over the coefficient field:
   restricted by the termwise bound beta(I) <= beta(in I).
 
 Ranks over GF(p) use blocked LU (rank_mod_p), over the rationals
-fraction-free Bareiss elimination (rank_exact_rational).
+fraction-free Bareiss elimination (rank_exact_rational).  Sparse matrices
+(the Koszul differentials, and the Macaulay matrices of verify.hf_direct)
+first go through the pivot split of sparse_rank, which hands these dense
+kernels only the rows its pivots leave.
 """
 
 import itertools
@@ -197,6 +200,77 @@ def matrix_rank(rows, field):
     return rank_exact_rational(rows)
 
 
+def sparse_rank(shape, rows, cols, vals, field):
+    """Rank of the R x N matrix with entries vals at (rows, cols), no
+    position twice, by the pivot split of Faugere and Lachartre (PASCO
+    2010) in front of matrix_rank.  The inputs are left unchanged.
+
+    A row's lead is its rightmost nonzero; the first row with each of the
+    U distinct leads is a pivot, so pivots are independent.  Each pivot,
+    less multiples of the pivots with smaller leads, becomes c e_lead plus
+    a tail over the N - U other columns; each other row, less a / c_q
+    times each reduced pivot q (a its entry at q's lead, c_q q's lead
+    coefficient), vanishes on the pivot columns.  These row operations
+    keep the span, so the rank is U plus that of the reduced other rows,
+    (R - U) by (N - U), which alone go to matrix_rank, if not empty.
+    Rows are reduced in level batches: a row meeting no pivot column but
+    its own lead has level 0, any other row one more than the highest
+    level of the pivots it meets.  A pivot meets only pivots with smaller
+    leads, so levels are well defined and a batch reads reduced pivots.
+
+    Matrices have the field's matrix_dtype; over GF(p) each product of two
+    entries is reduced mod p before the sums, which int64 then holds while
+    a row meets fewer than 2^32 pivots."""
+    R, N = shape
+    p = field.char
+    red = (lambda A: np.remainder(A, p, out=A)) if p else (lambda A: A)
+    vals = red(np.array(vals, matrix_dtype(p)))
+    # nonzero entries by row, then column: a row's lead is its last entry
+    order = np.lexsort((cols, rows))
+    order = order[vals[order] != 0]
+    rows, cols = (np.asarray(a, np.int64)[order] for a in (rows, cols))
+    vals = vals[order]
+    last = np.diff(rows, append=-1) != 0
+    pivot_cols, first = np.unique(cols[last], return_index=True)
+    pivots = rows[last][first]
+    U = len(pivots)
+    pivot_of = np.full(N, -1)
+    pivot_of[pivot_cols] = pivots
+    inv_lead = np.zeros(R, vals.dtype)
+    inv_lead[pivots] = [field.inv(c) for c in vals[last][first].tolist()]
+    free = pivot_of < 0
+    B = np.zeros((R, N - U), vals.dtype)
+    at_free = free[cols]
+    B[rows[at_free], (np.cumsum(free) - 1)[cols[at_free]]] = vals[at_free]
+    # (row, pivot, multiplier) for every pivot column a row meets, but a
+    # pivot's own lead; rows ascend, so each row's entries are contiguous
+    meets = ~at_free & (pivot_of[cols] != rows)
+    dr, dp = rows[meets], pivot_of[cols[meets]]
+    dc = red(vals[meets] * inv_lead[dp])
+    nth = np.arange(len(dr)) - np.searchsorted(dr, dr)
+    # one level per batch: the rows whose pivots are all reduced.  A batch
+    # takes the j-th pivot entry of all its rows at once, for j = 0, 1,
+    # ...: one product per row in memory at a time
+    done = np.ones(R, bool)
+    done[dr] = False
+    while not done.all():
+        waits = np.zeros(R, bool)
+        waits[dr[~done[dp]]] = True
+        at = ~(done | waits)[dr]
+        q, c, k = dp[at], dc[at], nth[at]
+        batch, group = np.unique(dr[at], return_inverse=True)
+        sub = np.zeros((len(batch), N - U), vals.dtype)
+        for j in range(k.max(initial=-1) + 1):
+            jth = k == j
+            prod = B[q[jth]]
+            prod *= c[jth, None]
+            sub[group[jth]] += red(prod)
+        B[batch] = red(B[batch] - sub)
+        done[batch] = True
+    rest = np.delete(B, pivots, axis=0)
+    return U + (matrix_rank(list(rest), field) if rest.size else 0)
+
+
 # ---------------------------------------------------------------------------
 # simplicial homology of the multidegree Koszul blocks
 
@@ -345,14 +419,6 @@ def monomial_quotient_betti(M, field):
 # ---------------------------------------------------------------------------
 # total-degree Koszul engine for general homogeneous ideals
 
-def standard_monomial_basis(M, t):
-    """Degree-t monomials outside the monomial ideal, descending lex."""
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    return [m for m in monomials_of_degree(M.nvars, t)
-            if not M.contains_monomial(m)]
-
-
 class _KoszulWorkspace:
     """Shared state for Koszul ranks of one homogeneous ideal, given by its
     reduced Groebner basis G and initial ideal inI.
@@ -378,8 +444,10 @@ class _KoszulWorkspace:
         self._rank = {}
 
     def std(self, t):
+        """Degree-t monomials outside in(I), descending lex."""
         if t not in self._std:
-            self._std[t] = standard_monomial_basis(self.inI, t)
+            self._std[t] = [m for m in monomials_of_degree(self.ring.nvars, t)
+                            if not self.inI.contains_monomial(m)]
         return self._std[t]
 
     def nf_table(self, t):
@@ -406,14 +474,17 @@ class _KoszulWorkspace:
         return row_of, N
 
     def multiplication(self, t):
-        """[x_k : std(t - 1) -> std(t) for each variable k], as matrices
-        whose rows are normal forms."""
+        """[(rows, cols, vals) of the nonzeros of x_k : std(t - 1) -> std(t)
+        for each variable k], the matrix rows being normal forms."""
         hit = self._mult.get(t)
         if hit is None:
             row_of, N = self.nf_table(t)
-            src = self.std(t - 1)
-            hit = [N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]] for x in src]]
-                   for k in range(self.ring.nvars)]
+            hit = []
+            for k in range(self.ring.nvars):
+                X = N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]]
+                       for x in self.std(t - 1)]]
+                r, c = np.nonzero(X)
+                hit.append((r, c, X[r, c]))
             self._mult[t] = hit
         return hit
 
@@ -434,15 +505,16 @@ class _KoszulWorkspace:
         src_sets = list(itertools.combinations(range(l), i))
         tgt_sets = {T: b for b, T in
                     enumerate(itertools.combinations(range(l), i - 1))}
-        A = np.zeros((len(src_sets) * ns, len(tgt_sets) * nt), self.dtype)
+        coo = []
         for a, T in enumerate(src_sets):
             for pos, k in enumerate(T):
                 b = tgt_sets[T[:pos] + T[pos + 1:]]
-                A[a * ns:(a + 1) * ns, b * nt:(b + 1) * nt] = \
-                    -X[k] if pos % 2 else X[k]
-        r = matrix_rank(list(A), self.field)  # a list of rows
-        self._rank[key] = r
-        return r
+                r, c, v = X[k]
+                coo.append((r + a * ns, c + b * nt, -v if pos % 2 else v))
+        rank = sparse_rank((len(src_sets) * ns, len(tgt_sets) * nt),
+                           *map(np.concatenate, zip(*coo)), self.field)
+        self._rank[key] = rank
+        return rank
 
     def betti(self, i, j):
         """beta_{i,j}(R/I) as Koszul homology rank in total degree j."""

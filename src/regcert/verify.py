@@ -24,7 +24,7 @@ from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
                         monomials_of_degree, num_monomials,
                         stable_regularity)
 from .reports import VerificationReport, digest_of
-from .resolution import (betti_table, matrix_dtype, matrix_rank, regularity,
+from .resolution import (betti_table, matrix_dtype, regularity, sparse_rank,
                          t_invariants)
 from .rings import (BlockOrder, LexOrder, Polynomial, PowerMap,
                     apply_power_map)
@@ -54,33 +54,9 @@ def hf_direct(J, D):
     a sum of rows of g_j and of rows (m' u) g_i with m' u < m, so both lie
     in the span of the rows kept, by induction on i and then on m.
 
-    Pivot split (Faugere and Lachartre, PASCO 2010).  Each generator is
-    divided by its lead coefficient, so the row m g_i leads with
-    1 m lm(g_i).  For each of the U_t distinct leads, the first kept row
-    with that lead, in (generator, multiplier) order, is a pivot; pivots
-    have distinct leads, so they are independent.  Each pivot, less
-    multiples of the pivots with smaller leads, becomes its lead plus a
-    tail over the N_t - U_t non-pivot columns; each other row, less
-    multiples of these, becomes a row over the non-pivot columns alone.
-    Both are invertible row operations, so they keep the span, and the
-    reduced pivots restrict to the identity on the pivot columns, where
-    the reduced rows vanish: the rank is U_t plus the rank of the reduced
-    rows.  matrix_rank gets only these,
-    (kept rows - U_t) by (N_t - U_t), and is not called when that matrix
-    is empty.  Rows are reduced in levels, one batch each: a row that
-    meets no pivot column but its own lead has level 0, any other row one
-    more than the highest level of the pivots it meets.  A pivot meets
-    only pivots with smaller leads, so levels are well defined, and each
-    batch reads only pivots that are already reduced.
-
-    The argument holds over every field and reads only the rows built
-    from the generators: the route stays independent of Groebner bases.
-    Matrices have the field's matrix_dtype; over GF(p) each product of
-    two entries is reduced mod p before the sums, which int64 then holds
-    while a generator has fewer than 2^32 terms."""
-    ring = J.ring
-    K, p, n = ring.field, ring.char, ring.nvars
-    dtype = matrix_dtype(p)
+    The rank is sparse_rank's, over every field, of the rows built from
+    the generators alone: the route stays independent of Groebner bases."""
+    ring, n = J.ring, J.ring.nvars
     gens = sorted((g for g in J.generators if g.degree() <= D),
                   key=Polynomial.degree)
     count = np.array([[num_monomials(n - k, s - 1) for s in range(D + 1)]
@@ -90,20 +66,14 @@ def hf_direct(J, D):
         after = np.cumsum(exps[..., ::-1], -1)[..., ::-1] - exps
         return count[np.arange(n), after].sum(-1)
 
-    def red(A):
-        if p:
-            np.remainder(A, p, out=A)
-        return A
-
     exps = [np.array([m for _, m in g.terms], np.int64) for g in gens]
-    lead = [column(e).argmax() for e in exps]
-    lms = np.array([e[s] for e, s in zip(exps, lead)])
-    coeffs = [np.array([K(c * K.inv(g.terms[s][0])) for c, _ in g.terms],
-                       dtype) for g, s in zip(gens, lead)]
+    lms = np.array([e[column(e).argmax()] for e in exps])
+    coeffs = [np.array([c for c, _ in g.terms], matrix_dtype(ring.char))
+              for g in gens]
     dims = []
     for t in range(D + 1):
         N = num_monomials(n, t)
-        ri, ci, vals, lead_cols = [], [], [], []
+        ri, ci, vals = [], [], []
         R = 0
         for i, g in enumerate(gens):
             e = g.degree()
@@ -111,55 +81,13 @@ def hf_direct(J, D):
                 break
             M = np.array(monomials_of_degree(n, t - e), np.int64)
             M = M[~(M[:, None] >= lms[:i]).all(2).any(1)]
-            cols = column(M[:, None] + exps[i])
             ri.append(np.repeat(np.arange(R, R + len(M)), len(g.terms)))
-            ci.append(cols.ravel())
+            ci.append(column(M[:, None] + exps[i]).ravel())
             vals.append(np.tile(coeffs[i], len(M)))
-            lead_cols.append(cols[:, lead[i]])
             R += len(M)
-        if not R:
-            dims.append(N)
-            continue
-        ri, ci, vals = map(np.concatenate, (ri, ci, vals))
-        pivot_cols, pivots = np.unique(np.concatenate(lead_cols),
-                                       return_index=True)
-        U = len(pivots)
-        pivot_of = np.full(N, -1)
-        pivot_of[pivot_cols] = pivots
-        free = pivot_of < 0
-        B = np.zeros((R, N - U), dtype)
-        at_free = free[ci]
-        B[ri[at_free], (np.cumsum(free) - 1)[ci[at_free]]] = vals[at_free]
-        # (row, pivot, coefficient) for every pivot column a row meets,
-        # but a pivot's own lead; ri ascends, so each row's entries are
-        # contiguous
-        meets = ~at_free & (pivot_of[ci] != ri)
-        dr, dp, dc = ri[meets], pivot_of[ci[meets]], vals[meets]
-        # a pivot meets only pivots with smaller leads: U + 1 passes settle
-        level = np.zeros(R, np.int64)
-        for _ in range(U + 1):
-            higher = np.zeros(R, np.int64)
-            np.maximum.at(higher, dr, level[dp] + 1)
-            if (higher == level).all():
-                break
-            level = higher
-        # each level takes the j-th pivot entry of all its rows at once, for
-        # j = 0, 1, ...: one product per row in memory at a time
-        nth = np.arange(len(dr)) - np.searchsorted(dr, dr)
-        for L in range(level.max() + 1):
-            at = level[dr] == L
-            q, c, k = dp[at], dc[at], nth[at]
-            rows, group = np.unique(dr[at], return_inverse=True)
-            sub = np.zeros((len(rows), N - U), dtype)
-            for j in range(k.max(initial=-1) + 1):
-                jth = k == j
-                prod = B[q[jth]]
-                prod *= c[jth, None]
-                sub[group[jth]] += red(prod)
-            B[rows] = red(B[rows] - sub)
-        rest = np.delete(B, pivots, axis=0)
-        rank = U + (matrix_rank(list(rest), K) if rest.size else 0)
-        dims.append(N - rank)
+        # a degree below every generator's has no rows
+        coo = (np.concatenate(a or [()]) for a in (ri, ci, vals))
+        dims.append(N - sparse_rank((R, N), *coo, ring.field))
     return tuple(dims)
 
 

@@ -178,6 +178,148 @@ def test_matrix_rank_leaves_its_input_unchanged(p):
     assert np.array_equal(A, before)
 
 
+SPARSE_FIELDS = [PrimeField(2), PrimeField(32003), PrimeField(2 ** 31 - 1),
+                 PrimeField(2 ** 64 + 13), QQ]
+
+
+def dense_rank(rows, field):
+    """The dense oracles: Gauss-Jordan over GF(p), fractions over QQ."""
+    if not rows:
+        return 0
+    if field.char:
+        return rank_by_python_ints(rows, field.char)
+    return rank_by_fractions(rows)
+
+
+def coo_of(rows, field, rng):
+    """The nonzeros of a dense matrix as (rows, cols, vals) arrays, in a
+    random order, with the values in the field's matrix_dtype."""
+    nz = [(r, c, x) for r, row in enumerate(rows)
+          for c, x in enumerate(row) if x]
+    rng.shuffle(nz)
+    ri, ci, vals = zip(*nz) if nz else ((), (), ())
+    return (np.array(ri, np.int64), np.array(ci, np.int64),
+            np.array(vals, resolution.matrix_dtype(field.char)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(field, dense rows, N) for sparse_rank: mostly zero entries, rows
+    that repeat or combine earlier rows, so leads are shared, zero rows,
+    an all-pivot shape (a distinct lead per row) and the empty matrix."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    p = field.char or 7
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.char:
+            # unreduced and negative representatives as well
+            return rng.randrange(-p, 2 * p)
+        return Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 7]))
+
+    shape = draw(st.sampled_from(["random", "all-pivot"]))
+    if shape == "all-pivot":
+        # row r leads at column r: a triangular matrix, no residual
+        nrows = min(nrows, ncols)
+        rows = [[entry() if c < r else 0 for c in range(ncols)]
+                for r in range(nrows)]
+        for r in range(nrows):
+            rows[r][r] = rng.randrange(1, p)
+    else:
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(draw(st.integers(0, 3)) if rows else 0):
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            c = rng.randrange(-p, p)
+            row = [x + c * y for x, y in zip(rows[a], rows[b])]
+            rows.append([x % p for x in row] if field.char else row)
+        rng.shuffle(rows)
+    return field, rows, ncols
+
+
+@given(sparse_matrices(), st.integers(0, 2 ** 32))
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_matches_the_dense_oracles(case, seed):
+    field, rows, ncols = case
+    coo = coo_of(rows, field, random.Random(seed))
+    before = [a.copy() for a in coo]
+    rank = resolution.sparse_rank((len(rows), ncols), *coo, field)
+    assert rank == dense_rank(rows, field)
+    assert all(np.array_equal(a, b) for a, b in zip(coo, before))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS)
+def test_sparse_rank_edge_cases(field):
+    empty = np.zeros(0, np.int64)
+    for shape in [(0, 0), (0, 4), (3, 0), (3, 4)]:
+        assert resolution.sparse_rank(shape, empty, empty, empty, field) == 0
+    # explicit zeros (p over GF(p)) are no leads: rows 0 and 2 are zero,
+    # and row 3's lead is column 1, which it shares with row 1
+    zero = field.char
+    rows, cols = np.array([0, 1, 1, 2, 3, 3]), np.array([3, 0, 1, 2, 1, 3])
+    vals = np.array([zero, 1, 3, zero, 3, zero],
+                    resolution.matrix_dtype(field.char))
+    assert resolution.sparse_rank((4, 4), rows, cols, vals, field) == 2
+
+
+def test_sparse_rank_reduces_products_before_summing_them():
+    # entries p - 1 at p = 2^31 - 1: the pivots e_k + (p - 1)(e_0 + e_1)
+    # lead at columns 2..5, and the last row, their sum times p - 1, meets
+    # all four with multiplier p - 1.  Each product (p - 1)^2 is near
+    # 2^62, so four of them summed unreduced overflow int64; reduced, the
+    # row vanishes and the rank is 4.
+    p = 2 ** 31 - 1
+    K = PrimeField(p)
+    rows = [[p - 1, p - 1] + [int(c == k) for c in range(2, 6)]
+            for k in range(2, 6)]
+    rows.append([4, 4] + [p - 1] * 4)
+    assert resolution.matrix_dtype(p) == np.int64
+    assert dense_rank(rows, K) == 4
+    coo = coo_of(rows, K, random.Random(1))
+    assert resolution.sparse_rank((5, 6), *coo, K) == 4
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_betti_table_ranks_only_the_koszul_residuals(monkeypatch, char):
+    # three generic forms in 4 variables: a complete intersection, so the
+    # table is the Koszul one.  Every Koszul differential goes through
+    # sparse_rank, which hands matrix_rank fewer rows and columns than
+    # the differential has, or nothing at all
+    ring = make_ring(["x1", "x2", "x3", "x4"], char=char)
+    rng = random.Random(3)
+    I = IdealPresentation(ring, tuple(
+        random_form(ring, DegRevLexOrder(), d, rng) for d in (2, 2, 3)))
+    real_sparse, real_dense = resolution.sparse_rank, resolution.matrix_rank
+    calls, inside = [], []
+
+    def sparse(shape, rows, cols, vals, field):
+        calls.append([shape])
+        inside.append(shape)
+        try:
+            return real_sparse(shape, rows, cols, vals, field)
+        finally:
+            inside.pop()
+
+    def dense(rows, field):
+        if inside:
+            calls[-1].append((len(rows), len(rows[0])))
+        return real_dense(rows, field)
+
+    monkeypatch.setattr(resolution, "sparse_rank", sparse)
+    monkeypatch.setattr(resolution, "matrix_rank", dense)
+    T = betti_table(I)
+    assert T.entries == {(0, 2): 2, (0, 3): 1, (1, 4): 1, (1, 5): 2,
+                         (2, 7): 1}
+    assert calls
+    for (R, N), *residual in calls:
+        for r, n in residual:
+            assert r < R and n < N
+    assert any(len(call) == 1 for call in calls)
+
+
 # ---------------------------------------------------------------------------
 # monomial engine against known resolutions
 

@@ -171,16 +171,17 @@ def kept_rows_and_pivots(J, t):
 
 
 def record_matrix_rank(monkeypatch):
-    """The (rows, columns) of every matrix hf_direct hands matrix_rank."""
-    import regcert.verify as verify_mod
+    """The (rows, columns) of every matrix the pivot split of hf_direct's
+    rank hands matrix_rank."""
+    import regcert.resolution as resolution_mod
     shapes = []
-    real = verify_mod.matrix_rank
+    real = resolution_mod.matrix_rank
 
     def recorded(rows, K):
         shapes.append((len(rows), len(rows[0])))
         return real(rows, K)
 
-    monkeypatch.setattr(verify_mod, "matrix_rank", recorded)
+    monkeypatch.setattr(resolution_mod, "matrix_rank", recorded)
     return shapes
 
 
