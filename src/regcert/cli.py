@@ -129,10 +129,6 @@ def cmd_kernel(args, out):
 
 def cmd_reg(args, out):
     J, _ = _load(args, "ideal")
-    if not J.homogeneous:
-        raise _Usage("reg requires a homogeneous ideal")
-    if J.is_zero():
-        raise _Usage("regularity of the zero ideal is undefined")
     r = regularity(J)
     if args.json:
         print(json.dumps({"regularity": r, "field": J.ring.char}), file=out)

@@ -10,8 +10,7 @@ heap with coefficient zero and is skipped when popped.
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
 (deg lcm, order key of lcm, i, j, lcm), each entry computed once when its
-pair is made.  The coprime and chain criteria are applied as skips unless
-disabled for oracle cross-checks.
+pair is made.  The coprime and chain criteria are applied as skips.
 """
 
 import heapq
@@ -149,7 +148,7 @@ def _chain_criterion(i, j, lms, pairs_done, lcm_ij):
     return False
 
 
-def buchberger(I, order, use_criteria=True):
+def buchberger(I, order):
     """Buchberger's algorithm on an ideal's generators; returns an
     (unreduced) Groebner basis."""
     if I.is_zero():
@@ -169,11 +168,10 @@ def buchberger(I, order, use_criteria=True):
     while pairs:
         _, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        if use_criteria:
-            if lcm == mono_mul(lms[i], lms[j]):
-                continue  # coprime leading monomials
-            if _chain_criterion(i, j, lms, done, lcm):
-                continue
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue  # coprime leading monomials
+        if _chain_criterion(i, j, lms, done, lcm):
+            continue
         s = s_polynomial(G[i], G[j], order)
         rem, _ = normal_form(s, G, order)
         if not rem.is_zero():

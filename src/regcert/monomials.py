@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .rings import LexOrder, mono_deg, mono_divides
+from .rings import LexOrder, make_ring, mono_deg, mono_divides
 
 _LEX = LexOrder()
 
@@ -437,7 +437,6 @@ def g_cap(n, d, m):
 def ci_lex_ideal(n, d, m):
     """Lex-segment ideal of a complete intersection of n degree-d forms in
     n+m variables, scanned through the scan bound of its series."""
-    from .rings import make_ring
     h = ci_hilbert_function(n, d, m)
     ring = make_ring([f"z{i + 1}" for i in range(n + m)])
     M, _ = lex_segment_ideal(h, ring, h.scan_bound())

@@ -20,11 +20,12 @@ Two engines, both exact linear algebra over the coefficient field:
   assembled from blocks of the multiplication matrices x_k.  Cells are
   restricted by the termwise bound beta(I) <= beta(in I).
 
-Ranks over GF(p) use blocked LU (rank_mod_p), over the rationals
-fraction-free Bareiss elimination (rank_exact_rational).  Sparse matrices
-(the Koszul differentials, and the Macaulay matrices of verify.hf_direct)
-first go through the pivot split of sparse_rank, which hands these dense
-kernels only the rows its pivots leave.
+Ranks over GF(p) use Gaussian elimination in int64 or Python ints
+(rank_mod_p), over the rationals fraction-free Bareiss elimination
+(rank_exact_rational).  Sparse matrices (the Koszul differentials, and the
+Macaulay matrices of verify.hf_direct) first go through the pivot split of
+sparse_rank, which hands these dense kernels only the rows its pivots
+leave.
 """
 
 import itertools
@@ -43,121 +44,54 @@ from .scalars import PrimeField
 # ---------------------------------------------------------------------------
 # exact rank computation
 
-# Columns per panel of the blocked elimination in rank_mod_p.  A block
-# product sums at most PANEL products of an entry below p and a limb of
-# U12, so float64 computes it exactly while PANEL (p - 1) limb_max < 2^53.
-PANEL = 128
-# Elements in one row chunk of the trailing update (2 MB of float64)
-_CHUNK = 1 << 18
-
-
 def matrix_dtype(p):
     """The dtype of an exact matrix over the field of characteristic p:
-    int64 over GF(p) for p below 2^31, where rank_mod_p's float64 block
-    products are exact and a product of two entries stays below 2^62;
-    Python objects (ints, or Fractions over QQ) otherwise."""
+    int64 over GF(p) for p below 2^31, where a product of two entries
+    stays below 2^62; Python objects (ints, or Fractions over QQ)
+    otherwise."""
     return np.int64 if 0 < p < 2 ** 31 else object
 
 
-def _limbs(p):
-    """(bits, count) of the limbs of U12: the widest w with
-    PANEL (p - 1) (2^w - 1) < 2^53, spread evenly over as few limbs as
-    cover p - 1.  One limb while PANEL (p - 1)^2 < 2^53 (p below 2^23),
-    three of at most 11 bits below 2^31; one for Python ints."""
-    nbits = (p - 1).bit_length()
-    widest = ((2 ** 53 - 1) // (PANEL * (p - 1)) + 1).bit_length() - 1
-    count = -(-nbits // widest) if p < 2 ** 31 else 1
-    return -(-nbits // count), count
-
-
-def _split(U, bits, count, work):
-    """U, entries in [0, p), as limbs of `bits` bits, lowest first, on a
-    new first axis."""
-    if count == 1:
-        return U[None].astype(work)
-    return np.stack([U >> bits * s & (1 << bits) - 1
-                     for s in range(count)]).astype(work)
-
-
-def _block_product(L, limbs, bits, p):
-    """L @ U up to multiples of p: one exact product per limb of U, joined
-    by Horner's rule with a reduction mod p before each shift, so partial
-    results stay below 2^54 in int64."""
-    acc = L @ limbs[-1]
-    for limb in limbs[-2::-1]:
-        acc = (acc.astype(np.int64) % p << bits) + (L @ limb).astype(np.int64)
-    return acc
-
-
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p) by right-looking blocked LU
-    (the FFLAS-FFPACK scheme: Dumas, Giorgi and Pernet, ACM TOMS 2008).
+    """Rank of an integer matrix over GF(p) by right-looking Gaussian
+    elimination, column by column.  The pivot column is reduced mod p;
+    the first nonzero entry at or below the current rank is the pivot,
+    and its row is swapped into place.  Each row below with a nonzero
+    entry in the pivot column loses its multiple of the pivot row, taken
+    mod p.
 
-    The columns are split into panels of PANEL columns.  Within a panel
-    each column is eliminated in turn: the first nonzero entry at or
-    below the current rank is the pivot, its whole row is swapped into
-    place, and the multipliers of the rows below are stored in the panel
-    column.  After the panel, one triangular pass over the pivot rows
-    gives their trailing part U12, and one matrix product per chunk of
-    rows below gives A22 -= L21 @ U12 (mod p).
-
-    Exact for every prime.  Pivots, multipliers and the operands of the
-    block products are reduced to [0, p).  For p below 2^31 the matrix is
-    int64 and the block products are float64, one per limb of U12 (see
-    _limbs), each exact because every partial sum is an integer below
-    2^53.  For larger p the matrix and the products are Python ints
-    (dtype=object).  The dtype follows from p alone (matrix_dtype).  The
-    kernel works on its own copy of rows, which it leaves unchanged."""
+    Exact for every prime.  An update subtracts at most (p - 1)^2 from an
+    entry, and an int64 entry in [0, p) stays above -2^63 through
+    room = (2^63 - p) // (p - 1)^2 of them, so in int64 (matrix_dtype)
+    the trailing rows are reduced mod p only after room updates; Python
+    ints (p at least 2^31) are never reduced.  The kernel works on its own
+    copy of rows, which it leaves unchanged."""
     if not rows:
         return 0
     A = np.array(rows, dtype=matrix_dtype(p))
     A %= p
-    work = np.float64 if A.dtype == np.int64 else object
-    bits, count = _limbs(p)
     nr, nc = A.shape
-    rank = 0
-    for c0 in range(0, nc, PANEL):
-        c1 = min(c0 + PANEL, nc)
-        top = rank
-        pivots = []
-        for j in range(c0, c1):
-            # panel entries below the rank are reduced only here: each
-            # earlier pivot of the panel subtracted less than (p - 1)^2,
-            # which int64 holds PANEL times below 2^28; with several limbs
-            # each update is reduced first
-            A[rank:, j] %= p
-            nz = np.flatnonzero(A[rank:, j])
-            if not nz.size:
-                continue
-            if nz[0]:
-                A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
-            below = rank + np.flatnonzero(A[rank + 1:, j]) + 1
-            if below.size:
-                mult = A[below, j] * pow(int(A[rank, j]), -1, p) % p
-                A[below, j] = mult
-                update = np.outer(mult, A[rank, j + 1:c1] % p)
-                A[below, j + 1:c1] -= update % p if count > 1 else update
-            pivots.append(j)
-            rank += 1
-            if rank == nr:
-                return rank
-        if not pivots or c1 == nc:
+    room = (2 ** 63 - p) // (p - 1) ** 2 if A.dtype == np.int64 else None
+    rank = updates = 0
+    for j in range(nc):
+        A[rank:, j] %= p
+        nz = rank + np.flatnonzero(A[rank:, j])
+        if not nz.size:
             continue
-        L = A[top:, pivots].astype(work)
-        U = A[top:rank, c1:]
-        limbs = _split(U, bits, count, work)
-        for t in range(1, len(pivots)):
-            # reduced in the matrix dtype: float64 remainder is slow
-            U[t] = (U[t] - _block_product(L[t, :t], limbs[:, :t], bits, p)
-                    ).astype(A.dtype) % p
-            limbs[:, t] = _split(U[t], bits, count, work)
-        L21 = L[len(pivots):]
-        step = max(1, _CHUNK // (nc - c1))
-        for i in range(0, nr - rank, step):
-            block = A[rank + i:rank + i + step, c1:]
-            np.subtract(block, _block_product(L21[i:i + step], limbs, bits, p),
-                        out=block, casting="unsafe")
-            block %= p
+        if nz[0] != rank:
+            A[[rank, nz[0]]] = A[[nz[0], rank]]
+        # the row swapped down has a zero in column j
+        below = nz[1:]
+        if below.size:
+            mult = A[below, j] * pow(int(A[rank, j]), -1, p) % p
+            A[below, j + 1:] -= np.outer(mult, A[rank, j + 1:] % p)
+            updates += 1
+            if updates == room:
+                A[rank + 1:, j + 1:] %= p
+                updates = 0
+        rank += 1
+        if rank == nr:
+            break
     return rank
 
 

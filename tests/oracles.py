@@ -8,11 +8,12 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from regcert.groebner import GroebnerBasis, normal_form
 from regcert.monomials import (HilbertSeries, MacaulayViolation,
                                monomials_of_degree, num_monomials)
 from regcert.resolution import _reduced_homology, matrix_rank
 from regcert.rings import (LexOrder, Polynomial, mono_deg, mono_div,
-                           mono_divides, mono_lcm, mono_mul)
+                           mono_divides, mono_lcm, mono_mul, s_polynomial)
 
 
 def hilbert_function_incl_excl(M, D):
@@ -322,6 +323,21 @@ def normal_form_by_max(f, G, order):
             remainder.append((c, m))
     return (Polynomial(ring, order, remainder),
             [Polynomial(ring, order, q) for q in quotients])
+
+
+def buchberger_without_criteria(I, order):
+    """groebner.buchberger with neither the coprime nor the chain
+    criterion: every S-pair is reduced, in the order the pairs are made.
+    Returns an (unreduced) Groebner basis."""
+    G = [p.with_order(order).monic() for p in I.generators]
+    pairs = list(combinations(range(len(G)), 2))
+    while pairs:
+        i, j = pairs.pop(0)
+        rem, _ = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        if not rem.is_zero():
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(rem.monic())
+    return GroebnerBasis(I.ring, tuple(G), order)
 
 
 def rank_by_fractions(rows):

@@ -60,6 +60,12 @@ def test_reg_nonhomogeneous_usage_error(files, capsys):
     assert "homogeneous" in err
 
 
+def test_reg_of_the_zero_ideal_is_a_usage_error(files, capsys):
+    code, out, err = run(capsys, "reg", "--ideal", files["zero.txt"])
+    assert code == 64 and out == ""
+    assert "regularity of the zero ideal is undefined" in err
+
+
 def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "reg", "--ideal", "/nonexistent/x.txt")
     assert code == 64

@@ -15,7 +15,7 @@ from regcert.parser import parse_ideal_file
 from regcert.groebner import (IdealPresentation, groebner_basis,
                               initial_ideal, normal_form)
 from regcert.instances import random_form
-from regcert.resolution import (PANEL, BettiTable, betti_table, matrix_rank,
+from regcert.resolution import (BettiTable, betti_table, matrix_rank,
                                 rank_exact_rational, rank_mod_p, regularity,
                                 t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
@@ -129,10 +129,11 @@ def deficient_matrix(rng, p, nrows, ncols, rank, zero_cols):
     return rows
 
 
-# (rows, columns, rank bound, zero columns) for the blocked elimination:
-# one, two and three panels of PANEL = 128 columns.  Ranks are reached
-# before the last column; the wide case has no pivot in its second panel,
-# and the pivots of the last case are spread over three panels.
+# (rows, columns, rank bound, zero columns) for the elimination: tall,
+# square and wide matrices of 100 to 390 columns.  Ranks are reached
+# before the last column; the wide case has a long run of zero columns
+# in its middle, and the pivots of the last case are sparse in its
+# first 250 columns.
 BLOCKED_CASES = {
     "one-panel-tall": (120, 100, 70, {3, 50, 99}),
     "two-panels-tall": (180, 140, 135, set(range(60, 70))),
@@ -143,19 +144,13 @@ BLOCKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003, 8388593, 8388617, 2147483647,
-                               4294967311])
+@pytest.mark.parametrize("p", [2, 3, 32003, 8388593, 8388617, 1073741789,
+                               2147483647, 4294967311])
 @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
-def test_rank_mod_p_blocked_against_oracle(case, p, monkeypatch):
-    # 8388593 and 8388617 are the primes on either side of 2^23, where the
-    # block products go from one limb of U12 to two; 2147483647 = 2^31 - 1
-    # takes three limbs, and 4294967311 takes the Python-int route
-    assert PANEL == 128
-    assert resolution._limbs(8388593)[1] == 1
-    assert resolution._limbs(8388617)[1] == 2
-    assert resolution._limbs(2147483647) == (11, 3)
-    # small row chunks, so each trailing update takes several
-    monkeypatch.setattr(resolution, "_CHUNK", 2000)
+def test_rank_mod_p_blocked_against_oracle(case, p):
+    # in int64 the trailing rows are reduced after every
+    # (2^63 - p) // (p - 1)^2 updates: 8 at 1073741789 = 2^30 - 35 and 2
+    # at 2147483647 = 2^31 - 1; 4294967311 takes the Python-int route
     nrows, ncols, rank, zero_cols = BLOCKED_CASES[case]
     rows = deficient_matrix(random.Random(repr((case, p))), p, nrows, ncols,
                             rank, zero_cols)
