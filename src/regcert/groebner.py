@@ -5,7 +5,8 @@ substitutions.
 
 Division keeps the live terms in a heap keyed by the reversed order key,
 computed once when a monomial enters; a term that cancels stays in the
-heap with coefficient zero and is skipped when popped.
+heap with coefficient zero and is skipped when popped.  A divisor's lead,
+inverse leading coefficient and tail are taken once per call.
 
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
@@ -15,11 +16,12 @@ pair is made.  The coprime and chain criteria are applied as skips.
 
 import heapq
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .monomials import MonomialIdeal
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     PolyRing, apply_power_map, is_homogeneous, mono_deg,
-                    mono_div, mono_divides, mono_lcm, mono_mul, s_polynomial)
+                    mono_divides, mono_lcm, mono_mul, s_polynomial)
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,10 @@ def normal_form(f, G, order=None):
     reducible term by the first eligible divisor in list order."""
     if order is None:
         order = f.order
-    G = [g.with_order(order) for g in G]
     f = f.with_order(order)
-    ring = f.ring
-    K = ring.field
-    lead = [(g.leading_monomial(), K.inv(g.leading_coefficient()))
-            for g in G]
+    K = f.ring.field
+    divisors = [(g.leading_monomial(), K.inv(g.leading_coefficient()),
+                 g.terms[1:]) for g in (h.with_order(order) for h in G)]
     quotients = [[] for _ in G]
     remainder = []
     # work maps each monomial still in the heap to its coefficient, zero
@@ -115,13 +115,13 @@ def normal_form(f, G, order=None):
         c = work.pop(m)
         if not c:
             continue
-        for idx, (lm, inv) in enumerate(lead):
-            if mono_divides(lm, m):
-                q = mono_div(m, lm)
+        for quotient, (lm, inv, tail) in zip(quotients, divisors):
+            if all(map(le, lm, m)):
+                q = tuple(map(sub, m, lm))
                 coeff = K(c * inv)
-                quotients[idx].append((coeff, q))
-                for gc, gm in G[idx].terms[1:]:
-                    mm = mono_mul(gm, q)
+                quotient.append((coeff, q))
+                for gc, gm in tail:
+                    mm = tuple(map(add, gm, q))
                     old = work.get(mm)
                     if old is None:
                         heapq.heappush(heap, (_descending(order.key(mm)), mm))
@@ -130,8 +130,8 @@ def normal_form(f, G, order=None):
                 break
         else:
             remainder.append((c, m))
-    return (Polynomial(ring, order, remainder),
-            [Polynomial(ring, order, q) for q in quotients])
+    return (Polynomial(f.ring, order, remainder),
+            [Polynomial(f.ring, order, q) for q in quotients])
 
 
 def _chain_criterion(i, j, lms, pairs_done, lcm_ij):

@@ -46,10 +46,19 @@ from .scalars import PrimeField
 
 def matrix_dtype(p):
     """The dtype of an exact matrix over the field of characteristic p:
-    int64 over GF(p) for p below 2^31, where a product of two entries
-    stays below 2^62; Python objects (ints, or Fractions over QQ)
-    otherwise."""
+    int64 over GF(p) for p below 2^31, where an entry can take two or more
+    products of entries (_int64_room); Python objects (ints, or Fractions
+    over QQ) otherwise."""
     return np.int64 if 0 < p < 2 ** 31 else object
+
+
+def _int64_room(p):
+    """How many products of two entries, each at most (p - 1)^2, an int64
+    entry in [0, p) takes, added or subtracted, before it can overflow:
+    (2^63 - p) // (p - 1)^2, which is 2 at 2^31 - 1.  None where
+    matrix_dtype is object, which has no limit."""
+    if matrix_dtype(p) is np.int64:
+        return (2 ** 63 - p) // (p - 1) ** 2
 
 
 def rank_mod_p(rows, p):
@@ -61,17 +70,16 @@ def rank_mod_p(rows, p):
     mod p.
 
     Exact for every prime.  An update subtracts at most (p - 1)^2 from an
-    entry, and an int64 entry in [0, p) stays above -2^63 through
-    room = (2^63 - p) // (p - 1)^2 of them, so in int64 (matrix_dtype)
-    the trailing rows are reduced mod p only after room updates; Python
-    ints (p at least 2^31) are never reduced.  The kernel works on its own
-    copy of rows, which it leaves unchanged."""
+    entry, so in int64 (matrix_dtype) the trailing rows are reduced mod p
+    only after _int64_room(p) updates; Python ints (p at least 2^31) are
+    never reduced.  The kernel works on its own copy of rows, which it
+    leaves unchanged."""
     if not rows:
         return 0
     A = np.array(rows, dtype=matrix_dtype(p))
     A %= p
     nr, nc = A.shape
-    room = (2 ** 63 - p) // (p - 1) ** 2 if A.dtype == np.int64 else None
+    room = _int64_room(p)
     rank = updates = 0
     for j in range(nc):
         A[rank:, j] %= p
@@ -152,11 +160,12 @@ def sparse_rank(shape, rows, cols, vals, field):
     level of the pivots it meets.  A pivot meets only pivots with smaller
     leads, so levels are well defined and a batch reads reduced pivots.
 
-    Matrices have the field's matrix_dtype; over GF(p) each product of two
-    entries is reduced mod p before the sums, which int64 then holds while
-    a row meets fewer than 2^32 pivots."""
+    Matrices have the field's matrix_dtype; over GF(p) a batch's sums of
+    products are reduced mod p after every _int64_room(p) of them, and
+    Python ints (p at least 2^31) only at the end."""
     R, N = shape
     p = field.char
+    room = _int64_room(p)
     red = (lambda A: np.remainder(A, p, out=A)) if p else (lambda A: A)
     vals = red(np.array(vals, matrix_dtype(p)))
     # nonzero entries by row, then column: a row's lead is its last entry
@@ -198,7 +207,9 @@ def sparse_rank(shape, rows, cols, vals, field):
             jth = k == j
             prod = B[q[jth]]
             prod *= c[jth, None]
-            sub[group[jth]] += red(prod)
+            sub[group[jth]] += prod
+            if room and j % room == room - 1:
+                red(sub)
         B[batch] = red(B[batch] - sub)
         done[batch] = True
     rest = np.delete(B, pivots, axis=0)
@@ -363,8 +374,8 @@ class _KoszulWorkspace:
     element of G whose leading monomial divides x, gets
     NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g, whose
     rows are already filled (same degree, smaller).  Rows have the
-    matrix_dtype of the field; over GF(p) they are reduced after every
-    term, so each int64 product stays below 2^62."""
+    matrix_dtype of the field, and the sum is one product; in int64 it
+    is taken in chunks of _int64_room(p) tail terms, each reduced mod p."""
 
     def __init__(self, G, inI):
         self.G = G
@@ -392,17 +403,21 @@ class _KoszulWorkspace:
         monos = sorted(monomials_of_degree(self.ring.nvars, t),
                        key=self.order.key)
         row_of = {x: r for r, x in enumerate(monos)}
-        leads = [(g.leading_monomial(), g) for g in self.G.generators]
+        room = _int64_room(p) or len(monos)  # no tail is longer
+        leads = [(g.leading_monomial(), [m for _, m in g.terms[1:]],
+                  np.array([K(-c * K.inv(g.leading_coefficient()))
+                            for c, _ in g.terms[1:]], self.dtype))
+                 for g in self.G.generators]
         N = np.zeros((len(monos), len(col)), self.dtype)
         for r, x in enumerate(monos):
             if x in col:
                 N[r, col[x]] = 1
                 continue
-            lm, g = next((lm, g) for lm, g in leads if mono_divides(lm, x))
+            lm, tail, coeffs = next(d for d in leads if mono_divides(d[0], x))
             w = mono_div(x, lm)
-            inv = K.inv(g.leading_coefficient())
-            for c, m in g.terms[1:]:
-                N[r] -= K(c * inv) * N[row_of[mono_mul(w, m)]]
+            rows = [row_of[mono_mul(w, m)] for m in tail]
+            for s in range(0, len(rows), room):
+                N[r] += coeffs[s:s + room] @ N[rows[s:s + room]]
                 if p:
                     N[r] %= p
         return row_of, N

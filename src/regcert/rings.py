@@ -7,6 +7,7 @@ eliminating the large variables is "drop every element with a large
 variable".
 """
 
+import operator
 from dataclasses import dataclass
 
 from .scalars import DEFAULT_PRIME, field_of_characteristic
@@ -20,24 +21,23 @@ def mono_deg(m):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a, b):
     """Quotient a / b; b must divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
+    if not all(map(operator.le, b, a)):
         raise ValueError(f"{b} does not divide {a}")
-    return q
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_one(nvars):
@@ -54,7 +54,7 @@ class LexOrder:
     """Lexicographic order with x_l > ... > x_1."""
 
     def key(self, m):
-        return tuple(reversed(m))
+        return m[::-1]
 
     def eliminates(self, keep, nvars):
         return True
@@ -68,7 +68,7 @@ class DegRevLexOrder:
     """Degree reverse lexicographic order with x_l > ... > x_1."""
 
     def key(self, m):
-        return (sum(m), tuple(-e for e in m))
+        return (sum(m), tuple(map(operator.neg, m)))
 
     def eliminates(self, keep, nvars):
         return keep == nvars
@@ -85,9 +85,9 @@ class BlockOrder:
     keep: int
 
     def key(self, m):
-        hi = m[self.keep:]
-        lo = m[:self.keep]
-        return (sum(hi), tuple(-e for e in hi), sum(lo), tuple(-e for e in lo))
+        hi, lo = m[self.keep:], m[:self.keep]
+        return (sum(hi), tuple(map(operator.neg, hi)),
+                sum(lo), tuple(map(operator.neg, lo)))
 
     def eliminates(self, keep, nvars):
         return keep == self.keep

@@ -12,8 +12,40 @@ from regcert.groebner import GroebnerBasis, normal_form
 from regcert.monomials import (HilbertSeries, MacaulayViolation,
                                monomials_of_degree, num_monomials)
 from regcert.resolution import _reduced_homology, matrix_rank
-from regcert.rings import (LexOrder, Polynomial, mono_deg, mono_div,
-                           mono_divides, mono_lcm, mono_mul, s_polynomial)
+from regcert.rings import (DegRevLexOrder, LexOrder, Polynomial, mono_deg,
+                           mono_div, mono_divides, mono_lcm, mono_mul,
+                           s_polynomial)
+
+
+def mono_mul_by_zip(a, b):
+    """rings.mono_mul as a generator expression over zip."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_lcm_by_zip(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_divides_by_zip(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div_by_zip(a, b):
+    q = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in q):
+        raise ValueError(f"{b} does not divide {a}")
+    return q
+
+
+def order_key_by_genexpr(order, m):
+    """The key of m under a LexOrder, DegRevLexOrder or BlockOrder, its
+    negated parts built by generator expressions."""
+    if isinstance(order, LexOrder):
+        return tuple(reversed(m))
+    if isinstance(order, DegRevLexOrder):
+        return (sum(m), tuple(-e for e in m))
+    hi, lo = m[order.keep:], m[:order.keep]
+    return (sum(hi), tuple(-e for e in hi), sum(lo), tuple(-e for e in lo))
 
 
 def hilbert_function_incl_excl(M, D):

@@ -277,6 +277,31 @@ def test_sparse_rank_reduces_products_before_summing_them():
     assert resolution.sparse_rank((5, 6), *coo, K) == 4
 
 
+def test_int64_room():
+    # (2^63 - p) // (p - 1)^2 products fit on an int64 entry in [0, p);
+    # object matrices (p at least 2^31, and QQ) have no limit
+    assert resolution._int64_room(2 ** 31 - 1) == 2
+    assert resolution._int64_room(2 ** 30 - 35) == 8
+    assert resolution._int64_room(2 ** 61 - 1) is None
+    assert resolution._int64_room(QQ.char) is None
+
+
+def test_sparse_rank_reduces_after_room_products():
+    # as above at p = 2^30 - 35, where room is 8, with 2 room + 1 pivots
+    # e_k + (p - 1)(e_0 + e_1): the last row meets every one with
+    # multiplier p - 1, and room + 1 products (p - 1)^2 overflow int64
+    p = 2 ** 30 - 35
+    room = resolution._int64_room(p)
+    K = PrimeField(p)
+    npiv = 2 * room + 1
+    rows = [[p - 1, p - 1] + [int(c == k) for c in range(npiv)]
+            for k in range(npiv)]
+    rows.append([npiv, npiv] + [p - 1] * npiv)
+    assert dense_rank(rows, K) == npiv
+    coo = coo_of(rows, K, random.Random(2))
+    assert resolution.sparse_rank((npiv + 1, npiv + 2), *coo, K) == npiv
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_betti_table_ranks_only_the_koszul_residuals(monkeypatch, char):
     # three generic forms in 4 variables: a complete intersection, so the
@@ -451,7 +476,7 @@ def test_betti_char_zero_agrees():
 
 
 NF_FIELDS = [PrimeField(2), PrimeField(32003), PrimeField(2 ** 31 - 1),
-             PrimeField(2 ** 61 - 1), QQ]
+             PrimeField(2 ** 30 - 35), PrimeField(2 ** 61 - 1), QQ]
 
 
 @st.composite

@@ -10,6 +10,9 @@ from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial, Pow
                            mono_div, mono_divides, mono_lcm, mono_mul,
                            mono_one, s_polynomial)
 
+from oracles import (mono_div_by_zip, mono_divides_by_zip, mono_lcm_by_zip,
+                     mono_mul_by_zip, order_key_by_genexpr)
+
 ORDERS = [LexOrder(), DegRevLexOrder(), BlockOrder(2)]
 
 
@@ -81,6 +84,38 @@ def test_monomial_helpers():
     assert mono_div((4, 2), (1, 2)) == (3, 0)
     with pytest.raises(ValueError):
         mono_div((1, 0), (2, 0))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exponent tuples of one length 1-8, zeros included; the second
+    is often a multiple of the first, so both sides of divisibility
+    come up."""
+    mono = st.tuples(*[st.integers(0, 4)] * draw(st.integers(1, 8)))
+    a, b = draw(mono), draw(mono)
+    return a, draw(st.sampled_from([b, mono_mul_by_zip(a, b)]))
+
+
+@given(monomial_pairs(), st.integers(0, 8))
+def test_monomial_helpers_and_keys_match_the_generator_forms(pair, keep):
+    a, b = pair
+    assert mono_mul(a, b) == mono_mul_by_zip(a, b)
+    assert mono_lcm(a, b) == mono_lcm_by_zip(a, b)
+    assert mono_divides(a, b) == mono_divides_by_zip(a, b)
+    assert mono_divides(b, a) == mono_divides_by_zip(b, a)
+    for x, y in [(a, b), (b, a)]:
+        if mono_divides_by_zip(y, x):
+            assert mono_div(x, y) == mono_div_by_zip(x, y)
+        else:
+            with pytest.raises(ValueError):
+                mono_div(x, y)
+    assert all(type(f(a, b)) is tuple for f in (mono_mul, mono_lcm))
+    for order in (LexOrder(), DegRevLexOrder(), BlockOrder(min(keep, len(a)))):
+        for m in (a, b):
+            key = order.key(m)
+            assert type(key) is tuple
+            assert all(type(part) in (int, tuple) for part in key)
+            assert key == order_key_by_genexpr(order, m)
 
 
 @pytest.fixture
