@@ -3,7 +3,8 @@
 Subcommands: kernel, reg, lex, gtable, and verify {regflat, poweli,
 regbound, main}.  Each takes only the flags its handler reads (COMMANDS);
 any other flag is a usage error.  Exit codes: 0 all checks pass, 1 at
-least one failure, 2 inconclusive, 64 usage error.
+least one failure, 2 inconclusive (a cutoff below the Gotzmann bound, or
+out of memory, which proves nothing either way), 64 usage error.
 """
 
 import argparse
@@ -278,6 +279,9 @@ def main(argv=None):
     except (FileNotFoundError, ValueError) as exc:
         print(f"regcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"regcert: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except SystemExit as exc:
         code = exc.code
         return EXIT_USAGE if code not in (0, None) else 0

@@ -3,7 +3,8 @@ parametrisation), division with remainder, Buchberger's algorithm,
 elimination, kernels of polynomial maps, and images under power
 substitutions.
 
-Division keeps the live terms in a heap keyed by the reversed order key,
+Division keeps the live terms in a heap keyed by the negated order key
+(order keys are flat tuples of ints, so one map of neg reverses them),
 computed once when a monomial enters; a term that cancels stays in the
 heap with coefficient zero and is skipped when popped.  A divisor's lead,
 inverse leading coefficient and tail are taken once per call.
@@ -16,7 +17,7 @@ pair is made.  The coprime and chain criteria are applied as skips.
 
 import heapq
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .monomials import MonomialIdeal
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
@@ -84,12 +85,6 @@ class Parametrisation:
             raise ValueError("each image must be homogeneous of degree d")
 
 
-def _descending(key):
-    """An order key reversed: every int of the (nested) tuple negated, so
-    the smallest descending key belongs to the largest monomial."""
-    return tuple([-k if isinstance(k, int) else _descending(k) for k in key])
-
-
 def normal_form(f, G, order=None):
     """Divide f by the list G: returns (remainder, quotients) with
     f = sum q_g * g + remainder and no remainder term divisible by a
@@ -108,7 +103,7 @@ def normal_form(f, G, order=None):
     # never comes back, so the remainder and every quotient come out with
     # nonzero terms in strictly decreasing order
     work = f.coeff_dict()
-    heap = [(_descending(order.key(m)), m) for m in work]
+    heap = [(tuple(map(neg, order.key(m))), m) for m in work]
     heapq.heapify(heap)
     while heap:
         m = heapq.heappop(heap)[1]
@@ -124,7 +119,8 @@ def normal_form(f, G, order=None):
                     mm = tuple(map(add, gm, q))
                     old = work.get(mm)
                     if old is None:
-                        heapq.heappush(heap, (_descending(order.key(mm)), mm))
+                        heapq.heappush(heap,
+                                       (tuple(map(neg, order.key(mm))), mm))
                         old = 0
                     work[mm] = K(old - coeff * gc)
                 break

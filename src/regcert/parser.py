@@ -8,6 +8,9 @@ The char and order clauses are optional (defaults: 32003, lex); a char
 passed to parse_ideal_file overrides the clause.  format_polynomial emits
 the canonical normalized form of a polynomial; parsing its output and
 printing again is byte-identical.
+
+A token carries its offset in the text; the line and column of a
+ParseError are worked out from that offset only when it is raised.
 """
 
 import re
@@ -26,6 +29,11 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
+def _raise_at(text, pos, message):
+    raise ParseError(message, text.count("\n", 0, pos) + 1,
+                     pos - text.rfind("\n", 0, pos))
+
+
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<nat>\d+)
@@ -35,48 +43,34 @@ _TOKEN_RE = re.compile(r"""
 
 
 def _tokenize(text):
+    """(kind, value, offset) for each token, then ("eof", "", len(text))."""
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        val = m.group()
-        if kind != "ws":
-            tokens.append((kind, val, line, col))
-        for ch in val:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+            _raise_at(text, pos, f"unexpected character {text[pos]!r}")
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+    tokens.append(("eof", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text, char=None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.char = char  # overrides the file's char clause
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def error(self, msg, tok=None):
         tok = tok or self.tokens[min(self.i, len(self.tokens) - 1)]
-        raise ParseError(msg, tok[2], tok[3])
+        _raise_at(self.text, tok[2], msg)
 
     def expect(self, kind, value=None):
-        tok = self.next()
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok[0] != kind or (value is not None and tok[1] != value):
             want = value or kind
             self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}",
@@ -84,54 +78,53 @@ class _Parser:
         return tok
 
     def accept(self, kind, value=None):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] == kind and (value is None or tok[1] == value):
             self.i += 1
             return tok
         return None
 
-    def at_keyword(self, word):
-        tok = self.peek()
-        return tok[0] == "ident" and tok[1] == word
-
-    # -- clauses ------------------------------------------------------------
-
-    def parse_char(self):
-        """The 'char P ;' clause after its keyword."""
-        tok = self.expect("nat")
-        try:
-            char = check_characteristic(int(tok[1]))
-        except ValueError as exc:
-            self.error(str(exc), tok)
-        self.expect("sym", ";")
-        return char
-
-    def ring(self, names, char):
-        return make_ring(names, char=char if self.char is None else self.char)
-
     def parse_file(self):
-        if self.at_keyword("ring"):
-            return self.parse_ideal()
-        if self.at_keyword("param"):
-            return self.parse_param()
-        self.error("file must start with 'ring' or 'param'")
-
-    def parse_ideal(self):
-        self.expect("ident", "ring")
-        names = []
-        while self.peek()[0] == "ident":
-            names.append(self.next()[1])
-        if not names:
-            self.error("expected at least one variable name")
+        if self.accept("ident", "ring"):
+            names = []
+            while tok := self.accept("ident"):
+                names.append(tok[1])
+            if not names:
+                self.error("expected at least one variable name")
+            self.expect("sym", ";")
+            char, order = self.clauses(len(names))
+            ring, polys = self.poly_list("gens", names, char, order)
+            return ring, IdealPresentation.from_polynomials(ring, polys), order
+        if not self.accept("ident", "param"):
+            self.error("file must start with 'ring' or 'param'")
+        vals = []
+        for key in "nmd":
+            self.expect("ident", key)
+            self.expect("sym", "=")
+            vals.append(int(self.expect("nat")[1]))
+        n, m, d = vals
         self.expect("sym", ";")
-        char = DEFAULT_PRIME
-        order = LexOrder()
+        char, order = self.clauses(None)
+        # a generator, so the names are built only after 'f:'
+        ring, polys = self.poly_list("f", (f"y{i + 1}" for i in range(m)),
+                                     char, order)
+        if len(polys) != n:
+            self.error(f"expected {n} image polynomials, found {len(polys)}")
+        return ring, Parametrisation(n, m, d, tuple(polys), ring), order
+
+    def clauses(self, nvars):
+        """(char, order) of the optional clauses: any run of 'char P ;' and
+        'order O ;' in a ring file of nvars variables, at most one
+        'char P ;' in a param file (nvars None)."""
+        char, order = DEFAULT_PRIME, LexOrder()
         while True:
-            if self.at_keyword("char"):
-                self.next()
-                char = self.parse_char()
-            elif self.at_keyword("order"):
-                self.next()
+            if self.accept("ident", "char"):
+                tok = self.expect("nat")
+                try:
+                    char = check_characteristic(int(tok[1]))
+                except ValueError as exc:
+                    self.error(str(exc), tok)
+            elif nvars is not None and self.accept("ident", "order"):
                 tok = self.expect("ident")
                 if tok[1] == "lex":
                     order = LexOrder()
@@ -139,66 +132,35 @@ class _Parser:
                     order = DegRevLexOrder()
                 elif tok[1] == "elim":
                     k = int(self.expect("nat")[1])
-                    if not 0 <= k <= len(names):
+                    if not 0 <= k <= nvars:
                         self.error("elimination split out of range", tok)
                     order = BlockOrder(k)
                 else:
                     self.error(f"unknown order {tok[1]!r}", tok)
-                self.expect("sym", ";")
             else:
-                break
-        self.expect("ident", "gens")
-        self.expect("sym", ":")
-        ring = self.ring(names, char)
-        polys = [self.parse_poly(ring, order)]
-        while self.accept("sym", ","):
-            polys.append(self.parse_poly(ring, order))
-        self.expect("eof")
-        return ring, IdealPresentation.from_polynomials(ring, polys), order
+                return char, order
+            self.expect("sym", ";")
+            if nvars is None:
+                return char, order
 
-    def parse_param(self):
-        self.expect("ident", "param")
-        vals = {}
-        for key in ("n", "m", "d"):
-            self.expect("ident", key)
-            self.expect("sym", "=")
-            vals[key] = int(self.expect("nat")[1])
-        self.expect("sym", ";")
-        char = DEFAULT_PRIME
-        if self.at_keyword("char"):
-            self.next()
-            char = self.parse_char()
-        self.expect("ident", "f")
+    def poly_list(self, keyword, names, char, order):
+        """'keyword: poly, ..., poly' to the end of input, read in the ring
+        on names, which is built only after the keyword and its colon."""
+        self.expect("ident", keyword)
         self.expect("sym", ":")
-        ring = self.ring([f"y{i + 1}" for i in range(vals["m"])], char)
-        order = LexOrder()
+        ring = make_ring(names, char=char if self.char is None else self.char)
         polys = [self.parse_poly(ring, order)]
         while self.accept("sym", ","):
             polys.append(self.parse_poly(ring, order))
         self.expect("eof")
-        if len(polys) != vals["n"]:
-            self.error(f"expected {vals['n']} image polynomials, "
-                       f"found {len(polys)}")
-        param = Parametrisation(vals["n"], vals["m"], vals["d"],
-                                tuple(polys), ring)
-        return ring, param, order
+        return ring, polys
 
     # -- polynomials ---------------------------------------------------------
 
     def parse_poly(self, ring, order):
-        terms = []
-        sign = 1
-        if self.accept("sym", "-"):
-            sign = -1
-        terms.append(self.parse_term(ring, sign))
-        while True:
-            if self.accept("sym", "+"):
-                sign = 1
-            elif self.accept("sym", "-"):
-                sign = -1
-            else:
-                break
-            terms.append(self.parse_term(ring, sign))
+        terms = [self.parse_term(ring, -1 if self.accept("sym", "-") else 1)]
+        while tok := self.accept("sym", "+") or self.accept("sym", "-"):
+            terms.append(self.parse_term(ring, -1 if tok[1] == "-" else 1))
         return Polynomial.from_terms(ring, order, terms)
 
     def parse_term(self, ring, sign):
@@ -206,9 +168,7 @@ class _Parser:
         coeff = 1
         exps = [0] * ring.nvars
         saw_var = False
-        tok = self.peek()
-        if tok[0] == "nat":
-            self.next()
+        if tok := self.accept("nat"):
             coeff = K(int(tok[1]))
             if self.accept("sym", "/"):
                 den_tok = self.expect("nat")
@@ -218,17 +178,10 @@ class _Parser:
                                f"{ring.char}", den_tok)
                 coeff = K(coeff * K.inv(den))
             if not self.accept("sym", "*"):
-                if self.peek()[0] == "ident":
+                if self.tokens[self.i][0] == "ident":
                     self.error("missing '*' between coefficient and variable")
                 return K(sign * coeff), tuple(exps)
-        while True:
-            tok = self.peek()
-            if tok[0] != "ident":
-                if saw_var:
-                    break
-                self.error(f"expected a term, found "
-                           f"{tok[1] or 'end of input'!r}")
-            self.next()
+        while tok := self.accept("ident"):
             if tok[1] not in ring.names:
                 self.error(f"unknown variable {tok[1]!r}", tok)
             idx = ring.names.index(tok[1])
@@ -239,6 +192,9 @@ class _Parser:
             saw_var = True
             if not self.accept("sym", "*"):
                 break
+        if not saw_var:
+            tok = self.tokens[self.i]
+            self.error(f"expected a term, found {tok[1] or 'end of input'!r}")
         return K(sign * coeff), tuple(exps)
 
 

@@ -28,6 +28,7 @@ sparse_rank, which hands these dense kernels only the rows its pivots
 leave.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -312,6 +313,14 @@ def monomial_quotient_betti(M, field):
     codes, deg, mask = _standard_box(gens, maxexp, radix)
     full = (1 << l) - 1
 
+    @functools.cache
+    def subfaces(sigma):
+        """|sigma| and, for each face t (bit i of t drops the i-th vertex
+        of sigma), the vertex mask of sigma less the dropped vertices."""
+        sv = [1 << k for k in range(l) if sigma >> k & 1]
+        return len(sv), [sigma ^ sum(v for i, v in enumerate(sv) if t >> i & 1)
+                         for t in range(1 << len(sv))]
+
     def outside(base, tau):
         """True where u + e_tau is not a standard monomial."""
         q = base + sum(radix[k] for k in range(l) if tau >> k & 1)
@@ -340,20 +349,17 @@ def monomial_quotient_betti(M, field):
     for p, row in enumerate(order[new_pattern]):
         memb = sum(int(ch[row]) << 64 * t for t, ch in enumerate(chunks))
         part = slice(bounds[p], bounds[p + 1])
-        # blocks u + sigma, sigma = supp(u) and coordinates below the edge;
-        # face t of sigma drops the vertices sv[i] with bit i of t set
+        # blocks u + sigma, sigma = supp(u) and coordinates below the edge
         m = int(mask[row])
         sup, extra = m & full, m >> l & ~m
         for sigma in (sup | ex for ex in range(extra + 1) if ex & extra == ex):
             if not sigma or not memb >> sigma & 1:
                 continue
-            sv = [k for k in range(l) if sigma >> k & 1]
-            drop = [sum(1 << v for i, v in enumerate(sv) if t >> i & 1)
-                    for t in range(1 << len(sv))]
-            faces = [t for t, d in enumerate(drop) if memb >> (sigma ^ d) & 1]
-            hv = _reduced_homology(faces, len(sv), field)
+            size, subs = subfaces(sigma)
+            faces = [t for t, s in enumerate(subs) if memb >> s & 1]
+            hv = _reduced_homology(faces, size, field)
             for hdim, rank in hv.items():
-                cells[hdim + 2, deg[runs[part]] + len(sv)] += \
+                cells[hdim + 2, deg[runs[part]] + size] += \
                     rank * counts[part]
     entries = {(0, 0): 1}
     entries.update({(int(i), int(j)): int(cells[i, j])

@@ -45,9 +45,9 @@ def mono_one(nvars):
 
 
 # ---------------------------------------------------------------------------
-# term orders: frozen values; key(m) sorts monomials increasing with the
-# order, and eliminates(keep, nvars) is true iff the order eliminates the
-# last nvars-keep variables
+# term orders: frozen values; key(m), a flat tuple of ints, sorts monomials
+# increasing with the order, and eliminates(keep, nvars) is true iff the
+# order eliminates the last nvars-keep variables
 
 @dataclass(frozen=True)
 class LexOrder:
@@ -68,7 +68,7 @@ class DegRevLexOrder:
     """Degree reverse lexicographic order with x_l > ... > x_1."""
 
     def key(self, m):
-        return (sum(m), tuple(map(operator.neg, m)))
+        return (sum(m), *map(operator.neg, m))
 
     def eliminates(self, keep, nvars):
         return keep == nvars
@@ -86,8 +86,8 @@ class BlockOrder:
 
     def key(self, m):
         hi, lo = m[self.keep:], m[:self.keep]
-        return (sum(hi), tuple(map(operator.neg, hi)),
-                sum(lo), tuple(map(operator.neg, lo)))
+        return (sum(hi), *map(operator.neg, hi),
+                sum(lo), *map(operator.neg, lo))
 
     def eliminates(self, keep, nvars):
         return keep == self.keep

@@ -8,13 +8,16 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from regcert.groebner import GroebnerBasis, normal_form
+from regcert.groebner import (GroebnerBasis, IdealPresentation,
+                              Parametrisation, normal_form)
 from regcert.monomials import (HilbertSeries, MacaulayViolation,
                                monomials_of_degree, num_monomials)
+from regcert.parser import _TOKEN_RE, ParseError
 from regcert.resolution import _reduced_homology, matrix_rank
-from regcert.rings import (DegRevLexOrder, LexOrder, Polynomial, mono_deg,
-                           mono_div, mono_divides, mono_lcm, mono_mul,
-                           s_polynomial)
+from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
+                           make_ring, mono_deg, mono_div, mono_divides,
+                           mono_lcm, mono_mul, s_polynomial)
+from regcert.scalars import DEFAULT_PRIME, check_characteristic
 
 
 def mono_mul_by_zip(a, b):
@@ -38,14 +41,14 @@ def mono_div_by_zip(a, b):
 
 
 def order_key_by_genexpr(order, m):
-    """The key of m under a LexOrder, DegRevLexOrder or BlockOrder, its
-    negated parts built by generator expressions."""
+    """The flat key of m under a LexOrder, DegRevLexOrder or BlockOrder,
+    its negated parts built by generator expressions."""
     if isinstance(order, LexOrder):
         return tuple(reversed(m))
     if isinstance(order, DegRevLexOrder):
-        return (sum(m), tuple(-e for e in m))
+        return (sum(m), *(-e for e in m))
     hi, lo = m[order.keep:], m[:order.keep]
-    return (sum(hi), tuple(-e for e in hi), sum(lo), tuple(-e for e in lo))
+    return (sum(hi), *(-e for e in hi), sum(lo), *(-e for e in lo))
 
 
 def hilbert_function_incl_excl(M, D):
@@ -418,3 +421,216 @@ def hf_direct_all_rows(J, D):
         rank = matrix_rank(rows, ring.field) if rows else 0
         dims.append(num_monomials(ring.nvars, t) - rank)
     return tuple(dims)
+
+
+# ---------------------------------------------------------------------------
+# the file reader that tracks line and column character by character
+
+def _tokenize_by_char(text):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        val = m.group()
+        if kind != "ws":
+            tokens.append((kind, val, line, col))
+        for ch in val:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+class _ParserByCharPositions:
+    def __init__(self, text, char=None):
+        self.tokens = _tokenize_by_char(text)
+        self.i = 0
+        self.char = char  # overrides the file's char clause
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, msg, tok=None):
+        tok = tok or self.tokens[min(self.i, len(self.tokens) - 1)]
+        raise ParseError(msg, tok[2], tok[3])
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            self.error(f"expected {want!r}, found {tok[1] or 'end of input'!r}",
+                       tok)
+        return tok
+
+    def accept(self, kind, value=None):
+        tok = self.peek()
+        if tok[0] == kind and (value is None or tok[1] == value):
+            self.i += 1
+            return tok
+        return None
+
+    def at_keyword(self, word):
+        tok = self.peek()
+        return tok[0] == "ident" and tok[1] == word
+
+    def parse_char(self):
+        """The 'char P ;' clause after its keyword."""
+        tok = self.expect("nat")
+        try:
+            char = check_characteristic(int(tok[1]))
+        except ValueError as exc:
+            self.error(str(exc), tok)
+        self.expect("sym", ";")
+        return char
+
+    def ring(self, names, char):
+        return make_ring(names, char=char if self.char is None else self.char)
+
+    def parse_file(self):
+        if self.at_keyword("ring"):
+            return self.parse_ideal()
+        if self.at_keyword("param"):
+            return self.parse_param()
+        self.error("file must start with 'ring' or 'param'")
+
+    def parse_ideal(self):
+        self.expect("ident", "ring")
+        names = []
+        while self.peek()[0] == "ident":
+            names.append(self.next()[1])
+        if not names:
+            self.error("expected at least one variable name")
+        self.expect("sym", ";")
+        char = DEFAULT_PRIME
+        order = LexOrder()
+        while True:
+            if self.at_keyword("char"):
+                self.next()
+                char = self.parse_char()
+            elif self.at_keyword("order"):
+                self.next()
+                tok = self.expect("ident")
+                if tok[1] == "lex":
+                    order = LexOrder()
+                elif tok[1] == "degrevlex":
+                    order = DegRevLexOrder()
+                elif tok[1] == "elim":
+                    k = int(self.expect("nat")[1])
+                    if not 0 <= k <= len(names):
+                        self.error("elimination split out of range", tok)
+                    order = BlockOrder(k)
+                else:
+                    self.error(f"unknown order {tok[1]!r}", tok)
+                self.expect("sym", ";")
+            else:
+                break
+        self.expect("ident", "gens")
+        self.expect("sym", ":")
+        ring = self.ring(names, char)
+        polys = [self.parse_poly(ring, order)]
+        while self.accept("sym", ","):
+            polys.append(self.parse_poly(ring, order))
+        self.expect("eof")
+        return ring, IdealPresentation.from_polynomials(ring, polys), order
+
+    def parse_param(self):
+        self.expect("ident", "param")
+        vals = {}
+        for key in ("n", "m", "d"):
+            self.expect("ident", key)
+            self.expect("sym", "=")
+            vals[key] = int(self.expect("nat")[1])
+        self.expect("sym", ";")
+        char = DEFAULT_PRIME
+        if self.at_keyword("char"):
+            self.next()
+            char = self.parse_char()
+        self.expect("ident", "f")
+        self.expect("sym", ":")
+        ring = self.ring([f"y{i + 1}" for i in range(vals["m"])], char)
+        order = LexOrder()
+        polys = [self.parse_poly(ring, order)]
+        while self.accept("sym", ","):
+            polys.append(self.parse_poly(ring, order))
+        self.expect("eof")
+        if len(polys) != vals["n"]:
+            self.error(f"expected {vals['n']} image polynomials, "
+                       f"found {len(polys)}")
+        param = Parametrisation(vals["n"], vals["m"], vals["d"],
+                                tuple(polys), ring)
+        return ring, param, order
+
+    def parse_poly(self, ring, order):
+        terms = []
+        sign = 1
+        if self.accept("sym", "-"):
+            sign = -1
+        terms.append(self.parse_term(ring, sign))
+        while True:
+            if self.accept("sym", "+"):
+                sign = 1
+            elif self.accept("sym", "-"):
+                sign = -1
+            else:
+                break
+            terms.append(self.parse_term(ring, sign))
+        return Polynomial.from_terms(ring, order, terms)
+
+    def parse_term(self, ring, sign):
+        K = ring.field
+        coeff = 1
+        exps = [0] * ring.nvars
+        saw_var = False
+        tok = self.peek()
+        if tok[0] == "nat":
+            self.next()
+            coeff = K(int(tok[1]))
+            if self.accept("sym", "/"):
+                den_tok = self.expect("nat")
+                den = K(int(den_tok[1]))
+                if not den:
+                    self.error(f"zero denominator in characteristic "
+                               f"{ring.char}", den_tok)
+                coeff = K(coeff * K.inv(den))
+            if not self.accept("sym", "*"):
+                if self.peek()[0] == "ident":
+                    self.error("missing '*' between coefficient and variable")
+                return K(sign * coeff), tuple(exps)
+        while True:
+            tok = self.peek()
+            if tok[0] != "ident":
+                if saw_var:
+                    break
+                self.error(f"expected a term, found "
+                           f"{tok[1] or 'end of input'!r}")
+            self.next()
+            if tok[1] not in ring.names:
+                self.error(f"unknown variable {tok[1]!r}", tok)
+            idx = ring.names.index(tok[1])
+            power = 1
+            if self.accept("sym", "^"):
+                power = int(self.expect("nat")[1])
+            exps[idx] += power
+            saw_var = True
+            if not self.accept("sym", "*"):
+                break
+        return K(sign * coeff), tuple(exps)
+
+
+def parse_by_char_positions(text, char=None):
+    """parser.parse_ideal_file with every token's line and column counted
+    character by character as the text is tokenized."""
+    return _ParserByCharPositions(text, char).parse_file()

@@ -405,3 +405,16 @@ def test_char_override_parses_once_at_the_new_field(files, capsys):
     code, _, err = run(capsys, "reg", "--ideal", files["squares.txt"],
                        "--char", "4")
     assert code == 64 and "0 or prime" in err and "column" not in err
+
+
+def test_out_of_memory_is_inconclusive(files, capsys, monkeypatch):
+    """Running out of memory proves nothing either way: exit 2 with a
+    message, not a traceback and exit 1, which mean a failed check."""
+    def exhausted(J):
+        raise MemoryError("Unable to allocate 202. GiB for an array")
+
+    monkeypatch.setattr("regcert.cli.regularity", exhausted)
+    code, out, err = run(capsys, "reg", "--ideal", files["squares.txt"])
+    assert code == 2 and out == ""
+    assert err == "regcert: out of memory: Unable to allocate 202. GiB " \
+                  "for an array\n"

@@ -1,8 +1,11 @@
 """Parsing, printing, and the round-trip property."""
 
-import pytest
-from hypothesis import given, strategies as st
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import parse_by_char_positions
 from regcert.groebner import Parametrisation
 from regcert.parser import (ParseError, format_monomial, format_polynomial,
                             parse_ideal_file)
@@ -141,16 +144,20 @@ def reprint(text):
     return f"{head}: {', '.join(format_polynomial(g) for g in polys)}"
 
 
+NORMALIZED_FILES = [
+    "ring x1 x2; char 0; gens: x1^2, x2^2",
+    "ring x1 x2 x3; char 32003; order degrevlex; "
+    "gens: 2*x1*x2 + x3^2, x1 - x3",
+    "ring x1 x2 x3; order elim 1; gens: x2*x3 + 7",
+    "param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2",
+    "ring x1 x2; char 0; gens: 1/3*x1 - x2, x1^4",
+    "param n=1 m=1 d=2; char 3; f: 2*y1^2",
+    "ring x1 x2;\nchar 0;\norder elim 1;\ngens: x1 - 3/2*x2",
+]
+
+
 def test_round_trip_is_identity_on_normalized_files():
-    texts = [
-        "ring x1 x2; char 0; gens: x1^2, x2^2",
-        "ring x1 x2 x3; char 32003; order degrevlex; "
-        "gens: 2*x1*x2 + x3^2, x1 - x3",
-        "ring x1 x2 x3; order elim 1; gens: x2*x3 + 7",
-        "param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2",
-        "ring x1 x2; char 0; gens: 1/3*x1 - x2, x1^4",
-    ]
-    for text in texts:
+    for text in NORMALIZED_FILES:
         once = reprint(text)
         assert reprint(once) == once
 
@@ -193,3 +200,50 @@ def test_round_trip_property(text):
     assert reprint(once) == once
     assert [g.coeff_dict() for g in J2.generators] == \
         [g.coeff_dict() for g in J.generators]
+
+
+# the words and symbols of the grammar, a variable of no ring, a character
+# outside the grammar, line breaks and whole clauses; numbers have at most
+# three digits, so no file asks for a huge ring.  About half the edits land
+# just after a ';', where a clause may start.
+_PIECES = ["ring", "param", "char", "order", "gens", "f", "lex",
+           "degrevlex", "elim", "n", "m", "d", "x1", "x3", "y1", "y3", "zz",
+           ";", ":", ",", "+", "-", "*", "^", "/", "=", " ", "\n", " \n ",
+           "#"]
+_CLAUSES = [" char 0;", " char 3 ;", " order lex;", " order elim 2;"]
+
+
+@st.composite
+def mutated_file(draw):
+    """A normalized file with one to four tokens inserted, deleted or
+    replaced."""
+    tokens = re.findall(r"\s+|\w+|.", draw(st.sampled_from(NORMALIZED_FILES)))
+    piece = (st.sampled_from(_PIECES) | st.sampled_from(_CLAUSES)
+             | st.integers(0, 3).map(str) | st.integers(0, 999).map(str))
+    for _ in range(draw(st.integers(1, 4))):
+        after = [k + 1 for k, tok in enumerate(tokens) if tok == ";"]
+        i = draw(st.integers(0, len(tokens)) | st.sampled_from(after))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = [] if edit == "delete" else [draw(piece)]
+        tokens[i:i + (edit != "insert")] = new
+    return "".join(tokens)
+
+
+def reading(parse, text, char):
+    """What parse makes of text: the ring, order and polynomials, or the
+    exception with its position."""
+    try:
+        ring, obj, order = parse(text, char=char)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+    polys = obj.f if isinstance(obj, Parametrisation) else obj.generators
+    return (ring.names, ring.char, repr(order),
+            [g.coeff_dict() for g in polys])
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_file(), st.sampled_from([None, 0, 3]))
+def test_reader_agrees_with_char_by_char_positions(text, char):
+    assert reading(parse_ideal_file, text, char) == \
+        reading(parse_by_char_positions, text, char)
