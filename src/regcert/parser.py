@@ -101,7 +101,7 @@ class _Parser:
         for key in "nmd":
             self.expect("ident", key)
             self.expect("sym", "=")
-            vals.append(int(self.expect("nat")[1]))
+            vals.append(self.number(self.expect("nat")))
         n, m, d = vals
         self.expect("sym", ";")
         char, order = self.clauses(None)
@@ -120,8 +120,9 @@ class _Parser:
         while True:
             if self.accept("ident", "char"):
                 tok = self.expect("nat")
+                value = self.number(tok)
                 try:
-                    char = check_characteristic(int(tok[1]))
+                    char = check_characteristic(value)
                 except ValueError as exc:
                     self.error(str(exc), tok)
             elif nvars is not None and self.accept("ident", "order"):
@@ -131,7 +132,7 @@ class _Parser:
                 elif tok[1] == "degrevlex":
                     order = DegRevLexOrder()
                 elif tok[1] == "elim":
-                    k = int(self.expect("nat")[1])
+                    k = self.number(self.expect("nat"))
                     if not 0 <= k <= nvars:
                         self.error("elimination split out of range", tok)
                     order = BlockOrder(k)
@@ -167,12 +168,11 @@ class _Parser:
         K = ring.field
         coeff = 1
         exps = [0] * ring.nvars
-        saw_var = False
         if tok := self.accept("nat"):
-            coeff = K(int(tok[1]))
+            coeff = K(self.number(tok))
             if self.accept("sym", "/"):
                 den_tok = self.expect("nat")
-                den = K(int(den_tok[1]))
+                den = K(self.number(den_tok))
                 if not den:
                     self.error(f"zero denominator in characteristic "
                                f"{ring.char}", den_tok)
@@ -181,21 +181,30 @@ class _Parser:
                 if self.tokens[self.i][0] == "ident":
                     self.error("missing '*' between coefficient and variable")
                 return K(sign * coeff), tuple(exps)
-        while tok := self.accept("ident"):
+        # a variable starts the rest of the term and follows each '*'
+        while True:
+            tok = self.tokens[self.i]
+            if tok[0] != "ident":
+                self.error(f"expected a term, found "
+                           f"{tok[1] or 'end of input'!r}")
+            self.i += 1
             if tok[1] not in ring.names:
                 self.error(f"unknown variable {tok[1]!r}", tok)
             idx = ring.names.index(tok[1])
             power = 1
             if self.accept("sym", "^"):
-                power = int(self.expect("nat")[1])
+                power = self.number(self.expect("nat"))
             exps[idx] += power
-            saw_var = True
             if not self.accept("sym", "*"):
-                break
-        if not saw_var:
-            tok = self.tokens[self.i]
-            self.error(f"expected a term, found {tok[1] or 'end of input'!r}")
-        return K(sign * coeff), tuple(exps)
+                return K(sign * coeff), tuple(exps)
+
+    def number(self, tok):
+        """The value of a nat token; one with more digits than int() reads
+        (sys.get_int_max_str_digits) is an error at the token."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.error(f"number of {len(tok[1])} digits is too long", tok)
 
 
 def parse_ideal_file(text, char=None):

@@ -20,6 +20,12 @@ Two engines, both exact linear algebra over the coefficient field:
   assembled from blocks of the multiplication matrices x_k.  Cells are
   restricted by the termwise bound beta(I) <= beta(in I).
 
+betti_table takes one route per input.  A MonomialIdeal goes to the
+monomial engine.  A presentation goes through its reduced degrevlex basis
+G and initial ideal in(I): if G is all monomials, I = in(I) and the
+monomial engine alone gives the table; otherwise the total-degree engine
+computes the cells of in(I)'s table, which the monomial engine gives.
+
 Ranks over GF(p) use Gaussian elimination in int64 or Python ints
 (rank_mod_p), over the rationals fraction-free Bareiss elimination
 (rank_exact_rational).  Sparse matrices (the Koszul differentials, and the
@@ -370,93 +376,77 @@ def monomial_quotient_betti(M, field):
 # ---------------------------------------------------------------------------
 # total-degree Koszul engine for general homogeneous ideals
 
-class _KoszulWorkspace:
-    """Shared state for Koszul ranks of one homogeneous ideal, given by its
-    reduced Groebner basis G and initial ideal inI.
+def _nf_table(G, std, t):
+    """({monomial of degree t: row}, matrix of their normal forms modulo the
+    reduced Groebner basis G over std, the degree-t standard monomials).
 
-    Normal forms come from one table per degree t: a dense row over std(t)
-    for every monomial of degree t, filled in increasing term order.  A
-    standard monomial gets a unit row; any other x = w lm(g), g the first
-    element of G whose leading monomial divides x, gets
-    NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g, whose
-    rows are already filled (same degree, smaller).  Rows have the
-    matrix_dtype of the field, and the sum is one product; in int64 it
-    is taken in chunks of _int64_room(p) tail terms, each reduced mod p."""
+    The table has a dense row for every monomial of degree t, filled in
+    increasing term order.  A standard monomial gets a unit row; any other
+    x = w lm(g), g the first element of G whose leading monomial divides x,
+    gets NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g,
+    whose rows are already filled (same degree, smaller).  Rows have the
+    matrix_dtype of the field, and the sum is one product; in int64 it is
+    taken in chunks of _int64_room(p) tail terms, each reduced mod p."""
+    K, p = G.ring.field, G.ring.char
+    dtype = matrix_dtype(p)
+    col = {v: c for c, v in enumerate(std)}
+    monos = sorted(monomials_of_degree(G.ring.nvars, t), key=G.order.key)
+    row_of = {x: r for r, x in enumerate(monos)}
+    room = _int64_room(p) or len(monos)  # no tail is longer
+    leads = [(g.leading_monomial(), [m for _, m in g.terms[1:]],
+              np.array([K(-c * K.inv(g.leading_coefficient()))
+                        for c, _ in g.terms[1:]], dtype))
+             for g in G.generators]
+    N = np.zeros((len(monos), len(col)), dtype)
+    for r, x in enumerate(monos):
+        if x in col:
+            N[r, col[x]] = 1
+            continue
+        lm, tail, coeffs = next(d for d in leads if mono_divides(d[0], x))
+        w = mono_div(x, lm)
+        rows = [row_of[mono_mul(w, m)] for m in tail]
+        for s in range(0, len(rows), room):
+            N[r] += coeffs[s:s + room] @ N[rows[s:s + room]]
+            if p:
+                N[r] %= p
+    return row_of, N
 
-    def __init__(self, G, inI):
-        self.G = G
-        self.inI = inI
-        self.ring = G.ring
-        self.order = G.order
-        self.field = self.ring.field
-        self.dtype = matrix_dtype(self.field.char)
-        self._std = {}
-        self._mult = {}
-        self._rank = {}
 
-    def std(self, t):
+def _koszul_betti(G, inI):
+    """beta(i, j) = beta_{i,j}(R/I) for 1 <= i <= nvars and j >= i, as the
+    Koszul homology rank in total degree j, for the ideal I with reduced
+    Groebner basis G and initial ideal inI.  Standard monomials, the
+    multiplication matrices and the differential ranks are each computed
+    once per argument."""
+    l = G.ring.nvars
+
+    @functools.cache
+    def std(t):
         """Degree-t monomials outside in(I), descending lex."""
-        if t not in self._std:
-            self._std[t] = [m for m in monomials_of_degree(self.ring.nvars, t)
-                            if not self.inI.contains_monomial(m)]
-        return self._std[t]
+        return [m for m in monomials_of_degree(l, t)
+                if not inI.contains_monomial(m)]
 
-    def nf_table(self, t):
-        """({monomial of degree t: row}, matrix of their normal forms over
-        std(t)); called once per degree, through multiplication(t)."""
-        K, p = self.field, self.field.char
-        col = {v: c for c, v in enumerate(self.std(t))}
-        monos = sorted(monomials_of_degree(self.ring.nvars, t),
-                       key=self.order.key)
-        row_of = {x: r for r, x in enumerate(monos)}
-        room = _int64_room(p) or len(monos)  # no tail is longer
-        leads = [(g.leading_monomial(), [m for _, m in g.terms[1:]],
-                  np.array([K(-c * K.inv(g.leading_coefficient()))
-                            for c, _ in g.terms[1:]], self.dtype))
-                 for g in self.G.generators]
-        N = np.zeros((len(monos), len(col)), self.dtype)
-        for r, x in enumerate(monos):
-            if x in col:
-                N[r, col[x]] = 1
-                continue
-            lm, tail, coeffs = next(d for d in leads if mono_divides(d[0], x))
-            w = mono_div(x, lm)
-            rows = [row_of[mono_mul(w, m)] for m in tail]
-            for s in range(0, len(rows), room):
-                N[r] += coeffs[s:s + room] @ N[rows[s:s + room]]
-                if p:
-                    N[r] %= p
-        return row_of, N
-
-    def multiplication(self, t):
+    @functools.cache
+    def multiplication(t):
         """[(rows, cols, vals) of the nonzeros of x_k : std(t - 1) -> std(t)
         for each variable k], the matrix rows being normal forms."""
-        hit = self._mult.get(t)
-        if hit is None:
-            row_of, N = self.nf_table(t)
-            hit = []
-            for k in range(self.ring.nvars):
-                X = N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]]
-                       for x in self.std(t - 1)]]
-                r, c = np.nonzero(X)
-                hit.append((r, c, X[r, c]))
-            self._mult[t] = hit
-        return hit
+        row_of, N = _nf_table(G, std(t), t)
+        out = []
+        for k in range(l):
+            X = N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]]
+                   for x in std(t - 1)]]
+            r, c = np.nonzero(X)
+            out.append((r, c, X[r, c]))
+        return out
 
-    def diff_rank(self, i, j):
+    @functools.cache
+    def diff_rank(i, j):
         """Rank of the Koszul differential (K_i tensor R/I)_j -> (K_{i-1})_j:
         block (T, T minus its pos-th element k) is (-1)^pos x_k."""
-        key = (i, j)
-        hit = self._rank.get(key)
-        if hit is not None:
-            return hit
-        l = self.ring.nvars
-        if not (1 <= i <= l and j >= i and self.std(j - i)
-                and self.std(j - i + 1)):
-            self._rank[key] = 0
+        if i > l or not (std(j - i) and std(j - i + 1)):
             return 0
-        ns, nt = len(self.std(j - i)), len(self.std(j - i + 1))
-        X = self.multiplication(j - i + 1)
+        ns, nt = len(std(j - i)), len(std(j - i + 1))
+        X = multiplication(j - i + 1)
         src_sets = list(itertools.combinations(range(l), i))
         tgt_sets = {T: b for b, T in
                     enumerate(itertools.combinations(range(l), i - 1))}
@@ -466,18 +456,13 @@ class _KoszulWorkspace:
                 b = tgt_sets[T[:pos] + T[pos + 1:]]
                 r, c, v = X[k]
                 coo.append((r + a * ns, c + b * nt, -v if pos % 2 else v))
-        rank = sparse_rank((len(src_sets) * ns, len(tgt_sets) * nt),
-                           *map(np.concatenate, zip(*coo)), self.field)
-        self._rank[key] = rank
-        return rank
+        return sparse_rank((len(src_sets) * ns, len(tgt_sets) * nt),
+                           *map(np.concatenate, zip(*coo)), G.ring.field)
 
-    def betti(self, i, j):
-        """beta_{i,j}(R/I) as Koszul homology rank in total degree j."""
-        l = self.ring.nvars
-        if i < 0 or i > l or j < i:
-            return 0
-        dim = math.comb(l, i) * len(self.std(j - i))
-        return dim - self.diff_rank(i, j) - self.diff_rank(i + 1, j)
+    def beta(i, j):
+        return (math.comb(l, i) * len(std(j - i))
+                - diff_rank(i, j) - diff_rank(i + 1, j))
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -514,42 +499,37 @@ class BettiTable:
         return self.entries.get((i, j), 0)
 
 
-def _ideal_entries(quotient_entries):
-    return {(i - 1, j): v for (i, j), v in quotient_entries.items()
-            if i >= 1 and v}
-
-
 def betti_table(I):
     """Certified ideal-side Betti table of a monomial ideal, a homogeneous
-    ideal presentation, or a Groebner basis of one.  The table does not
-    depend on the term order; it is computed from the reduced degrevlex
-    basis, and a given basis that is already that one is reused."""
+    ideal presentation, or a Groebner basis of one, by the one route for
+    its kind (module docstring).  The table does not depend on the term
+    order; a given basis that is already the reduced degrevlex one is
+    reused."""
     if isinstance(I, MonomialIdeal):
-        if any(mono_deg(g) == 0 for g in I.gens):
-            raise ValueError("Betti table of the unit ideal is not defined")
-        q = monomial_quotient_betti(I, I.ring.field)
-        return BettiTable(_ideal_entries(q), I.ring.char)
-    if not I.homogeneous:
+        M, G = I, None
+    elif not I.homogeneous:
         raise ValueError("Betti tables require a homogeneous ideal")
-    if I.is_zero():
+    elif I.is_zero():
         return BettiTable({}, I.ring.char)
-    G = groebner_basis(I, DegRevLexOrder())
-    if G.is_unit_ideal():
+    else:
+        G = groebner_basis(I, DegRevLexOrder())
+        M = initial_ideal(G)
+        if all(len(g.terms) == 1 for g in G.generators):
+            G = None
+    if any(mono_deg(g) == 0 for g in M.gens):
         raise ValueError("Betti table of the unit ideal is not defined")
-    inI = initial_ideal(G)
-    mono_q = monomial_quotient_betti(inI, I.ring.field)
-    ws = _KoszulWorkspace(G, inI)
-    entries = {}
-    # termwise beta(I) <= beta(in I): only cells in the support of in(I)
-    for (i, j), bound in sorted(mono_q.items()):
-        if i == 0:
-            continue
-        v = ws.betti(i, j)
-        if v < 0 or v > bound:
-            raise RuntimeError(f"Koszul rank inconsistency at cell {(i, j)}")
-        if v:
-            entries[(i - 1, j)] = v
-    return BettiTable(entries, I.ring.char)
+    q = monomial_quotient_betti(M, I.ring.field)
+    if G is not None:
+        beta = _koszul_betti(G, M)
+        # termwise beta(I) <= beta(in I): only cells in the support of in(I)
+        for (i, j), bound in sorted(q.items()):
+            if i:
+                q[i, j] = beta(i, j)
+                if not 0 <= q[i, j] <= bound:
+                    raise RuntimeError(
+                        f"Koszul rank inconsistency at cell {(i, j)}")
+    return BettiTable({(i - 1, j): v for (i, j), v in q.items() if i and v},
+                      I.ring.char)
 
 
 def regularity(I):

@@ -593,7 +593,6 @@ class _ParserByCharPositions:
         K = ring.field
         coeff = 1
         exps = [0] * ring.nvars
-        saw_var = False
         tok = self.peek()
         if tok[0] == "nat":
             self.next()
@@ -612,8 +611,6 @@ class _ParserByCharPositions:
         while True:
             tok = self.peek()
             if tok[0] != "ident":
-                if saw_var:
-                    break
                 self.error(f"expected a term, found "
                            f"{tok[1] or 'end of input'!r}")
             self.next()
@@ -624,7 +621,6 @@ class _ParserByCharPositions:
             if self.accept("sym", "^"):
                 power = int(self.expect("nat")[1])
             exps[idx] += power
-            saw_var = True
             if not self.accept("sym", "*"):
                 break
         return K(sign * coeff), tuple(exps)

@@ -392,6 +392,16 @@ def test_zero_denominator_usage_error(files, capsys):
     assert "line 1, column 40" in err and "zero denominator" in err
 
 
+def test_number_too_long_for_int_usage_error(tmp_path, capsys):
+    for text in ("ring x1; gens: x1 + 7777*x1", "ring x1; gens: x1^7777"):
+        f = tmp_path / "long.txt"
+        f.write_text(text.replace("7777", "7" * 5000))
+        code, out, err = run(capsys, "reg", "--ideal", str(f))
+        assert code == 64 and out == ""
+        assert f"line 1, column {text.index('7') + 1}" in err
+        assert "Traceback" not in err
+
+
 def test_char_override_parses_once_at_the_new_field(files, capsys):
     # 1/32003 is a rational number, though zero in the file's own field
     code, out, _ = run(capsys, "reg", "--ideal", files["zero_den.txt"],

@@ -43,6 +43,31 @@ def test_error_positions():
     assert exc.value.line == 3
 
 
+def test_term_may_not_end_in_a_star():
+    # after a '*' the term goes on with a variable: the error is at the
+    # token after the '*'
+    text = "ring x1 x2; gens: x1* + x2*, x2"
+    with pytest.raises(ParseError, match="expected a term, found '\\+'") \
+            as exc:
+        parse_ideal_file(text)
+    assert (exc.value.line, exc.value.col) == (1, text.index("+") + 1)
+    with pytest.raises(ParseError, match="found 'end of input'"):
+        parse_ideal_file("ring x1; gens: x1^2*")
+    with pytest.raises(ParseError, match="found ','"):
+        parse_ideal_file("param n=2 m=1 d=1; f: 2*y1*, y1")
+
+
+@pytest.mark.parametrize("template", ["ring x1;\ngens: x1 + {}*x1",
+                                      "ring x1;\ngens: x1 + x1^{}"])
+def test_number_too_long_for_int_is_a_parse_error(template):
+    # int() refuses more than 4,300 digits; the reader names the position
+    text = template.format("7" * 5000)
+    with pytest.raises(ParseError, match="5000 digits") as exc:
+        parse_ideal_file(text)
+    col = text.index("7") - text.index("\n")
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable"):
         parse_ideal_file("ring x1; gens: x1*y1")
@@ -222,7 +247,9 @@ def mutated_file(draw):
              | st.integers(0, 3).map(str) | st.integers(0, 999).map(str))
     for _ in range(draw(st.integers(1, 4))):
         after = [k + 1 for k, tok in enumerate(tokens) if tok == ";"]
-        i = draw(st.integers(0, len(tokens)) | st.sampled_from(after))
+        at = st.integers(0, len(tokens))
+        # an edit may have deleted every ';'
+        i = draw(at | st.sampled_from(after) if after else at)
         edit = draw(st.sampled_from(["insert", "delete", "replace"]))
         new = [] if edit == "delete" else [draw(piece)]
         tokens[i:i + (edit != "insert")] = new

@@ -437,11 +437,37 @@ def test_monomial_betti_of_redundant_generators(gens, extra):
 # ---------------------------------------------------------------------------
 # general engine against the monomial engine
 
+def thin(e):
+    return f"ring x1 x2 x3; gens: x1^{e}*x2, x1*x2^{e}, x2*x3"
+
+
 def test_general_engine_on_monomial_input():
-    # run the same ideal through both engines
-    J = ideal("ring x1 x2 x3; gens: x1^2, x2^2, x1*x3")
-    M = mi(R3, (2, 0, 0), (0, 2, 0), (1, 0, 1))
-    assert betti_table(J).entries == betti_table(M).entries
+    # run the same ideal through both engines; betti_table itself sends a
+    # monomial basis to the monomial engine, so call the total-degree one
+    for text in ("ring x1 x2 x3; gens: x1^2, x2^2, x1*x3", thin(6)):
+        G = groebner_basis(ideal(text), DegRevLexOrder())
+        M = initial_ideal(G)
+        assert all(len(g.terms) == 1 for g in G.generators)
+        beta = resolution._koszul_betti(G, M)
+        mono_q = resolution.monomial_quotient_betti(M, R3.field)
+        assert {(i, j): beta(i, j) for i, j in mono_q if i} == \
+            {(i, j): v for (i, j), v in mono_q.items() if i}
+
+
+def test_monomial_basis_takes_the_monomial_engine(monkeypatch):
+    # a presentation whose reduced degrevlex basis is all monomials is its
+    # own initial ideal: its table is the monomial engine's, and no Koszul
+    # differential is ranked.  Through the total-degree engine, exponent
+    # 3000 asked for a 202 GiB normal-form table
+    def no_koszul(*args):
+        raise AssertionError("a Koszul differential was ranked")
+
+    monkeypatch.setattr(resolution, "sparse_rank", no_koszul)
+    J = ideal(thin(30))
+    T = betti_table(mi(R3, (30, 1, 0), (1, 30, 0), (0, 1, 1)))
+    assert T.regularity() == 59
+    assert betti_table(J) == T
+    assert betti_table(groebner_basis(J, LexOrder())) == T
 
 
 def test_general_engine_ci_conic():
@@ -506,18 +532,20 @@ def test_normal_form_table_matches_division(J):
     assume(not J.is_zero())
     G = groebner_basis(J, DegRevLexOrder())
     assume(not G.is_unit_ideal())
-    ws = resolution._KoszulWorkspace(G, initial_ideal(G))
+    inI = initial_ideal(G)
     p = J.ring.char
-    assert ws.dtype == (np.int64 if 0 < p < 2 ** 31 else object)
     for t in range(5):
-        row_of, N = ws.nf_table(t)
-        assert sorted(row_of) == sorted(monomials_of_degree(J.ring.nvars, t))
+        monos = monomials_of_degree(J.ring.nvars, t)
+        std = [m for m in monos if not inI.contains_monomial(m)]
+        row_of, N = resolution._nf_table(G, std, t)
+        assert N.dtype == (np.int64 if 0 < p < 2 ** 31 else object)
+        assert sorted(row_of) == sorted(monos)
         for x, r in row_of.items():
             rem, _ = normal_form(Polynomial(J.ring, G.order, [(1, x)]),
                                  G.generators)
             nf = rem.coeff_dict()
-            assert set(nf) <= set(ws.std(t))
-            assert list(N[r]) == [nf.get(v, 0) for v in ws.std(t)]
+            assert set(nf) <= set(std)
+            assert list(N[r]) == [nf.get(v, 0) for v in std]
 
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 2147483629])
