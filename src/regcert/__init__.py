@@ -7,7 +7,7 @@ from .groebner import (GroebnerBasis, IdealPresentation, Parametrisation,
 from .monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                         ci_hilbert_function, ci_lex_ideal, compute_G, g_cap,
                         hilbert_function, is_strongly_stable,
-                        lex_segment_ideal, macaulay_rep, stable_regularity)
+                        lex_segment_ideal, stable_regularity)
 from .parser import ParseError, format_polynomial, parse_ideal_file
 from .reports import VerificationReport
 from .resolution import BettiTable, betti_table, regularity, t_invariants
@@ -32,7 +32,7 @@ __all__ = [
     "format_polynomial", "g_cap", "groebner_basis", "hilbert_function",
     "ideal_equal", "image_ideal", "initial_ideal", "is_strongly_stable",
     "kernel_of_map", "lex_segment_ideal",
-    "macaulay_rep", "make_ring", "normal_form",
+    "make_ring", "normal_form",
     "passes_buchberger_criterion", "parse_ideal_file", "regularity",
     "s_polynomial", "stable_regularity",
     "t_invariants", "verify_main", "verify_main_trials", "verify_poweli",

@@ -55,10 +55,6 @@ class GroebnerBasis(IdealPresentation):
     def __len__(self):
         return len(self.generators)
 
-    def is_unit_ideal(self):
-        return any(mono_deg(g.leading_monomial()) == 0
-                   for g in self.generators)
-
 
 @dataclass(frozen=True)
 class Parametrisation:

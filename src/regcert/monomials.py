@@ -271,12 +271,6 @@ def _macaulay_runs(N, t):
     return runs
 
 
-def macaulay_rep(N, t):
-    """The t-th Macaulay representation N = sum C(a_i, i), a_t > ... >= i >= 1."""
-    return [(i + c, i) for c, s, e in _macaulay_runs(N, t)
-            for i in range(e, s - 1, -1)]
-
-
 def macaulay_growth(q, t):
     """Macaulay bound q^<t> = sum C(a_i + 1, i + 1) on the next quotient
     dimension (t >= 1), summed run by run in closed form."""

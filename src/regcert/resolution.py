@@ -17,14 +17,17 @@ Two engines, both exact linear algebra over the coefficient field:
   ideal.  Normal forms come from one table per degree, filled in
   increasing term order from the reduced Groebner basis (the Macaulay
   matrix view of F4: Faugere, JPAA 139, 1999); each differential is
-  assembled from blocks of the multiplication matrices x_k.  Cells are
-  restricted by the termwise bound beta(I) <= beta(in I).
+  assembled from blocks of the multiplication matrices x_k.  A rank is
+  taken only where in(I)'s table leaves a choice: by consecutive
+  cancellation, beta_{i,j}(I) is beta_{i,j}(in I) less the rank each of
+  d_i and d_{i+1} gains over in(I), and d_i can gain only where cells
+  (i-1, j) and (i, j) of in(I)'s table are both nonzero (betti_table).
 
 betti_table takes one route per input.  A MonomialIdeal goes to the
 monomial engine.  A presentation goes through its reduced degrevlex basis
 G and initial ideal in(I): if G is all monomials, I = in(I) and the
-monomial engine alone gives the table; otherwise the total-degree engine
-computes the cells of in(I)'s table, which the monomial engine gives.
+monomial engine alone gives the table; otherwise the monomial engine gives
+in(I)'s table and the total-degree engine the ranks it leaves open.
 
 Ranks over GF(p) use Gaussian elimination in int64 or Python ints
 (rank_mod_p), over the rationals fraction-free Bareiss elimination
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groebner import groebner_basis, initial_ideal
-from .monomials import MonomialIdeal, monomials_of_degree
+from .monomials import HilbertSeries, MonomialIdeal, monomials_of_degree
 from .rings import (DegRevLexOrder, mono_deg, mono_div, mono_divides,
                     mono_mul)
 from .scalars import PrimeField
@@ -412,12 +415,13 @@ def _nf_table(G, std, t):
     return row_of, N
 
 
-def _koszul_betti(G, inI):
-    """beta(i, j) = beta_{i,j}(R/I) for 1 <= i <= nvars and j >= i, as the
-    Koszul homology rank in total degree j, for the ideal I with reduced
-    Groebner basis G and initial ideal inI.  Standard monomials, the
-    multiplication matrices and the differential ranks are each computed
-    once per argument."""
+def _koszul_ranks(G, inI):
+    """rank(i, j), the rank of the Koszul differential
+    d_i : (K_i tensor R/I)_j -> (K_{i-1} tensor R/I)_j for 1 <= i <= nvars,
+    for the ideal I with reduced Groebner basis G and initial ideal inI; both
+    pieces must be nonzero.  Standard monomials, the multiplication matrices
+    and the ranks are each computed once per argument, and only for the
+    degrees a requested rank touches."""
     l = G.ring.nvars
 
     @functools.cache
@@ -440,11 +444,8 @@ def _koszul_betti(G, inI):
         return out
 
     @functools.cache
-    def diff_rank(i, j):
-        """Rank of the Koszul differential (K_i tensor R/I)_j -> (K_{i-1})_j:
-        block (T, T minus its pos-th element k) is (-1)^pos x_k."""
-        if i > l or not (std(j - i) and std(j - i + 1)):
-            return 0
+    def rank(i, j):
+        """Block (T, T minus its pos-th element k) is (-1)^pos x_k."""
         ns, nt = len(std(j - i)), len(std(j - i + 1))
         X = multiplication(j - i + 1)
         src_sets = list(itertools.combinations(range(l), i))
@@ -458,11 +459,7 @@ def _koszul_betti(G, inI):
                 coo.append((r + a * ns, c + b * nt, -v if pos % 2 else v))
         return sparse_rank((len(src_sets) * ns, len(tgt_sets) * nt),
                            *map(np.concatenate, zip(*coo)), G.ring.field)
-
-    def beta(i, j):
-        return (math.comb(l, i) * len(std(j - i))
-                - diff_rank(i, j) - diff_rank(i + 1, j))
-    return beta
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +501,37 @@ def betti_table(I):
     ideal presentation, or a Groebner basis of one, by the one route for
     its kind (module docstring).  The table does not depend on the term
     order; a given basis that is already the reduced degrevlex one is
-    reused."""
+    reused.
+
+    A general ideal's table is in(I)'s after consecutive cancellation
+    (Peeva, Proc. AMS 132, 2004).  Fix j; write beta_i for the quotient-side
+    beta_{i,j}, l for the number of variables, C_i for
+    K_i tensor (R/I)_{j-i}, of dimension C(l, i) HF(j - i), and rho_i for
+    the rank of d_i : C_i -> C_{i-1}, so beta_i = dim C_i - rho_i - rho_{i+1}
+    with rho_{l+1} = 0.
+
+    * I and in(I) have one Hilbert function.  It is read off in(I)'s
+      table, whose alternating sum sum (-1)^i beta_{i,j}(in I) t^j is the
+      numerator of the Hilbert series.  So the C_i have the same dimensions
+      for both, and rho_i(in I) follows by recursion down from rho_{l+1}:
+      rho_i(in I) = sum_{k >= i} (-1)^(k-i) (dim C_k - beta_k(in I)).
+    * The Groebner degeneration of I to in(I) is a flat family I_t, with
+      I_1 = I and I_0 = in(I) (Eisenbud, Commutative Algebra, Thm 15.17),
+      so in the standard monomials of in(I), d_i is a matrix over K[t].
+      At t != 0 it is d_i(I) with rows and columns scaled by powers of t,
+      so its minors of size rho_i(I) + 1 vanish at every t, t = 0 too:
+      c_i = rho_i(I) - rho_i(in I) >= 0.
+    * Hence beta_i(I) = beta_i(in I) - c_i - c_{i+1}.  Both terms are at
+      least 0, so beta_{i-1}(I) >= 0 and beta_i(I) >= 0 give
+      c_i <= min(beta_{i-1}(in I), beta_i(in I)): c_i = 0 unless cells
+      (i-1, j) and (i, j) of in(I)'s table are both nonzero.  In
+      particular c_1 = 0, as beta_{0,j} = 0 for j > 0.
+
+    So rho_i(I) is ranked only at those cells, and only the degrees they
+    touch get standard monomials and normal forms.  The cells are
+    cancelled in increasing i, c_i from cells (i-1, j) and (i, j) alike;
+    a c_i below 0 or above either cell as cancelled so far is a rank
+    inconsistency, and raises RuntimeError."""
     if isinstance(I, MonomialIdeal):
         M, G = I, None
     elif not I.homogeneous:
@@ -520,14 +547,24 @@ def betti_table(I):
         raise ValueError("Betti table of the unit ideal is not defined")
     q = monomial_quotient_betti(M, I.ring.field)
     if G is not None:
-        beta = _koszul_betti(G, M)
-        # termwise beta(I) <= beta(in I): only cells in the support of in(I)
-        for (i, j), bound in sorted(q.items()):
-            if i:
-                q[i, j] = beta(i, j)
-                if not 0 <= q[i, j] <= bound:
-                    raise RuntimeError(
-                        f"Koszul rank inconsistency at cell {(i, j)}")
+        l, rank = M.nvars, _koszul_ranks(G, M)
+        numerator = [0] * (max(j for _, j in q) + 1)
+        for (i, j), v in q.items():
+            numerator[j] += (-1) ** i * v
+        need = sorted(c for c in q if (c[0] - 1, c[1]) in q)
+        hf = HilbertSeries(numerator, l).dims(max([j for _, j in need],
+                                                  default=0))
+        for i, j in need:
+            # rho_i(in I), from the cells (k, j), k >= i: none is cancelled yet
+            rho = sum((-1) ** (k - i) * (math.comb(l, k) * hf[j - k]
+                                         - q.get((k, j), 0))
+                      for k in range(i, min(l, j) + 1))
+            c = rank(i, j) - rho
+            if not 0 <= c <= min(q[i - 1, j], q[i, j]):
+                raise RuntimeError(
+                    f"Koszul rank inconsistency at cell {(i, j)}")
+            q[i - 1, j] -= c
+            q[i, j] -= c
     return BettiTable({(i - 1, j): v for (i, j), v in q.items() if i and v},
                       I.ring.char)
 

@@ -9,11 +9,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from regcert.groebner import (GroebnerBasis, IdealPresentation,
-                              Parametrisation, normal_form)
+                              Parametrisation, initial_ideal, normal_form)
 from regcert.monomials import (HilbertSeries, MacaulayViolation,
                                monomials_of_degree, num_monomials)
 from regcert.parser import _TOKEN_RE, ParseError
-from regcert.resolution import _reduced_homology, matrix_rank
+from regcert.resolution import (_koszul_ranks, _reduced_homology, matrix_rank,
+                                monomial_quotient_betti)
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            make_ring, mono_deg, mono_div, mono_divides,
                            mono_lcm, mono_mul, s_polynomial)
@@ -97,7 +98,8 @@ def monomials_of_degree_recursive(nvars, t):
 
 
 def macaulay_rep_linear(N, t):
-    """monomials.macaulay_rep by a linear search for each a_i."""
+    """The t-th Macaulay representation [(a_i, i)] of N, a_t > ... >= i >= 1,
+    by a linear search for each a_i."""
     if N < 0:
         raise ValueError("negative value")
     rep = []
@@ -327,6 +329,27 @@ def monomial_quotient_betti_by_monomial(M, field):
                 break
             ex = (ex - 1) & extra
     return entries
+
+
+def koszul_betti_all_cells(G):
+    """{(i, j): beta_{i,j}(R/I)} for i >= 1 over the cells of in(I)'s
+    table, I the ideal of the reduced degrevlex basis G, with both Koszul
+    ranks taken at every cell: beta_{i,j} = C(l, i) |std(j - i)| - rho_i -
+    rho_{i+1}, rho_i the rank of resolution._koszul_ranks, rho_{l+1} = 0
+    and std(t) counted by enumeration.  resolution.betti_table's route
+    before consecutive cancellation."""
+    M = initial_ideal(G)
+    l = M.nvars
+    rank = _koszul_ranks(G, M)
+
+    def std(t):
+        return sum(not M.contains_monomial(m)
+                   for m in monomials_of_degree(l, t))
+
+    def rho(i, j):
+        return rank(i, j) if i <= l else 0
+    return {(i, j): math.comb(l, i) * std(j - i) - rho(i, j) - rho(i + 1, j)
+            for i, j in monomial_quotient_betti(M, G.ring.field) if i}
 
 
 def normal_form_by_max(f, G, order):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcert.monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
-                               _lex_run, _segment_generators,
+                               _lex_run, _macaulay_runs, _segment_generators,
                                ci_hilbert_function, ci_lex_ideal,
                                compute_G, g_cap, hilbert_function,
                                is_strongly_stable, lex_segment_ideal,
                                lex_shadow_size, lex_unrank, macaulay_growth,
-                               macaulay_rep, minimalize_monomials,
-                               monomials_of_degree, num_monomials,
-                               stable_regularity)
+                               minimalize_monomials, monomials_of_degree,
+                               num_monomials, stable_regularity)
 from regcert.rings import LexOrder, make_ring, mono_divides
 
 from oracles import (hilbert_function_incl_excl, lex_rank, lex_scan_by_unrank,
@@ -28,6 +27,13 @@ RINGS = {l: make_ring([f"x{i + 1}" for i in range(l)]) for l in range(1, 6)}
 
 def mi(*gens, ring=R3):
     return MonomialIdeal.from_monomials(ring, gens)
+
+
+def macaulay_rep(N, t):
+    """The t-th Macaulay representation [(a_i, i)] of N, a_t > ... >= i >= 1,
+    assembled from the runs a_i = i + c of monomials._macaulay_runs."""
+    return [(i + c, i) for c, s, e in _macaulay_runs(N, t)
+            for i in range(e, s - 1, -1)]
 
 
 def test_minimalize():

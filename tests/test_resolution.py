@@ -22,7 +22,8 @@ from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
 from regcert.scalars import QQ, PrimeField
 from regcert.verify import verify_regflat
 
-from oracles import monomial_quotient_betti_by_monomial, rank_by_fractions
+from oracles import (koszul_betti_all_cells,
+                     monomial_quotient_betti_by_monomial, rank_by_fractions)
 
 R2 = make_ring(["x1", "x2"])
 R3 = make_ring(["x1", "x2", "x3"])
@@ -304,14 +305,17 @@ def test_sparse_rank_reduces_after_room_products():
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_betti_table_ranks_only_the_koszul_residuals(monkeypatch, char):
-    # three generic forms in 4 variables: a complete intersection, so the
-    # table is the Koszul one.  Every Koszul differential goes through
-    # sparse_rank, which hands matrix_rank fewer rows and columns than
-    # the differential has, or nothing at all
+    # three generic forms in 4 variables, and two quadrics in 3: complete
+    # intersections, so the tables are the Koszul ones.  Every Koszul
+    # differential still ranked goes through sparse_rank, which hands
+    # matrix_rank fewer rows and columns than the differential has, or
+    # nothing at all (the second ideal's d_3 in degree 5)
     ring = make_ring(["x1", "x2", "x3", "x4"], char=char)
     rng = random.Random(3)
     I = IdealPresentation(ring, tuple(
         random_form(ring, DegRevLexOrder(), d, rng) for d in (2, 2, 3)))
+    J = parse_ideal_file("ring x1 x2 x3; gens: x1^2 + x2*x3, x2^2",
+                         char=char)[1]
     real_sparse, real_dense = resolution.sparse_rank, resolution.matrix_rank
     calls, inside = [], []
 
@@ -330,10 +334,11 @@ def test_betti_table_ranks_only_the_koszul_residuals(monkeypatch, char):
 
     monkeypatch.setattr(resolution, "sparse_rank", sparse)
     monkeypatch.setattr(resolution, "matrix_rank", dense)
-    T = betti_table(I)
-    assert T.entries == {(0, 2): 2, (0, 3): 1, (1, 4): 1, (1, 5): 2,
-                         (2, 7): 1}
-    assert calls
+    assert betti_table(I).entries == {(0, 2): 2, (0, 3): 1, (1, 4): 1,
+                                      (1, 5): 2, (2, 7): 1}
+    assert len(calls) == 5  # one per adjacent pair of in(I)'s table
+    assert betti_table(J).entries == {(0, 2): 2, (1, 4): 1}
+    assert len(calls) == 8
     for (R, N), *residual in calls:
         for r, n in residual:
             assert r < R and n < N
@@ -443,14 +448,14 @@ def thin(e):
 
 def test_general_engine_on_monomial_input():
     # run the same ideal through both engines; betti_table itself sends a
-    # monomial basis to the monomial engine, so call the total-degree one
+    # monomial basis to the monomial engine, so the cells are built from
+    # the total-degree engine's ranks here
     for text in ("ring x1 x2 x3; gens: x1^2, x2^2, x1*x3", thin(6)):
         G = groebner_basis(ideal(text), DegRevLexOrder())
         M = initial_ideal(G)
         assert all(len(g.terms) == 1 for g in G.generators)
-        beta = resolution._koszul_betti(G, M)
         mono_q = resolution.monomial_quotient_betti(M, R3.field)
-        assert {(i, j): beta(i, j) for i, j in mono_q if i} == \
+        assert koszul_betti_all_cells(G) == \
             {(i, j): v for (i, j), v in mono_q.items() if i}
 
 
@@ -506,11 +511,12 @@ NF_FIELDS = [PrimeField(2), PrimeField(32003), PrimeField(2 ** 31 - 1),
 
 
 @st.composite
-def homogeneous_ideals(draw):
-    """1-3 sparse forms of degrees 1-3 in 2-4 variables over one field,
-    from a seeded random.Random; coefficients a / b with |a| < 10^12 and
-    b odd, so QQ gets fractions and GF(p) residues of every size."""
-    K = draw(st.sampled_from(NF_FIELDS))
+def homogeneous_ideals(draw, fields=NF_FIELDS):
+    """1-3 sparse forms of degrees 1-3 in 2-4 variables over one of the
+    fields, from a seeded random.Random; coefficients a / b with
+    |a| < 10^12 and b odd, so QQ gets fractions and GF(p) residues of
+    every size."""
+    K = draw(st.sampled_from(fields))
     l = draw(st.integers(2, 4))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     R = make_ring([f"x{i + 1}" for i in range(l)], char=K.char)
@@ -531,8 +537,8 @@ def test_normal_form_table_matches_division(J):
     # division by the reduced basis, written over std(t)
     assume(not J.is_zero())
     G = groebner_basis(J, DegRevLexOrder())
-    assume(not G.is_unit_ideal())
     inI = initial_ideal(G)
+    assume(not inI.contains_monomial((0,) * J.ring.nvars))  # 1 is not in I
     p = J.ring.char
     for t in range(5):
         monos = monomials_of_degree(J.ring.nvars, t)
@@ -560,6 +566,79 @@ def test_koszul_rows_near_int64_limit(p, seed):
                                    for _ in range(4)))
     assert betti_table(J).entries == {(0, 3): 4, (1, 6): 6, (2, 9): 4,
                                       (3, 12): 1}
+
+
+CANCEL_CHARS = [2, 32003, 0]
+
+
+@st.composite
+def generic_ideals(draw):
+    """1-3 dense random forms of degrees 1-3 in 3-4 variables over GF(2),
+    GF(32003) or QQ: over the larger fields complete intersections, whose
+    tables cancel cells of their initial ideals' tables."""
+    ring = make_ring([f"x{i + 1}" for i in range(draw(st.integers(3, 4)))],
+                     char=draw(st.sampled_from(CANCEL_CHARS)))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return IdealPresentation.from_polynomials(ring, [
+        random_form(ring, DegRevLexOrder(), d, rng) for d in degrees])
+
+
+def all_cells_table(J):
+    """The ideal-side table of the all-cells oracle."""
+    G = groebner_basis(J, DegRevLexOrder())
+    return {(i - 1, j): v for (i, j), v in koszul_betti_all_cells(G).items()
+            if v}
+
+
+@given(st.one_of(homogeneous_ideals([PrimeField(2), PrimeField(32003), QQ]),
+                 generic_ideals()))
+@settings(max_examples=60, deadline=None)
+def test_cancellation_matches_the_all_cells_route(J):
+    # betti_table ranks a Koszul differential only where in(I)'s table
+    # leaves a choice; the oracle ranks both at every cell
+    assume(not J.is_zero())
+    assert betti_table(J).entries == all_cells_table(J)
+
+
+@pytest.mark.parametrize("char", CANCEL_CHARS)
+@pytest.mark.parametrize("J", [
+    "ring x1 x2 x3; gens: x1^2 + x2*x3, x2^2",
+    "ring x1 x2 x3 x4; gens: 2233*x1^2 + x2*x3 - 77*x4^2, "
+    "x1*x4 + 19*x2^2 - x3^2, x1^3 + 5*x2^2*x4 - 8*x3^3 + x2*x3*x4"])
+def test_cancellation_on_complete_intersections(J, char):
+    # two and three forms in 3 and 4 variables: their tables are the Koszul
+    # ones, which have fewer cells than the initial ideals', so some c_i > 0
+    J = parse_ideal_file(J, char=char)[1]
+    inI = initial_ideal(groebner_basis(J, DegRevLexOrder()))
+    T = betti_table(J)
+    assert T.entries != betti_table(inI).entries
+    assert T.entries == all_cells_table(J)
+    assert sum(T.entries.values()) == 2 ** len(J.generators) - 1
+
+
+@pytest.mark.parametrize("text, delta", [
+    # in(I)'s cells (1, 3) and (2, 3) are both 1; I keeps both (c_2 = 0)
+    ("ring x1 x2 x3; gens: x1^2, x1*x2, x2^3 + x3^3", -1),
+    # the same cells, which I cancels (c_2 = 1)
+    ("ring x1 x2 x3; gens: x1^2 + x2*x3, x2^2", 1)])
+def test_koszul_rank_off_by_one_raises(monkeypatch, text, delta):
+    real = resolution._koszul_ranks
+    ranked = []
+
+    def off_by_one(G, inI):
+        rank = real(G, inI)
+
+        def wrong(i, j):
+            ranked.append((i, j))
+            return rank(i, j) + delta * ((i, j) == (2, 3))
+        return wrong
+
+    monkeypatch.setattr(resolution, "_koszul_ranks", off_by_one)
+    with pytest.raises(RuntimeError,
+                       match=r"Koszul rank inconsistency at cell \(2, 3\)"):
+        betti_table(ideal(text))
+    assert ranked[-1] == (2, 3)
 
 
 def test_regularity_matches_initial_ideal_for_monomial():
