@@ -4,10 +4,12 @@ elimination, kernels of polynomial maps, and images under power
 substitutions.
 
 Division keeps the live terms in a heap keyed by the negated order key
-(order keys are flat tuples of ints, so one map of neg reverses them),
-computed once when a monomial enters; a term that cancels stays in the
-heap with coefficient zero and is skipped when popped.  A divisor's lead,
-inverse leading coefficient and tail are taken once per call.
+(order keys are flat tuples of ints, so one map of neg reverses them); a
+term that cancels stays in the heap with coefficient zero and is skipped
+when popped.  A Divisors holds one divisor list, which may grow at its
+end, and memoises each monomial's heap entry and reducer for as long as
+the call that made it, so Buchberger, reduce_basis and the normal-form
+tables of a Koszul rank find each monomial's reducer once.
 
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
@@ -81,47 +83,84 @@ class Parametrisation:
             raise ValueError("each image must be homogeneous of degree d")
 
 
+class Divisors(dict):
+    """A divisor list that may grow at its end, with each divisor's lead,
+    inverse leading coefficient and tail.  As a dict it maps each monomial
+    m met to its heap entry (negated order key, m).  found[m] is m's
+    reducer (j, q, heap entries of q * tail(g_j)) for the first g_j in
+    list order whose lead divides m = q lm(g_j), or else the number of
+    divisors checked, so that after an append only the new ones are."""
+
+    def __init__(self, polys, order):
+        self.order, self.found = order, {}
+        self.leads, self.invs, self.tails = [], [], []
+        for g in polys:
+            self.append(g)
+
+    def __missing__(self, m):
+        entry = self[m] = (tuple(map(neg, self.order.key(m))), m)
+        return entry
+
+    def append(self, g):
+        g = g.with_order(self.order)
+        self.leads.append(g.leading_monomial())
+        self.invs.append(g.ring.field.inv(g.leading_coefficient()))
+        self.tails.append(g.terms[1:])
+
+    def reducer(self, m):
+        found = self.found.get(m, 0)
+        if type(found) is not int:
+            return found
+        for j in range(found, len(self.leads)):
+            if all(map(le, self.leads[j], m)):
+                q = tuple(map(sub, m, self.leads[j]))
+                found = self.found[m] = (j, q, tuple(
+                    [self[tuple(map(add, gm, q))] for _, gm in self.tails[j]]))
+                return found
+        self.found[m] = len(self.leads)
+        return None
+
+
 def normal_form(f, G, order=None):
-    """Divide f by the list G: returns (remainder, quotients) with
-    f = sum q_g * g + remainder and no remainder term divisible by a
+    """Divide f by G, a list or a Divisors: returns (remainder, quotients)
+    with f = sum q_g * g + remainder and no remainder term divisible by a
     leading monomial of G.  Deterministic: always reduces the largest
     reducible term by the first eligible divisor in list order."""
     if order is None:
         order = f.order
     f = f.with_order(order)
     K = f.ring.field
-    divisors = [(g.leading_monomial(), K.inv(g.leading_coefficient()),
-                 g.terms[1:]) for g in (h.with_order(order) for h in G)]
-    quotients = [[] for _ in G]
+    if not isinstance(G, Divisors):
+        G = Divisors(G, order)
+    invs, tails, reducer = G.invs, G.tails, G.reducer
+    quotients = [[] for _ in invs]
     remainder = []
     # work maps each monomial still in the heap to its coefficient, zero
     # once it has cancelled; a popped monomial is the largest left and
     # never comes back, so the remainder and every quotient come out with
     # nonzero terms in strictly decreasing order
     work = f.coeff_dict()
-    heap = [(tuple(map(neg, order.key(m))), m) for m in work]
+    heap = [G[m] for m in work]
     heapq.heapify(heap)
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m)
         if not c:
             continue
-        for quotient, (lm, inv, tail) in zip(quotients, divisors):
-            if all(map(le, lm, m)):
-                q = tuple(map(sub, m, lm))
-                coeff = K(c * inv)
-                quotient.append((coeff, q))
-                for gc, gm in tail:
-                    mm = tuple(map(add, gm, q))
-                    old = work.get(mm)
-                    if old is None:
-                        heapq.heappush(heap,
-                                       (tuple(map(neg, order.key(mm))), mm))
-                        old = 0
-                    work[mm] = K(old - coeff * gc)
-                break
-        else:
+        found = reducer(m)
+        if found is None:
             remainder.append((c, m))
+            continue
+        j, q, shifted = found
+        coeff = K(c * invs[j])
+        quotients[j].append((coeff, q))
+        for (gc, _), entry in zip(tails[j], shifted):
+            mm = entry[1]
+            old = work.get(mm)
+            if old is None:
+                heapq.heappush(heap, entry)
+                old = 0
+            work[mm] = K(old - coeff * gc)
     return (Polynomial(f.ring, order, remainder),
             [Polynomial(f.ring, order, q) for q in quotients])
 
@@ -146,7 +185,8 @@ def buchberger(I, order):
     if I.is_zero():
         raise ValueError("need at least one nonzero generator")
     G = [p.with_order(order).monic() for p in I.generators]
-    lms = [g.leading_monomial() for g in G]
+    divisors = Divisors(G, order)
+    lms = divisors.leads
     pairs = []
     done = set()
 
@@ -165,10 +205,10 @@ def buchberger(I, order):
         if _chain_criterion(i, j, lms, done, lcm):
             continue
         s = s_polynomial(G[i], G[j], order)
-        rem, _ = normal_form(s, G, order)
+        rem, _ = normal_form(s, divisors, order)
         if not rem.is_zero():
             G.append(rem.monic())
-            lms.append(rem.leading_monomial())
+            divisors.append(G[-1])
             add_pairs(len(G) - 1)
     return GroebnerBasis(I.ring, tuple(G), order)
 
@@ -176,18 +216,14 @@ def buchberger(I, order):
 def reduce_basis(G):
     """Minimal, interreduced, monic Groebner basis; unique for (ideal, order)."""
     order = G.order
-    elems = sorted(G.generators,
-                   key=lambda g: order.key(g.leading_monomial()))
-    minimal = []
-    for g in elems:
-        if not any(mono_divides(h.leading_monomial(), g.leading_monomial())
-                   for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        rem, _ = normal_form(g, others, order)
-        reduced.append(rem.monic())
+    divisors, reduced = Divisors([], order), []
+    for g in sorted(G.generators,
+                    key=lambda g: order.key(g.leading_monomial())):
+        # g is minimal iff no lead before it divides lm(g); no lead divides
+        # a smaller monomial, so the minimal ones before g are all others
+        if divisors.reducer(g.leading_monomial()) is None:
+            reduced.append(normal_form(g, divisors, order)[0].monic())
+            divisors.append(g)
     reduced.sort(key=lambda g: order.key(g.leading_monomial()), reverse=True)
     return GroebnerBasis(G.ring, tuple(reduced), order, reduced=True)
 
@@ -203,12 +239,13 @@ def groebner_basis(I, order):
 def passes_buchberger_criterion(polys, order):
     """True iff every S-polynomial of the list reduces to zero against it."""
     polys = list(polys)
+    divisors = Divisors(polys, order)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             s = s_polynomial(polys[i], polys[j], order)
             if s.is_zero():
                 continue
-            rem, _ = normal_form(s, polys, order)
+            rem, _ = normal_form(s, divisors, order)
             if not rem.is_zero():
                 return False, (i, j)
     return True, None

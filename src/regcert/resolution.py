@@ -44,10 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groebner import groebner_basis, initial_ideal
+from .groebner import Divisors, groebner_basis, initial_ideal
 from .monomials import HilbertSeries, MonomialIdeal, monomials_of_degree
-from .rings import (DegRevLexOrder, mono_deg, mono_div, mono_divides,
-                    mono_mul)
+from .rings import DegRevLexOrder, mono_deg
 from .scalars import PrimeField
 
 
@@ -379,37 +378,35 @@ def monomial_quotient_betti(M, field):
 # ---------------------------------------------------------------------------
 # total-degree Koszul engine for general homogeneous ideals
 
-def _nf_table(G, std, t):
+def _nf_table(G, divisors, std, t):
     """({monomial of degree t: row}, matrix of their normal forms modulo the
     reduced Groebner basis G over std, the degree-t standard monomials).
 
     The table has a dense row for every monomial of degree t, filled in
     increasing term order.  A standard monomial gets a unit row; any other
-    x = w lm(g), g the first element of G whose leading monomial divides x,
-    gets NF(x) = -sum (c / lc(g)) NF(w m) over the tail terms c m of g,
-    whose rows are already filled (same degree, smaller).  Rows have the
-    matrix_dtype of the field, and the sum is one product; in int64 it is
-    taken in chunks of _int64_room(p) tail terms, each reduced mod p."""
+    x = q lm(g), g the first element of divisors (a Divisors over G) whose
+    lead divides x, gets NF(x) = -sum (c / lc(g)) NF(q m) over the tail
+    terms c m of g, whose rows are already filled (same degree, smaller).
+    Rows have the matrix_dtype of the field, and the sum is one product; in
+    int64 it is taken in chunks of _int64_room(p) tail terms, each reduced
+    mod p."""
     K, p = G.ring.field, G.ring.char
     dtype = matrix_dtype(p)
     col = {v: c for c, v in enumerate(std)}
     monos = sorted(monomials_of_degree(G.ring.nvars, t), key=G.order.key)
     row_of = {x: r for r, x in enumerate(monos)}
     room = _int64_room(p) or len(monos)  # no tail is longer
-    leads = [(g.leading_monomial(), [m for _, m in g.terms[1:]],
-              np.array([K(-c * K.inv(g.leading_coefficient()))
-                        for c, _ in g.terms[1:]], dtype))
-             for g in G.generators]
+    coeffs = [np.array([K(-c * inv) for c, _ in tail], dtype)
+              for inv, tail in zip(divisors.invs, divisors.tails)]
     N = np.zeros((len(monos), len(col)), dtype)
     for r, x in enumerate(monos):
         if x in col:
             N[r, col[x]] = 1
             continue
-        lm, tail, coeffs = next(d for d in leads if mono_divides(d[0], x))
-        w = mono_div(x, lm)
-        rows = [row_of[mono_mul(w, m)] for m in tail]
+        j, _, shifted = divisors.reducer(x)
+        rows = [row_of[entry[1]] for entry in shifted]
         for s in range(0, len(rows), room):
-            N[r] += coeffs[s:s + room] @ N[rows[s:s + room]]
+            N[r] += coeffs[j][s:s + room] @ N[rows[s:s + room]]
             if p:
                 N[r] %= p
     return row_of, N
@@ -423,6 +420,7 @@ def _koszul_ranks(G, inI):
     and the ranks are each computed once per argument, and only for the
     degrees a requested rank touches."""
     l = G.ring.nvars
+    divisors = Divisors(G.generators, G.order)
 
     @functools.cache
     def std(t):
@@ -434,7 +432,7 @@ def _koszul_ranks(G, inI):
     def multiplication(t):
         """[(rows, cols, vals) of the nonzeros of x_k : std(t - 1) -> std(t)
         for each variable k], the matrix rows being normal forms."""
-        row_of, N = _nf_table(G, std(t), t)
+        row_of, N = _nf_table(G, divisors, std(t), t)
         out = []
         for k in range(l):
             X = N[[row_of[x[:k] + (x[k] + 1,) + x[k + 1:]]
@@ -531,7 +529,10 @@ def betti_table(I):
     touch get standard monomials and normal forms.  The cells are
     cancelled in increasing i, c_i from cells (i-1, j) and (i, j) alike;
     a c_i below 0 or above either cell as cancelled so far is a rank
-    inconsistency, and raises RuntimeError."""
+    inconsistency, and raises RuntimeError.  That check is a bound, not a
+    certificate: a rank one too high where the true c_i is 0 passes when
+    both cells are at least 1.  The table keeps its Euler characteristic,
+    so only an independent rank of d_i could catch it."""
     if isinstance(I, MonomialIdeal):
         M, G = I, None
     elif not I.homogeneous:

@@ -266,14 +266,16 @@ def apply_power_map(phi, f):
 
 
 def s_polynomial(f, h, order=None):
-    """S-polynomial of two nonzero polynomials; leading terms cancel."""
+    """S-polynomial of two nonzero polynomials, merged from shifted tails."""
     if f.is_zero() or h.is_zero():
         raise ValueError("S-polynomial of zero polynomial")
     if order is not None:
         f, h = f.with_order(order), h.with_order(order)
     K = f.ring.field
-    lf, lh = f.leading_monomial(), h.leading_monomial()
-    lcm = mono_lcm(lf, lh)
-    a = f.mul_term(K.inv(f.leading_coefficient()), mono_div(lcm, lf))
-    b = h.mul_term(K.inv(h.leading_coefficient()), mono_div(lcm, lh))
-    return a - b
+    lcm = mono_lcm(f.leading_monomial(), h.leading_monomial())
+    raw = []
+    for g, sign in ((f, 1), (h, -1)):
+        a = sign * K.inv(g.leading_coefficient())
+        q = mono_div(lcm, g.leading_monomial())
+        raw += [(a * c, mono_mul(m, q)) for c, m in g.terms[1:]]
+    return Polynomial.from_terms(f.ring, f.order, raw)

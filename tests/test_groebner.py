@@ -1,19 +1,23 @@
 """Division, Buchberger, elimination, kernels, and the power lemma."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from regcert.groebner import (IdealPresentation, Parametrisation, buchberger,
-                              eliminate, graph_ideal, groebner_basis,
-                              ideal_equal, image_ideal, initial_ideal,
-                              kernel_of_map, normal_form,
+from regcert import groebner
+from regcert.groebner import (Divisors, IdealPresentation, Parametrisation,
+                              buchberger, eliminate, graph_ideal,
+                              groebner_basis, ideal_equal, image_ideal,
+                              initial_ideal, kernel_of_map, normal_form,
                               passes_buchberger_criterion, reduce_basis)
+from regcert.instances import random_ideal
 from regcert.parser import parse_ideal_file
 from regcert.resolution import betti_table, regularity
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring)
+from regcert.scalars import DEFAULT_PRIME
 from regcert.verify import verify_poweli, verify_regflat
 
 from oracles import (buchberger_without_criteria, normal_form_by_max,
@@ -106,6 +110,111 @@ def test_normal_form_heap_matches_max_per_step_oracle(char, order, f,
     rem_o, quots_o = normal_form_by_max(f, G, order)
     assert rem.terms == rem_o.terms
     assert [q.terms for q in quots] == [q.terms for q in quots_o]
+
+
+def _same_division(f, divisors, G, order):
+    rem, quots = normal_form(f, divisors, order)
+    rem_o, quots_o = normal_form_by_max(f, G, order)
+    assert rem.terms == rem_o.terms
+    assert [q.terms for q in quots] == [q.terms for q in quots_o]
+    return rem
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=st.sampled_from(FIELD_CHARS), order=st.sampled_from(ORDERS),
+       divisors=st.lists(raw_polys, max_size=2),
+       steps=st.lists(st.tuples(raw_polys, raw_polys), min_size=1,
+                      max_size=4))
+def test_divisors_memo_keeps_list_order_as_the_list_grows(char, order,
+                                                          divisors, steps):
+    # one Divisors serves every division while divisors are appended in
+    # between; after each append every polynomial so far is divided again,
+    # so memo entries made against a shorter list are read against a longer
+    # one, and each result must be the oracle's on the list as it stands
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    G = [_poly(ring, order, g) for g in divisors]
+    assume(all(not g.is_zero() for g in G))
+    memo = Divisors(G, order)
+    fs = []
+    for raw_f, raw_g in steps:
+        fs.append(_poly(ring, order, raw_f))
+        for f in fs:
+            _same_division(f, memo, G, order)
+        g = _poly(ring, order, raw_g)
+        if not g.is_zero():
+            G.append(g)
+            memo.append(g)
+    for f in fs:
+        _same_division(f, memo, G, order)
+
+
+@pytest.mark.parametrize("char", FIELD_CHARS)
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_divisors_memo_sees_a_divisor_appended_later(char, order):
+    # x1*x2 has no divisor among [x3^2 + x1]; then x1 + x2 and
+    # x1*x2 + 2*x1^2 are appended, whose leads x2 and x1*x2 both divide
+    # it, and the first of them in list order must reduce it
+    f, g, h, k = polys(f"ring x1 x2 x3; char {char}; gens: x1*x2 + x1, "
+                       "x3^2 + x1, x1 + x2, x1*x2 + 2*x1^2")
+    G = [g.with_order(order)]
+    memo = Divisors(G, order)
+    before = _same_division(f, memo, G, order)
+    assert before.terms == f.with_order(order).terms
+    for p in (h, k):
+        G.append(p.with_order(order))
+        memo.append(p)
+    after = _same_division(f, memo, G, order)
+    assert after.terms == normal_form(f, G[:2], order)[0].terms
+    assert after.terms != normal_form(f, [G[0], G[2]], order)[0].terms
+
+
+def test_no_division_memo_outlives_its_call():
+    # a Divisors and its memo are freed when the call that made it returns
+    def live():
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, Divisors)}
+    before = live()
+    J = ideal("ring x1 x2 x3; gens: x1^2 + x2*x3, x2^2 + x1*x3, x3^3")
+    assert betti_table(J).entries[(2, 7)] == 1
+    assert passes_buchberger_criterion(
+        groebner_basis(J, LexOrder()).generators, LexOrder())[0]
+    assert live() <= before
+
+
+def _count_divisions(monkeypatch):
+    """[remainder is zero] for each normal_form call buchberger makes."""
+    zero, divide = [], groebner.normal_form
+
+    def counted(f, G, order=None):
+        rem, quots = divide(f, G, order)
+        zero.append(rem.is_zero())
+        return rem, quots
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    return zero
+
+
+def test_buchberger_pair_count_on_a_complete_intersection(monkeypatch):
+    # forms of degrees 2, 2, 3 in 4 variables, a complete intersection;
+    # 9 S-pairs survive the criteria and 5 reduce to zero
+    J = ideal("ring x1 x2 x3 x4; gens: x1^2 + x2*x3 - x4^2, "
+              "x2^2 + x1*x4 + 3*x3^2, x3^3 + x1*x2*x4 - x4^3")
+    zero = _count_divisions(monkeypatch)
+    assert len(buchberger(J, DegRevLexOrder())) == 7
+    assert (len(zero), sum(zero)) == (9, 5)
+
+
+def test_buchberger_pair_count_on_a_lex_trial(monkeypatch):
+    # trial 9 of verify_regbound_trials(15, seed=3): four forms in 4
+    # variables, not a complete intersection, whose lex basis has 30
+    # elements before reduction; 71 S-pairs reduced, 45 of them to zero
+    rng = random.Random(repr(("regbound", 3, 9)))
+    nvars = rng.choice([3, 4])
+    J = random_ideal(nvars, 3 * 1000 + 9, ngens=rng.randint(2, nvars),
+                     max_degree=3, char=DEFAULT_PRIME, homogeneous=True)
+    assert (nvars, len(J.generators)) == (4, 4)
+    zero = _count_divisions(monkeypatch)
+    assert len(buchberger(J, LexOrder())) == 30
+    assert (len(zero), sum(zero)) == (71, 45)
 
 
 def test_normal_form_computes_each_order_key_once(monkeypatch):

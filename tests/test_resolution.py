@@ -12,7 +12,7 @@ from regcert import resolution
 from regcert.monomials import (MonomialIdeal, hilbert_function,
                                monomials_of_degree)
 from regcert.parser import parse_ideal_file
-from regcert.groebner import (IdealPresentation, groebner_basis,
+from regcert.groebner import (Divisors, IdealPresentation, groebner_basis,
                               initial_ideal, normal_form)
 from regcert.instances import random_form
 from regcert.resolution import (BettiTable, betti_table, matrix_rank,
@@ -540,10 +540,11 @@ def test_normal_form_table_matches_division(J):
     inI = initial_ideal(G)
     assume(not inI.contains_monomial((0,) * J.ring.nvars))  # 1 is not in I
     p = J.ring.char
+    divisors = Divisors(G.generators, G.order)  # shared across degrees
     for t in range(5):
         monos = monomials_of_degree(J.ring.nvars, t)
         std = [m for m in monos if not inI.contains_monomial(m)]
-        row_of, N = resolution._nf_table(G, std, t)
+        row_of, N = resolution._nf_table(G, divisors, std, t)
         assert N.dtype == (np.int64 if 0 < p < 2 ** 31 else object)
         assert sorted(row_of) == sorted(monos)
         for x, r in row_of.items():
