@@ -32,9 +32,11 @@ in(I)'s table and the total-degree engine the ranks it leaves open.
 Ranks over GF(p) use Gaussian elimination in int64 or Python ints
 (rank_mod_p), over the rationals fraction-free Bareiss elimination
 (rank_exact_rational).  Sparse matrices (the Koszul differentials, and the
-Macaulay matrices of verify.hf_direct) first go through the pivot split of
-sparse_rank, which hands these dense kernels only the rows its pivots
-leave.
+Macaulay matrices of verify.hf_direct) first go through pivot_split, which
+reduces only the pivots the other rows reach, in one np.add.reduceat per
+slice of a level batch; sparse_rank hands the dense kernels only the
+nonzero rows and columns the pivots leave.  verify.hf_direct also
+autoreduces its generators with pivot_split.
 """
 
 import functools
@@ -151,30 +153,34 @@ def matrix_rank(rows, field):
     return rank_exact_rational(rows)
 
 
-def sparse_rank(shape, rows, cols, vals, field):
-    """Rank of the R x N matrix with entries vals at (rows, cols), no
-    position twice, by the pivot split of Faugere and Lachartre (PASCO
-    2010) in front of matrix_rank.  The inputs are left unchanged.
+def pivot_split(shape, rows, cols, vals, field, wanted=None):
+    """The pivot split of Faugere and Lachartre (PASCO 2010) of the R x N
+    matrix with entries vals at (rows, cols), no position twice, which it
+    leaves unchanged: (U, free, rest), with U the number of pivots, free
+    the N - U other columns, ascending, and rest the reduced non-pivot
+    rows of wanted (all rows if None), ascending, dense over free.
 
     A row's lead is its rightmost nonzero; the first row with each of the
-    U distinct leads is a pivot, so pivots are independent.  Each pivot,
-    less multiples of the pivots with smaller leads, becomes c e_lead plus
-    a tail over the N - U other columns; each other row, less a / c_q
-    times each reduced pivot q (a its entry at q's lead, c_q q's lead
-    coefficient), vanishes on the pivot columns.  These row operations
-    keep the span, so the rank is U plus that of the reduced other rows,
-    (R - U) by (N - U), which alone go to matrix_rank, if not empty.
+    U distinct leads is a pivot, so pivots are independent.  A pivot less
+    multiples of the reduced pivots with smaller leads is c e_lead plus a
+    tail over free; another row less a / c_q times each reduced pivot q
+    (a its entry at q's lead, c_q q's lead coefficient) vanishes on the
+    pivot columns.  These row operations keep the span.  Only the pivots
+    that a wanted row reaches, directly or through pivots, are reduced.
+
     Rows are reduced in level batches: a row meeting no pivot column but
     its own lead has level 0, any other row one more than the highest
     level of the pivots it meets.  A pivot meets only pivots with smaller
     leads, so levels are well defined and a batch reads reduced pivots.
-
-    Matrices have the field's matrix_dtype; over GF(p) a batch's sums of
-    products are reduced mod p after every _int64_room(p) of them, and
-    Python ints (p at least 2^31) only at the end."""
+    A batch's (row, pivot, multiplier) entries go in slices of at most
+    len(B), B the rows reduced: a slice's products B[q] * multiplier take
+    no more memory than B, and each row subtracts their np.add.reduceat
+    sum.  Matrices have the field's matrix_dtype.  A row meets fewer than
+    len(B) pivots, so over GF(p) in int64 its sum cannot overflow if
+    _int64_room(p) >= len(B); otherwise the products are reduced mod p
+    first.  B is reduced mod p after each slice."""
     R, N = shape
     p = field.char
-    room = _int64_room(p)
     red = (lambda A: np.remainder(A, p, out=A)) if p else (lambda A: A)
     vals = red(np.array(vals, matrix_dtype(p)))
     # nonzero entries by row, then column: a row's lead is its last entry
@@ -185,43 +191,58 @@ def sparse_rank(shape, rows, cols, vals, field):
     last = np.diff(rows, append=-1) != 0
     pivot_cols, first = np.unique(cols[last], return_index=True)
     pivots = rows[last][first]
-    U = len(pivots)
     pivot_of = np.full(N, -1)
     pivot_of[pivot_cols] = pivots
-    inv_lead = np.zeros(R, vals.dtype)
-    inv_lead[pivots] = [field.inv(c) for c in vals[last][first].tolist()]
     free = pivot_of < 0
-    B = np.zeros((R, N - U), vals.dtype)
-    at_free = free[cols]
-    B[rows[at_free], (np.cumsum(free) - 1)[cols[at_free]]] = vals[at_free]
-    # (row, pivot, multiplier) for every pivot column a row meets, but a
-    # pivot's own lead; rows ascend, so each row's entries are contiguous
-    meets = ~at_free & (pivot_of[cols] != rows)
+    # (row, pivot) for every pivot column a row meets, but a pivot's own
+    # lead; rows ascend, so each row's entries are contiguous
+    meets = ~free[cols] & (pivot_of[cols] != rows)
     dr, dp = rows[meets], pivot_of[cols[meets]]
-    dc = red(vals[meets] * inv_lead[dp])
-    nth = np.arange(len(dr)) - np.searchsorted(dr, dr)
-    # one level per batch: the rows whose pivots are all reduced.  A batch
-    # takes the j-th pivot entry of all its rows at once, for j = 0, 1,
-    # ...: one product per row in memory at a time
+    need = np.zeros(R, bool)
+    need[slice(None) if wanted is None else wanted] = True
+    need[pivots] = False
+    rest, reach = np.flatnonzero(need), need
+    while reach.any():
+        hit = np.zeros(R, bool)
+        hit[dp[reach[dr]]] = True
+        reach = hit & ~need
+        need |= hit
+    at = np.cumsum(need) - 1  # a needed row's place in B
+    B = np.zeros((need.sum(), N - len(pivots)), vals.dtype)
+    fill = need[rows] & free[cols]
+    B[at[rows[fill]], (np.cumsum(free) - 1)[cols[fill]]] = vals[fill]
+    used = need[pivots]
+    inv_lead = np.zeros(R, vals.dtype)
+    inv_lead[pivots[used]] = [field.inv(c)
+                              for c in vals[last][first][used].tolist()]
+    keep = need[dr]
+    dr, dp = dr[keep], dp[keep]
+    dc = red(vals[meets][keep] * inv_lead[dp])
+    room, S = _int64_room(p), len(B)
     done = np.ones(R, bool)
     done[dr] = False
     while not done.all():
         waits = np.zeros(R, bool)
         waits[dr[~done[dp]]] = True
-        at = ~(done | waits)[dr]
-        q, c, k = dp[at], dc[at], nth[at]
-        batch, group = np.unique(dr[at], return_inverse=True)
-        sub = np.zeros((len(batch), N - U), vals.dtype)
-        for j in range(k.max(initial=-1) + 1):
-            jth = k == j
-            prod = B[q[jth]]
-            prod *= c[jth, None]
-            sub[group[jth]] += prod
-            if room and j % room == room - 1:
-                red(sub)
-        B[batch] = red(B[batch] - sub)
-        done[batch] = True
-    rest = np.delete(B, pivots, axis=0)
+        now = ~(done | waits)[dr]
+        r, q, c = at[dr[now]], at[dp[now]], dc[now]
+        for s in range(0, len(r), S):
+            rs, prod = r[s:s + S], B[q[s:s + S]] * c[s:s + S, None]
+            if room is not None and room < S:
+                red(prod)
+            start = np.flatnonzero(np.diff(rs, prepend=-1))
+            B[rs[start]] = red(B[rs[start]] - np.add.reduceat(prod, start))
+        done[dr[now]] = True
+    return len(pivots), np.flatnonzero(free), B[at[rest]]
+
+
+def sparse_rank(shape, rows, cols, vals, field):
+    """Rank of the R x N matrix with entries vals at (rows, cols), no
+    position twice: U plus the rank of the rows pivot_split leaves, of
+    which matrix_rank gets only the nonzero rows and columns."""
+    U, _, rest = pivot_split(shape, rows, cols, vals, field)
+    nz = rest != 0
+    rest = rest[nz.any(1)][:, nz.any(0)]
     return U + (matrix_rank(list(rest), field) if rest.size else 0)
 
 

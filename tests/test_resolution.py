@@ -247,6 +247,72 @@ def test_sparse_rank_matches_the_dense_oracles(case, seed):
     assert all(np.array_equal(a, b) for a, b in zip(coo, before))
 
 
+@st.composite
+def deep_sparse_matrices(draw):
+    """(field, dense rows, N) for sparse_rank, up to 36 rows, pivots
+    first: a pivot chain whose pivot k meets pivot k - 1, 3-6 levels
+    deep; 4-10 wide pivots; pivots leading at the highest columns, which
+    no other row reaches; 4-12 other rows, each a combination of the
+    chain's top, every wide pivot and at most two vectors over the free
+    columns, so that they meet 5-11 pivots, their level has more (row,
+    pivot) entries than the rows sparse_rank reduces and takes two or
+    more slices, and their reduced rows have rank at most two; and rows
+    that combine 2-5 pivots, which reduce to zero."""
+    field = draw(st.sampled_from(SPARSE_FIELDS))
+    p = field.char or 7
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nfree, depth, nwide, nout, nother = (
+        draw(st.integers(lo, hi))
+        for lo, hi in [(0, 6), (3, 6), (4, 10), (1, 5), (4, 12)])
+    top = nfree + depth + nwide
+    ncols = top + nout
+
+    def entry():
+        # nonzero; over GF(p) often -1, whose products (p - 1)^2 are near
+        # 2^62 at p = 2^31 - 1, and unreduced or negative representatives
+        if field.char:
+            x = rng.choice([1, -1, -1, rng.randrange(1, p)])
+            return x % p + p * rng.randrange(-1, 2)
+        return Fraction(rng.choice([-9, -2, 1, 3, 8]), rng.choice([1, 2, 7]))
+
+    def row(cols):
+        r = [0] * ncols
+        for c in cols:
+            r[c] = entry()
+        return r
+
+    def some(cols, share):
+        return [c for c in cols if rng.random() < share]
+
+    def combination(vectors):
+        r = [0] * ncols
+        for v in vectors:
+            c = entry()
+            r = [x + c * y for x, y in zip(r, v)]
+        return [x % p for x in r] if field.char else r
+
+    chain = [row(some(range(nfree), 0.5) + [nfree + k - 1] * (k > 0)
+                 + [nfree + k]) for k in range(depth)]
+    wide = [row(some(range(nfree), 0.5) + [c])
+            for c in range(nfree + depth, top)]
+    out = [row(some(range(c), 0.3) + [c]) for c in range(top, ncols)]
+    free = [row(some(range(nfree), 0.7))
+            for _ in range(draw(st.integers(0, 2)))]
+    others = [combination([chain[-1]] + wide + free) for _ in range(nother)]
+    others += [combination(rng.sample(chain + wide, rng.randint(2, 5)))
+               for _ in range(draw(st.integers(0, 3)))]
+    return field, chain + wide + out + others, ncols
+
+
+@given(deep_sparse_matrices(), st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_matches_the_dense_oracles_at_depth(case, seed):
+    field, rows, ncols = case
+    coo = coo_of(rows, field, random.Random(seed))
+    assert resolution.sparse_rank((len(rows), ncols), *coo, field) == \
+        dense_rank(rows, field)
+
+
 @pytest.mark.parametrize("field", SPARSE_FIELDS)
 def test_sparse_rank_edge_cases(field):
     empty = np.zeros(0, np.int64)

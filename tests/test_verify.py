@@ -15,15 +15,15 @@ from regcert.monomials import (HilbertSeries, MonomialIdeal, compute_G,
                                num_monomials)
 from regcert.parser import parse_ideal_file
 from regcert.reports import VerificationReport
-from regcert.resolution import BettiTable
+from regcert.resolution import BettiTable, matrix_rank
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring, mono_divides, mono_mul)
-from regcert.verify import (hf_direct, lex_ideal_of_presentation,
+from regcert.verify import (_macaulay, hf_direct, lex_ideal_of_presentation,
                             verify_main, verify_main_trials,
                             verify_poweli_trials, verify_regbound,
                             verify_regbound_trials, verify_regflat)
 
-from oracles import hf_direct_all_rows
+from oracles import hf_direct_all_rows, macaulay_rows
 
 
 def ideal(text):
@@ -151,23 +151,67 @@ def test_hf_direct_reads_leading_monomials_under_one_order(char, order):
         (1, 3, 4, 4, 4, 4, 4)
 
 
-def kept_rows_and_pivots(J, t):
-    """(kept rows, distinct leads) of hf_direct's degree-t Macaulay matrix,
-    counted from their definition: rows m g_i with m outside
-    (lm g_1, ..., lm g_{i-1}), generators by ascending degree, leads
-    m lm(g_i) under degrevlex."""
+def cut_rows(ring, gens, t):
+    """hf_direct's degree-t rows, counted from their definition, dense over
+    the degree-t monomials by increasing degrevlex: rows m g_i with m
+    outside (lm g_1, ..., lm g_{i-1}), generators by ascending degree,
+    leads under degrevlex, so a row's lead is its last nonzero entry."""
     drl = DegRevLexOrder()
-    gens = sorted(J.generators, key=Polynomial.degree)
+    basis = sorted(monomials_of_degree(ring.nvars, t), key=drl.key)
+    idx = {m: i for i, m in enumerate(basis)}
+    gens = sorted(gens, key=Polynomial.degree)
     lms = [max((m for _, m in g.terms), key=drl.key) for g in gens]
-    rows, leads = 0, set()
+    rows = []
     for i, g in enumerate(gens):
         if g.degree() > t:
             break
-        for m in monomials_of_degree(J.ring.nvars, t - g.degree()):
+        for m in monomials_of_degree(ring.nvars, t - g.degree()):
             if not any(mono_divides(lm, m) for lm in lms[:i]):
-                rows += 1
-                leads.add(mono_mul(m, lms[i]))
-    return rows, len(leads)
+                row = [0] * len(basis)
+                for c, gm in g.terms:
+                    row[idx[mono_mul(m, gm)]] = ring.field(c)
+                rows.append(row)
+    return rows
+
+
+def lead(row):
+    return max(j for j, x in enumerate(row) if x)
+
+
+def kept_rows_and_pivots(J, t):
+    """(kept rows, distinct leads) of hf_direct's degree-t Macaulay matrix
+    for J's generators as given."""
+    rows = cut_rows(J.ring, J.generators, t)
+    return len(rows), len({lead(row) for row in rows})
+
+
+def residual_shape(ring, gens, t):
+    """(nonzero rows, nonzero columns) of the rows of the degree-t matrix
+    of gens that are no pivot (the first row with each lead), each less
+    its multiples of the pivots, by dense elimination from the highest
+    pivot column down."""
+    K = ring.field
+    rows = cut_rows(ring, gens, t)
+    pivots = {}
+    for row in rows:
+        pivots.setdefault(lead(row), row)
+    rest = []
+    for row in rows:
+        if pivots[lead(row)] is row:
+            continue
+        for j in sorted(pivots, reverse=True):
+            if row[j]:
+                f = row[j] * K.inv(pivots[j][j])
+                row = [K(a - f * b) for a, b in zip(row, pivots[j])]
+        rest.append(row)
+    return sum(map(any, rest)), sum(map(any, zip(*rest)))
+
+
+def as_polynomials(ring, gens):
+    """The generators _macaulay builds hf_direct's rows from."""
+    return [Polynomial.from_terms(ring, DegRevLexOrder(),
+                                  zip(C.tolist(), map(tuple, E.tolist())))
+            for _, E, C, _ in gens]
 
 
 def record_matrix_rank(monkeypatch):
@@ -205,23 +249,104 @@ def test_hf_direct_rows_of_a_regular_sequence_are_independent(
 @pytest.mark.parametrize("char", [0, 32003])
 def test_hf_direct_ranks_only_the_rows_off_the_pivots(monkeypatch, char):
     # generic forms of degrees 2, 2, 3 in 4 variables all lead with x4^2
-    # or x4^3, so from degree 2 on some kept rows are not pivots: each
-    # degree's matrix_rank gets (kept rows - U_t) rows over the
-    # N_t - U_t columns that no pivot leads with
+    # or x4^3, so hf_direct replaces the second quadric and the cubic by
+    # their reductions, and from degree 3 on some kept rows are still not
+    # pivots: each degree's matrix_rank gets the nonzero rows and columns
+    # of those rows, each less its multiples of the pivots
     ring = make_ring(["x1", "x2", "x3", "x4"], char=char)
     rng = random.Random(5)
     J = IdealPresentation(ring, tuple(
         random_form(ring, DegRevLexOrder(), d, rng) for d in (2, 2, 3)))
-    expected = []
-    for t in range(9):
-        kept, pivots = kept_rows_and_pivots(J, t)
-        if kept > pivots and num_monomials(4, t) > pivots:
-            expected.append((kept - pivots, num_monomials(4, t) - pivots))
+    gens = as_polynomials(ring, _macaulay(J, 8)[0])
+    assert [g == h for g, h in zip(gens, J.generators)] == [True, False, False]
+    expected = [shape for shape in (residual_shape(ring, gens, t)
+                                    for t in range(9)) if shape[0]]
     shapes = record_matrix_rank(monkeypatch)
     assert hf_direct(J, 8) == hf_direct_all_rows(J, 8) == \
         (1, 4, 8, 11, 12, 12, 12, 12, 12)
-    assert len(expected) == 7
+    assert len(expected) == 6
     assert shapes == expected
+
+
+@st.composite
+def autoreduction_cases(draw):
+    """(J, D) over GF(2), GF(32003), GF(2^31 - 1), GF(2^61 - 1) or QQ:
+    sparse forms of degree 1-3 in 1-3 variables, with a form of the same
+    degree as one of them and the same degrevlex lead, a duplicate, and a
+    sum of monomial multiples of the lower generators drawn in,
+    shuffled."""
+    char = draw(st.sampled_from([2, 32003, 2 ** 31 - 1, 2 ** 61 - 1, 0]))
+    nvars = draw(st.integers(1, 3))
+    ring = make_ring([f"x{i + 1}" for i in range(nvars)], char=char)
+    drl = DegRevLexOrder()
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def coeff():
+        return rng.randrange(1, char) if char else rng.choice([-3, -1, 2, 5])
+
+    def form(e, lm=None):
+        monos = monomials_of_degree(nvars, e)
+        if lm is not None:
+            monos = [m for m in monos if drl.key(m) < drl.key(lm)]
+        terms = [(coeff(), m) for m in rng.sample(monos, min(len(monos), 3))]
+        if lm is not None:
+            terms.append((coeff(), lm))
+        return Polynomial.from_terms(ring, drl, terms)
+
+    gens = [form(draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    g = draw(st.sampled_from(gens))
+    gens.append(form(g.degree(), g.leading_monomial()))
+    gens.append(draw(st.sampled_from(gens)))
+    e = draw(st.integers(2, 4))
+    raw = [(coeff() * c,
+            mono_mul(rng.choice(monomials_of_degree(nvars, e - h.degree())),
+                     m))
+           for h in gens if h.degree() < e for c, m in h.terms]
+    combo = Polynomial.from_terms(ring, drl, raw)
+    if not combo.is_zero():
+        gens.append(combo)
+    return (IdealPresentation(ring, tuple(draw(st.permutations(gens)))),
+            draw(st.integers(0, 6)))
+
+
+@given(autoreduction_cases())
+@settings(max_examples=80, deadline=None)
+def test_hf_direct_autoreduces_its_generators(case):
+    J, D = case
+    ring = J.ring
+    assert hf_direct(J, D) == hf_direct_all_rows(J, D)
+    gens = _macaulay(J, D)[0]
+    # distinct leads in each degree e, none the lead of a degree-e row m h
+    # of a lower generator h
+    for e in {g[0] for g in gens}:
+        lower = {mono_mul(m, tuple(h[3])) for h in gens if h[0] < e
+                 for m in monomials_of_degree(ring.nvars, e - h[0])}
+        leads = [tuple(g[3]) for g in gens if g[0] == e]
+        assert len(set(leads)) == len(leads)
+        assert not lower & set(leads)
+    # the same span in each degree
+    reduced = as_polynomials(ring, gens)
+    for t in range(D + 1):
+        A = macaulay_rows(ring, J.generators, t)
+        B = macaulay_rows(ring, reduced, t)
+        rank = matrix_rank(A, ring.field) if A else 0
+        assert (matrix_rank(B, ring.field) if B else 0) == rank
+        assert (matrix_rank(A + B, ring.field) if A else 0) == rank
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_hf_direct_autoreduces_over_every_field(char):
+    # the quadrics share their degrevlex lead x3^2, and the cubic is x1
+    # times the first: the second quadric becomes its difference with the
+    # first and the cubic vanishes, over QQ as over GF(p)
+    J = ideal(f"ring x1 x2 x3; char {char}; "
+              "gens: x3^2 + x1*x2, x3^2 - x1*x3, x1*x3^2 + x1^2*x2")
+    assert as_polynomials(J.ring, _macaulay(J, 4)[0]) == [
+        J.generators[0],
+        ideal(f"ring x1 x2 x3; char {char}; gens: -x1*x3 - x1*x2")
+        .generators[0]]
+    assert hf_direct(J, 4) == hf_direct_all_rows(J, 4) == (1, 3, 4, 4, 4)
 
 
 @pytest.mark.parametrize("char", [2 ** 31 - 1, 0, 2 ** 64 + 13])
