@@ -25,9 +25,12 @@ Two engines, both exact linear algebra over the coefficient field:
 
 betti_table takes one route per input.  A MonomialIdeal goes to the
 monomial engine.  A presentation goes through its reduced degrevlex basis
-G and initial ideal in(I): if G is all monomials, I = in(I) and the
-monomial engine alone gives the table; otherwise the monomial engine gives
-in(I)'s table and the total-degree engine the ranks it leaves open.
+G and initial ideal in(I), first cut by the trailing run of variables that
+no generator of in(I) involves: those are regular on R/I (Bayer-Stillman),
+so the hyperplane section keeps every Betti number in fewer variables.
+Then if G is all monomials, I = in(I) and the monomial engine alone gives
+the table; otherwise the monomial engine gives in(I)'s table and the
+total-degree engine the ranks it leaves open.
 
 Ranks over GF(p) use Gaussian elimination in int64 or Python ints
 (rank_mod_p), over the rationals fraction-free Bareiss elimination
@@ -46,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groebner import Divisors, groebner_basis, initial_ideal
+from .groebner import Divisors, GroebnerBasis, groebner_basis, initial_ideal
 from .monomials import HilbertSeries, MonomialIdeal, monomials_of_degree
-from .rings import DegRevLexOrder, mono_deg
+from .rings import DegRevLexOrder, Polynomial, PolyRing, mono_deg
 from .scalars import PrimeField
 
 
@@ -515,12 +518,55 @@ class BettiTable:
         return self.entries.get((i, j), 0)
 
 
+def _regular_section(G, M):
+    """(G, M) cut by the trailing run of variables x_1, x_2, ... that
+    divide no generator of M = in(I): each is set to 0 in the reduced
+    degrevlex basis G and in M, and dropped from the ring (betti_table
+    proves the table is kept).  M must not be the unit ideal."""
+    k = 0
+    while not any(g[k] for g in M.gens):
+        k += 1
+    if not k:
+        return G, M
+    ring = PolyRing(G.ring.names[k:], G.ring.field)
+    gens = tuple(Polynomial(ring, G.order, [(c, m[k:]) for c, m in g.terms
+                                            if not any(m[:k])])
+                 for g in G.generators)
+    return (GroebnerBasis(ring, gens, G.order, reduced=G.reduced),
+            MonomialIdeal(ring, tuple(g[k:] for g in M.gens)))
+
+
 def betti_table(I):
     """Certified ideal-side Betti table of a monomial ideal, a homogeneous
     ideal presentation, or a Groebner basis of one, by the one route for
     its kind (module docstring).  The table does not depend on the term
     order; a given basis that is already the reduced degrevlex one is
     reused.
+
+    A general ideal is first cut by the trailing variables that are
+    regular on R/I, read off in(I) (Bayer and Stillman, Invent. Math. 87,
+    1987).  Order the variables x_l > ... > x_1, so x_1 is degrevlex's
+    last one.
+
+    1. For revlex, in(I : x_1) = in(I) : x_1 and in(I + (x_1)) =
+       in(I) + (x_1) (Eisenbud, Commutative Algebra, Prop. 15.12).
+    2. If x_1 divides no minimal generator of in(I), then in(I) : x_1 =
+       in(I), so I and I : x_1, which contains it, have one initial ideal
+       and are equal: x_1 is a nonzerodivisor on R/I.
+    3. A linear form h regular on R/I keeps the resolution: a minimal free
+       resolution of R/I tensored with R/(h) stays exact, as
+       Tor_i^R(R/I, R/h) = 0 for i > 0, and minimal.  So
+       beta^R_{i,j}(R/I) = beta^{R/h}_{i,j}(R/(I + h)).
+    4. R/(x_1) is K[x_2..x_l], whose degrevlex order is the restriction
+       of R's.  Setting x_1 = 0 in G keeps every lead, so by step 1 the
+       result is a Groebner basis of the section; it is still reduced, as
+       the substitution only deletes terms.
+    5. Repeat on the smaller ring (_regular_section).
+
+    The unit ideal is refused first: its degree-0 generator involves no
+    variable.  A non-unit in(I) keeps a variable.  The section may leave
+    G all monomials, and then I = in(I) goes to the monomial engine.  Only
+    the trailing run is cut: step 1 holds for the last variable alone.
 
     A general ideal's table is in(I)'s after consecutive cancellation
     (Peeva, Proc. AMS 132, 2004).  Fix j; write beta_i for the quotient-side
@@ -563,10 +609,12 @@ def betti_table(I):
     else:
         G = groebner_basis(I, DegRevLexOrder())
         M = initial_ideal(G)
-        if all(len(g.terms) == 1 for g in G.generators):
-            G = None
     if any(mono_deg(g) == 0 for g in M.gens):
         raise ValueError("Betti table of the unit ideal is not defined")
+    if G is not None:
+        G, M = _regular_section(G, M)
+        if all(len(g.terms) == 1 for g in G.generators):
+            G = None
     q = monomial_quotient_betti(M, I.ring.field)
     if G is not None:
         l, rank = M.nvars, _koszul_ranks(G, M)

@@ -336,8 +336,9 @@ def koszul_betti_all_cells(G):
     table, I the ideal of the reduced degrevlex basis G, with both Koszul
     ranks taken at every cell: beta_{i,j} = C(l, i) |std(j - i)| - rho_i -
     rho_{i+1}, rho_i the rank of resolution._koszul_ranks, rho_{l+1} = 0
-    and std(t) counted by enumeration.  resolution.betti_table's route
-    before consecutive cancellation."""
+    and std(t) counted by enumeration.  It ranks in G's full ring:
+    resolution.betti_table's route before both the regular section and
+    consecutive cancellation."""
     M = initial_ideal(G)
     l = M.nvars
     rank = _koszul_ranks(G, M)

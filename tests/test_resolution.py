@@ -3,10 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from regcert import resolution
 from regcert.monomials import (MonomialIdeal, hilbert_function,
@@ -708,6 +709,134 @@ def test_koszul_rank_off_by_one_raises(monkeypatch, text, delta):
     assert ranked[-1] == (2, 3)
 
 
+# ---------------------------------------------------------------------------
+# the regular section: trailing variables that in(I) does not involve
+
+def generic_forms(l, degrees, char, seed):
+    """Dense random forms of the given degrees in x1..xl."""
+    ring = make_ring([f"x{i + 1}" for i in range(l)], char=char)
+    rng = random.Random(seed)
+    return IdealPresentation.from_polynomials(ring, [
+        random_form(ring, DegRevLexOrder(), d, rng) for d in degrees])
+
+
+@st.composite
+def section_ideals(draw, qq_limits=(4, 2)):
+    """r < l dense random forms of degrees 1-3 in 3-5 variables over GF(2),
+    GF(32003) or QQ, so R/I has positive dimension and its trailing
+    variables are often regular.  Over QQ at most qq_limits[0] variables
+    and degree qq_limits[1]: the all-cells oracle ranks in the full ring,
+    where Fractions are slow."""
+    char = draw(st.sampled_from(CANCEL_CHARS))
+    most, top = qq_limits if char == 0 else (5, 3)
+    l = draw(st.integers(3, most))
+    degrees = draw(st.lists(st.integers(1, top), min_size=1, max_size=l - 1))
+    return generic_forms(l, degrees, char, draw(st.integers(0, 2 ** 32)))
+
+
+def table_and_cut(J):
+    """(betti_table(J), how many variables its regular section dropped)."""
+    real, cut = resolution._regular_section, []
+
+    def spy(G, M):
+        out = real(G, M)
+        cut.append(G.ring.nvars - out[0].ring.nvars)
+        return out
+
+    with mock.patch.object(resolution, "_regular_section", spy):
+        T = betti_table(J)
+    return T, sum(cut)
+
+
+@given(section_ideals())
+@settings(max_examples=60, deadline=None)
+def test_section_matches_the_all_cells_route(J):
+    # the oracle ranks every cell in the full ring, before the section
+    T, cut = table_and_cut(J)
+    event(f"variables dropped: {cut}")
+    assert T.entries == all_cells_table(J)
+
+
+@pytest.mark.parametrize("char", CANCEL_CHARS)
+def test_section_drops_variables_of_generic_forms(char):
+    # the section is taken on generic input, not only on crafted ideals
+    cuts = []
+    for seed in range(6):
+        J = generic_forms(3 + seed % 3, [2] * (1 + seed % 2), char, seed)
+        T, cut = table_and_cut(J)
+        assert T.entries == all_cells_table(J)
+        cuts.append(cut)
+    assert max(cuts) >= 1
+
+
+CI_TABLE = {(0, 2): 2, (1, 4): 1}
+
+
+@pytest.mark.parametrize("text, char, kept, entries", [
+    # x1 is in in(I): no cut
+    ("ring x1 x2 x3; gens: x1^2, x1*x2, x2^3 + x3^3", 32003, 3,
+     {(0, 2): 2, (0, 3): 1, (1, 3): 1, (1, 5): 2, (2, 6): 1}),
+    # in(I) = (x3^2, x2*x3, x2^3): the cut stops after x1, and the section
+    # cancels cells (0, 3) and (1, 3) of in(I)'s table by a Koszul rank
+    ("ring x1 x2 x3; gens: x3^2 + x2^2 + x1*x2, x2*x3 + x2^2 + x1^2",
+     32003, 2, CI_TABLE),
+    ("ring x1 x2 x3; gens: x3^2 + x2^2 + x1*x2, x2*x3 + x2^2 + x1^2",
+     0, 2, CI_TABLE),
+    # over GF(2) the same ideal has x1 in in(I)
+    ("ring x1 x2 x3; gens: x3^2 + x2^2 + x1*x2, x2*x3 + x2^2 + x1^2",
+     2, 3, CI_TABLE),
+    # in(I) = (x4^2, x3*x4, x3^3) cuts two variables; over GF(2)
+    # in(I) = (x4^2, x3*x4, x2*x3^2) cuts x1 only
+    ("ring x1 x2 x3 x4; gens: x4^2 + x3^2 + x2*x3 + x1*x4, "
+     "x3*x4 + x3^2 + x2^2 + x1^2", 32003, 2, CI_TABLE),
+    ("ring x1 x2 x3 x4; gens: x4^2 + x3^2 + x2*x3 + x1*x4, "
+     "x3*x4 + x3^2 + x2^2 + x1^2", 0, 2, CI_TABLE),
+    ("ring x1 x2 x3 x4; gens: x4^2 + x3^2 + x2*x3 + x1*x4, "
+     "x3*x4 + x3^2 + x2^2 + x1^2", 2, 3, CI_TABLE)])
+def test_section_cuts_the_trailing_regular_variables(text, char, kept,
+                                                     entries):
+    J = parse_ideal_file(text, char=char)[1]
+    T, cut = table_and_cut(J)
+    assert J.ring.nvars - cut == kept
+    assert T.entries == entries == all_cells_table(J)
+
+
+def test_section_with_a_monomial_basis_takes_the_monomial_engine(
+        monkeypatch):
+    # G = {x3^2, x2^2 + x1*x3} is not all monomials; its section
+    # {x3^2, x2^2} in K[x2, x3] is, so no Koszul differential is set up
+    def no_koszul(*args):
+        raise AssertionError("the total-degree engine ran")
+
+    J = ideal("ring x1 x2 x3; gens: x2^2 + x1*x3, x3^2")
+    assert not all(len(g.terms) == 1 for g in
+                   groebner_basis(J, DegRevLexOrder()).generators)
+    monkeypatch.setattr(resolution, "_koszul_ranks", no_koszul)
+    T, cut = table_and_cut(J)
+    assert cut == 1 and T.entries == CI_TABLE
+
+
+@given(section_ideals(qq_limits=(5, 3)))
+@settings(max_examples=60, deadline=None)
+def test_section_of_the_basis_is_the_basis_of_the_section(J):
+    # proof step 4: setting the cut variables to 0 in the reduced basis
+    # gives the reduced basis of the generators with those variables at 0
+    G = groebner_basis(J, DegRevLexOrder())
+    M = initial_ideal(G)
+    assume(not M.contains_monomial((0,) * J.ring.nvars))
+    Gs, Ms = resolution._regular_section(G, M)
+    k = J.ring.nvars - Gs.ring.nvars
+    assert Gs.ring.names == J.ring.names[k:]
+    cut = [Polynomial.from_terms(Gs.ring, DegRevLexOrder(),
+                                 [(c, m[k:]) for c, m in f.terms
+                                  if not any(m[:k])])
+           for f in J.generators]
+    assert Gs == groebner_basis(
+        IdealPresentation.from_polynomials(Gs.ring, cut), DegRevLexOrder())
+    assert Gs.reduced
+    assert Ms == initial_ideal(Gs)
+
+
 def test_regularity_matches_initial_ideal_for_monomial():
     M = mi(R3, (2, 1, 0), (0, 0, 3))
     assert regularity(M) == betti_table(M).regularity()
@@ -725,6 +854,11 @@ def test_zero_and_unit_ideal():
     with pytest.raises(ValueError):
         regularity(J)
     U = ideal("ring x1 x2; char 0; gens: x1, 2")
+    with pytest.raises(ValueError, match="unit"):
+        betti_table(U)
+    # the generator 1 involves no variable, so a regular section taken
+    # before the check would cut every variable
+    U = ideal("ring x1 x2 x3; gens: x2^2 + x1*x3, 5")
     with pytest.raises(ValueError, match="unit"):
         betti_table(U)
     # the monomial route refuses the unit ideal as the presentation route
