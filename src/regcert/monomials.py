@@ -1,18 +1,17 @@
 """Monomial ideals, Hilbert series, Macaulay lex segments, and the
 regularity constant of complete-intersection lex ideals.
 
-Membership in a monomial ideal is answered by a divisibility trie over
-its generators.  Lex segments are handled by closed-form arithmetic: a
-Macaulay representation is at most nvars runs of equal offset a_i - i,
-each sized by bisection on a hockey-stick sum; a segment's first new
-generator is unranked by bisection, the rest by a successor step.  A
-scan is complete once it reaches the Gotzmann bound of its series.
+Lex segments are handled by closed-form arithmetic: a Macaulay
+representation is at most nvars runs of equal offset a_i - i, each sized
+by bisection on a hockey-stick sum; a segment's first new generator is
+unranked by bisection, the rest by a successor step.  A scan is complete
+once it reaches the Gotzmann bound of its series.  Strong stability is
+decided by one table of the generators' Eliahou-Kervaire heads.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .rings import LexOrder, make_ring, mono_deg, mono_divides
 
@@ -48,45 +47,8 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.gens
 
-    @cached_property
-    def _divisor_trie(self):
-        """The generators as a trie of (keys, children) nodes keyed by
-        exponent, last variable first; each root-to-leaf path spells one
-        generator.  Inserting in ascending lex order appends every key in
-        ascending order."""
-        root = ([], [])
-        for g in sorted(self.gens, key=_LEX.key):
-            node = root
-            for e in reversed(g):
-                keys, children = node
-                if not keys or keys[-1] != e:
-                    keys.append(e)
-                    children.append(([], []))
-                node = children[-1]
-        return root
-
-    def contains_monomial(self, m):
-        """True iff some generator divides m.  The trie search enters only
-        branches whose exponent is at most m's exponent there, found by
-        bisection, largest exponent first."""
-        return bool(self.gens) and _trie_divides(self._divisor_trie, m,
-                                                 len(m))
-
     def max_gen_degree(self):
         return max((mono_deg(g) for g in self.gens), default=0)
-
-
-def _trie_divides(node, m, k):
-    """True iff a path below node divides m in its first k exponents."""
-    if k == 0:
-        return True
-    keys, children = node
-    i = bisect_right(keys, m[k - 1])
-    while i:
-        i -= 1
-        if _trie_divides(children[i], m, k - 1):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +361,36 @@ def is_strongly_stable(M):
     ... -> x_j, and each intermediate monomial contains the variable it
     is about to give up, since the previous step just multiplied by it.
     So every intermediate monomial, and w·x_j/x_i, lies in M.
+
+    Each moved w is looked up by its heads (0, ..., 0, e, w_{j+1}, ...,
+    w_l), 1 <= e <= w_j.  least maps the tail (g_{j+1}, ..., g_l) of each
+    generator g with first nonzero exponent g_j (the tail's length fixes
+    j) to the least such g_j, so a generator is a head of w iff
+    least[w_{j+1..l}] <= w_j for some j.  A head found divides w, so w is
+    in M.  Conversely, if M is strongly stable, each w of M is u·v with u
+    a minimal generator and v in x_1, ..., x_j, x_j the first variable of
+    u (Eliahou and Kervaire, J. Algebra 129, 1990, variables reversed):
+    u is a head of w, and any generating set holds the minimal ones.  So
+    the test is exact for any generating set: a miss proves M not
+    strongly stable, and no miss proves every adjacent move stays in M.
+    A generator 1 makes M the unit ideal, which is strongly stable.
     """
+    least = {}
+    for g in M.gens:
+        j = next((k for k, e in enumerate(g) if e), None)
+        if j is None:
+            return True
+        tail = g[j + 1:]
+        if least.get(tail, g[j] + 1) > g[j]:
+            least[tail] = g[j]
+    l = M.nvars
     for u in M.gens:
-        for k in range(M.nvars - 1):
-            if u[k] and not M.contains_monomial(
-                    u[:k] + (u[k] - 1, u[k + 1] + 1) + u[k + 2:]):
-                return False
+        for k in range(l - 1):
+            if u[k]:
+                w = u[:k] + (u[k] - 1, u[k + 1] + 1) + u[k + 2:]
+                if not any(w[j] and least.get(w[j + 1:], w[j] + 1) <= w[j]
+                           for j in range(l)):
+                    return False
     return True
 
 

@@ -436,13 +436,15 @@ def _nf_table(G, divisors, std, t):
     return row_of, N
 
 
-def _koszul_ranks(G, inI):
+def _koszul_ranks(G):
     """rank(i, j), the rank of the Koszul differential
     d_i : (K_i tensor R/I)_j -> (K_{i-1} tensor R/I)_j for 1 <= i <= nvars,
-    for the ideal I with reduced Groebner basis G and initial ideal inI; both
-    pieces must be nonzero.  Standard monomials, the multiplication matrices
-    and the ranks are each computed once per argument, and only for the
-    degrees a requested rank touches."""
+    for the ideal I with reduced Groebner basis G; both pieces must be
+    nonzero.  Standard monomials, the multiplication matrices and the ranks
+    are each computed once per argument, and only for the degrees a
+    requested rank touches.  A monomial is standard when no lead of G
+    divides it, as the leads generate in(I); the reducers that this test
+    finds stay in the divisor list's memo for the normal-form tables."""
     l = G.ring.nvars
     divisors = Divisors(G.generators, G.order)
 
@@ -450,7 +452,7 @@ def _koszul_ranks(G, inI):
     def std(t):
         """Degree-t monomials outside in(I), descending lex."""
         return [m for m in monomials_of_degree(l, t)
-                if not inI.contains_monomial(m)]
+                if divisors.reducer(m) is None]
 
     @functools.cache
     def multiplication(t):
@@ -617,7 +619,7 @@ def betti_table(I):
             G = None
     q = monomial_quotient_betti(M, I.ring.field)
     if G is not None:
-        l, rank = M.nvars, _koszul_ranks(G, M)
+        l, rank = M.nvars, _koszul_ranks(G)
         numerator = [0] * (max(j for _, j in q) + 1)
         for (i, j), v in q.items():
             numerator[j] += (-1) ** i * v

@@ -26,8 +26,8 @@ from .monomials import (MonomialIdeal, ci_hilbert_function, compute_G,
 from .reports import VerificationReport, digest_of
 from .resolution import (betti_table, matrix_dtype, pivot_split, regularity,
                          sparse_rank, t_invariants)
-from .rings import (BlockOrder, LexOrder, Polynomial, PowerMap,
-                    apply_power_map)
+from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
+                    PowerMap, apply_power_map)
 from .scalars import DEFAULT_PRIME
 
 
@@ -135,10 +135,12 @@ def lex_ideal_of_presentation(J, cutoff=None, inJ=None):
     that is lower.
 
     Returns (MonomialIdeal, complete), complete as in lex_segment_ideal.
-    Pass inJ to reuse an initial ideal of J the caller already has."""
+    in(J) may be taken in any term order, as every one gives the Hilbert
+    function of J; without inJ it comes from the reduced degrevlex basis,
+    and a caller that has one already passes it."""
     if inJ is None:
         inJ = (MonomialIdeal(J.ring, ()) if J.is_zero()
-               else initial_ideal(groebner_basis(J, LexOrder())))
+               else initial_ideal(groebner_basis(J, DegRevLexOrder())))
     h = hilbert_function(inJ)
     D = h.scan_bound() if cutoff is None else min(h.scan_bound(), cutoff)
     return lex_segment_ideal(h, J.ring, D)

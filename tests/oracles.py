@@ -331,6 +331,11 @@ def monomial_quotient_betti_by_monomial(M, field):
     return entries
 
 
+def contains_by_scan(M, m):
+    """MonomialIdeal membership by a linear scan over the generators."""
+    return any(mono_divides(g, m) for g in M.gens)
+
+
 def koszul_betti_all_cells(G):
     """{(i, j): beta_{i,j}(R/I)} for i >= 1 over the cells of in(I)'s
     table, I the ideal of the reduced degrevlex basis G, with both Koszul
@@ -341,10 +346,10 @@ def koszul_betti_all_cells(G):
     consecutive cancellation."""
     M = initial_ideal(G)
     l = M.nvars
-    rank = _koszul_ranks(G, M)
+    rank = _koszul_ranks(G)
 
     def std(t):
-        return sum(not M.contains_monomial(m)
+        return sum(not contains_by_scan(M, m)
                    for m in monomials_of_degree(l, t))
 
     def rho(i, j):

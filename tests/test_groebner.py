@@ -20,8 +20,8 @@ from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
 from regcert.scalars import DEFAULT_PRIME
 from regcert.verify import verify_poweli, verify_regflat
 
-from oracles import (buchberger_without_criteria, normal_form_by_max,
-                     substitute)
+from oracles import (buchberger_without_criteria, contains_by_scan,
+                     normal_form_by_max, substitute)
 
 
 def ideal(text):
@@ -359,7 +359,7 @@ def test_initial_ideal():
     inJ = initial_ideal(G)
     assert (0, 2) in inJ.gens or any(g[1] == 2 for g in inJ.gens)
     # degreewise sizes of in(J) match J (Macaulay): spot check degree 2
-    assert inJ.contains_monomial((0, 2)) or inJ.contains_monomial((2, 0))
+    assert contains_by_scan(inJ, (0, 2)) or contains_by_scan(inJ, (2, 0))
 
 
 def test_ideal_equal():

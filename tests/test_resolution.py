@@ -23,7 +23,7 @@ from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
 from regcert.scalars import QQ, PrimeField
 from regcert.verify import verify_regflat
 
-from oracles import (koszul_betti_all_cells,
+from oracles import (contains_by_scan, koszul_betti_all_cells,
                      monomial_quotient_betti_by_monomial, rank_by_fractions)
 
 R2 = make_ring(["x1", "x2"])
@@ -605,12 +605,12 @@ def test_normal_form_table_matches_division(J):
     assume(not J.is_zero())
     G = groebner_basis(J, DegRevLexOrder())
     inI = initial_ideal(G)
-    assume(not inI.contains_monomial((0,) * J.ring.nvars))  # 1 is not in I
+    assume(not contains_by_scan(inI, (0,) * J.ring.nvars))  # 1 is not in I
     p = J.ring.char
     divisors = Divisors(G.generators, G.order)  # shared across degrees
     for t in range(5):
         monos = monomials_of_degree(J.ring.nvars, t)
-        std = [m for m in monos if not inI.contains_monomial(m)]
+        std = [m for m in monos if not contains_by_scan(inI, m)]
         row_of, N = resolution._nf_table(G, divisors, std, t)
         assert N.dtype == (np.int64 if 0 < p < 2 ** 31 else object)
         assert sorted(row_of) == sorted(monos)
@@ -694,8 +694,8 @@ def test_koszul_rank_off_by_one_raises(monkeypatch, text, delta):
     real = resolution._koszul_ranks
     ranked = []
 
-    def off_by_one(G, inI):
-        rank = real(G, inI)
+    def off_by_one(G):
+        rank = real(G)
 
         def wrong(i, j):
             ranked.append((i, j))
@@ -823,7 +823,7 @@ def test_section_of_the_basis_is_the_basis_of_the_section(J):
     # gives the reduced basis of the generators with those variables at 0
     G = groebner_basis(J, DegRevLexOrder())
     M = initial_ideal(G)
-    assume(not M.contains_monomial((0,) * J.ring.nvars))
+    assume(not contains_by_scan(M, (0,) * J.ring.nvars))
     Gs, Ms = resolution._regular_section(G, M)
     k = J.ring.nvars - Gs.ring.nvars
     assert Gs.ring.names == J.ring.names[k:]
