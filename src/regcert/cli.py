@@ -166,10 +166,10 @@ def cmd_gtable(args, out):
     if args.json:
         print(json.dumps(rows, indent=2), file=out)
     else:
-        print("  n  d  m      G    cap", file=out)
-        for r in rows:
-            print(f"{r['n']:>3}{r['d']:>3}{r['m']:>3}{r['G']:>7}"
-                  f"{r['cap']:>7}", file=out)
+        table = [list(rows[0])] + [list(map(str, r.values())) for r in rows]
+        widths = [max(map(len, col)) + 2 for col in zip(*table)]
+        for line in table:
+            print("".join(map(str.rjust, line, widths)), file=out)
     # the main theorem bounds G by the cap d^(n 2^(m-1)) when m >= 1
     if any(r["m"] >= 1 and r["G"] > r["cap"] for r in rows):
         return EXIT_FAIL

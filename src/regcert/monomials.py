@@ -3,9 +3,11 @@ regularity constant of complete-intersection lex ideals.
 
 Lex segments are handled by closed-form arithmetic: a Macaulay
 representation is at most nvars runs of equal offset a_i - i, each sized
-by bisection on a hockey-stick sum; a segment's first new generator is
-unranked by bisection, the rest by a successor step.  A scan is complete
-once it reaches the Gotzmann bound of its series.  Strong stability is
+by bisection on a hockey-stick sum.  One walk gives each degree's
+shadow and segment sizes: the lex ideal unranks its first new generator
+by bisection and the rest by a successor step, while G_{n,d,m} only
+counts the degrees where the two sizes differ.  A scan is complete once
+it reaches the Gotzmann bound of its series.  Strong stability is
 decided by one table of the generators' Eliahou-Kervaire heads.
 """
 
@@ -308,9 +310,10 @@ class MacaulayViolation(ValueError):
             f"{needed} multiples of the previous segment")
 
 
-def _segment_generators(ideal_dims, nvars):
-    """Yield (degree, new generator monomials) for the lex ideal with the
-    given ideal-side dimensions; raises MacaulayViolation when unachievable."""
+def _segment_sizes(ideal_dims, nvars):
+    """Yield (degree t, shadow, N) for the lex ideal with the given
+    ideal-side dimensions: its degree-t generators are the ranks
+    shadow..N-1.  Raises MacaulayViolation when unachievable."""
     prev = 0
     for t, N in enumerate(ideal_dims):
         if not 0 <= N <= num_monomials(nvars, t):
@@ -318,7 +321,7 @@ def _segment_generators(ideal_dims, nvars):
         sh = lex_shadow_size(prev, t - 1, nvars) if t > 0 else 0
         if N < sh:
             raise MacaulayViolation(t, sh, N)
-        yield t, _lex_run(nvars, t, sh, N)
+        yield t, sh, N
         prev = N
 
 
@@ -335,9 +338,9 @@ def lex_segment_ideal(h, ring, D):
         raise ValueError("ring does not match Hilbert series")
     l = h.nvars
     gens = []
-    for _, new in _segment_generators(
+    for t, sh, N in _segment_sizes(
             [num_monomials(l, t) - q for t, q in enumerate(h.dims(D))], l):
-        gens.extend(new)
+        gens.extend(_lex_run(l, t, sh, N))
     # Minimal by construction: the degree-(t-1) part of the ideal is the
     # degree-(t-1) segment, and a degree-t generator lies outside its
     # shadow, so no element of lower degree divides it.
@@ -416,7 +419,8 @@ def g_cap(n, d, m):
 
 def ci_lex_ideal(n, d, m):
     """Lex-segment ideal of a complete intersection of n degree-d forms in
-    n+m variables, scanned through the scan bound of its series."""
+    n+m variables, scanned through the scan bound of its series: the
+    enumerated route, kept for the benchmark set-up and the tests."""
     h = ci_hilbert_function(n, d, m)
     ring = make_ring([f"z{i + 1}" for i in range(n + m)])
     M, _ = lex_segment_ideal(h, ring, h.scan_bound())
@@ -426,6 +430,21 @@ def ci_lex_ideal(n, d, m):
 @lru_cache(maxsize=None)
 def compute_G(n, d, m):
     """reg(Lex(J')) for J' a complete intersection of n degree-d forms in
-    n+m variables; depends only on (n, d, m), so it is computed once.
-    Whether G stays within g_cap is checked by its callers."""
-    return stable_regularity(ci_lex_ideal(n, d, m))
+    n+m variables, counted without building the lex ideal L: the largest
+    t <= B = scan_bound() with N > shadow in the segment-size walk.  It
+    depends only on (n, d, m), so it is computed once.  Whether G stays
+    within g_cap is checked by its callers.
+
+    The count is reg(L).  (1) L's degree-t part is the first N degree-t
+    monomials, and the shadow of its degree-(t-1) part is a lex segment
+    too, the first `shadow` of them.  So L's degree-t minimal generators
+    are exactly the ranks shadow..N-1, as lex_segment_ideal builds them:
+    they lie outside that shadow, so nothing of lower degree divides
+    them.  (2) A lex ideal is strongly stable, so its regularity is its
+    largest generator degree (Eliahou and Kervaire, J. Algebra 129,
+    1990).  (3) No generator of L lies above B (Gotzmann's regularity
+    theorem; see scan_bound)."""
+    h = ci_hilbert_function(n, d, m)
+    l, dims = h.nvars, h.dims(h.scan_bound())
+    return max(t for t, sh, N in _segment_sizes(
+        [num_monomials(l, t) - q for t, q in enumerate(dims)], l) if N > sh)

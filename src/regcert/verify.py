@@ -390,8 +390,8 @@ def verify_regbound_trials(trials, seed, char=None):
 def verify_main(param, cutoff=None):
     """The full pipeline for one parametrisation: P = ker(phi) via
     elimination, P' = alpha(P)R = J' cap R, the constant G_{n,d,m} as the
-    regularity of the lex ideal of the complete-intersection series, and
-    the chain
+    regularity of the lex ideal of the complete-intersection series
+    (counted by compute_G, which builds no lex ideal), and the chain
         reg(P) <= reg(P')/d <= G/d <= d^(n 2^(m-1) - 1).
     The first link is the regflat check on the Betti tables of P and P',
     the identity alpha(P)R = J' cap R the poweli (ii) check.

@@ -6,7 +6,8 @@ import pytest
 
 import regcert.monomials as monomials_mod
 from regcert.cli import main
-from regcert.monomials import MonomialIdeal, compute_G, monomials_of_degree
+from regcert.monomials import (MonomialIdeal, compute_G, hilbert_function,
+                               monomials_of_degree)
 from regcert.rings import make_ring
 from regcert.verify import verify_main_trials
 
@@ -129,6 +130,18 @@ def test_gtable_command(capsys):
     assert any(l.split()[:4] == ["1", "2", "1", "2"] for l in lines)
 
 
+def test_gtable_text_columns_stay_apart(capsys):
+    # G = 22,578 and the cap 16,777,216 at (3,2,4) are wider than the
+    # header's columns
+    args = ["gtable", "--n", "3", "--d", "2", "--m", "3..4"]
+    _, text, _ = run(capsys, *args)
+    _, js, _ = run(capsys, *args, "--json")
+    header, *rows = text.splitlines()
+    assert header.split() == ["n", "d", "m", "G", "cap"]
+    assert [[int(x) for x in r.split()] for r in rows] == \
+        [list(r.values()) for r in json.loads(js)]
+
+
 @pytest.mark.parametrize("flag, text", [("--n", "3..1"), ("--d", "3..2"),
                                         ("--m", "2..1"), ("--m", "2..")])
 def test_gtable_rejects_an_empty_range(capsys, flag, text):
@@ -140,12 +153,13 @@ def test_gtable_rejects_an_empty_range(capsys, flag, text):
 
 @pytest.fixture
 def g_above_cap(monkeypatch):
-    """compute_G gives 5 for every shape: each lex ideal is replaced by all
-    degree-5 monomials in 3 variables, above the cap 4 of (n,d,m) =
-    (2,2,1)."""
+    """compute_G gives 5 for every shape: the series it walks is replaced
+    by that of all degree-5 monomials in 3 variables, whose lex ideal has
+    its generators in degree 5, above the cap 4 of (n,d,m) = (2,2,1)."""
     L = MonomialIdeal(make_ring(["z1", "z2", "z3"]),
                       tuple(monomials_of_degree(3, 5)))
-    monkeypatch.setattr(monomials_mod, "ci_lex_ideal", lambda n, d, m: L)
+    monkeypatch.setattr(monomials_mod, "ci_hilbert_function",
+                        lambda n, d, m: hilbert_function(L))
     compute_G.cache_clear()
     yield
     compute_G.cache_clear()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from regcert.monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
-                               _lex_run, _macaulay_runs, _segment_generators,
+                               _lex_run, _macaulay_runs, _segment_sizes,
                                ci_hilbert_function, ci_lex_ideal,
                                compute_G, g_cap, hilbert_function,
                                is_strongly_stable, lex_segment_ideal,
@@ -379,8 +379,17 @@ def test_lex_scan_matches_unranking_oracle_on_main_ladder(n, m, d):
     h, dims = ci_ideal_dims(n, m, d)
     ring = make_ring([f"x{i + 1}" for i in range(n + m)])
     L, complete = lex_segment_ideal(h, ring, h.scan_bound())
-    assert L.gens == lex_scan_by_unrank(dims, n + m)
+    oracle = lex_scan_by_unrank(dims, n + m)
+    assert L.gens == oracle
     assert complete
+    # the count-only G is the oracle's largest generator degree
+    assert compute_G(n, d, m) == max(map(sum, oracle))
+
+
+def segment_generators(dims, nvars):
+    """The (degree, generators) pairs of the segment-size walk."""
+    return ((t, _lex_run(nvars, t, sh, N))
+            for t, sh, N in _segment_sizes(dims, nvars))
 
 
 def scan_outcome(scan, dims, nvars):
@@ -400,7 +409,7 @@ def test_unachievable_ladder_series_raise_as_oracle(n, m, d):
     for t, change in [(d + 1, 0), (d + 3, 0), (d + 2, short),
                       (d, num_monomials(l, d) + 1)]:
         bad = dims[:t] + [change] + dims[t + 1:]
-        degree, message = scan_outcome(_segment_generators, bad, l)
+        degree, message = scan_outcome(segment_generators, bad, l)
         assert degree == t
         assert (degree, message) == \
             scan_outcome(segment_generators_by_unrank, bad, l)
@@ -417,7 +426,7 @@ def test_unachievable_ladder_series_raise_as_oracle(n, m, d):
 @settings(max_examples=200, deadline=None)
 def test_segment_generators_match_oracle_on_any_sequence(nvars, raw):
     dims = [min(x, num_monomials(nvars, t) + 1) for t, x in enumerate(raw)]
-    assert scan_outcome(_segment_generators, dims, nvars) == \
+    assert scan_outcome(segment_generators, dims, nvars) == \
         scan_outcome(segment_generators_by_unrank, dims, nvars)
 
 
@@ -497,6 +506,7 @@ G_TABLE = {
 def test_compute_G_table(key, expected):
     n, d, m = key
     assert compute_G(n, d, m) == expected
+    assert compute_G(n, d, m) == stable_regularity(ci_lex_ideal(n, d, m))
 
 
 # insertion order fixes the test ids key0, key1, ...: append new shapes
@@ -510,6 +520,7 @@ G_TABLE_LARGER = {
 def test_compute_G_table_larger(key, expected):
     n, d, m = key
     assert compute_G(n, d, m) == expected
+    assert compute_G(n, d, m) == stable_regularity(ci_lex_ideal(n, d, m))
 
 
 def test_ci_lex_ideal_is_stable_with_ci_hilbert_function():

@@ -533,31 +533,38 @@ def test_main_runs_buchberger_three_times(monkeypatch):
     assert rep.status == "pass" and len(calls) == 2
 
 
-def test_main_builds_one_lex_ideal(monkeypatch):
-    # G is the regularity of the one lex ideal of the series, scanned
-    # through its scan bound B = 24, not the cap 64 plus 2; the check
-    # HF(J') == series is what ties it to J', not a second scan
+def test_main_builds_no_lex_ideal(monkeypatch):
+    # G is counted by one segment-size walk through the scan bound B = 24,
+    # not the cap 64 plus 2; no lex ideal is built or checked strongly
+    # stable.  The check HF(J') == series is what ties G to J'
     import regcert.monomials as monomials_mod
     import regcert.verify as verify_mod
-    scanned = []
-    real = monomials_mod.lex_segment_ideal
+    walked, built = [], []
+    walk = monomials_mod._segment_sizes
 
-    def counted(h, ring, D):
-        scanned.append(D)
-        return real(h, ring, D)
+    def counted(ideal_dims, nvars):
+        walked.append(len(ideal_dims) - 1)
+        return walk(ideal_dims, nvars)
 
+    def spy(name):
+        real = getattr(monomials_mod, name)
+        return lambda *args: built.append(name) or real(*args)
+
+    monkeypatch.setattr(monomials_mod, "_segment_sizes", counted)
+    monkeypatch.setattr(monomials_mod, "is_strongly_stable",
+                        spy("is_strongly_stable"))
     for mod in (monomials_mod, verify_mod):
-        monkeypatch.setattr(mod, "lex_segment_ideal", counted)
+        monkeypatch.setattr(mod, "lex_segment_ideal", spy("lex_segment_ideal"))
     compute_G.cache_clear()
     p = param("param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2")
     rep = verify_main(p)
-    assert rep.status == "pass" and scanned == [24]
-    # later instances of the shape reuse G; a cutoff below B scans nothing
+    assert rep.status == "pass" and walked == [24] and built == []
+    # later instances of the shape reuse G; a cutoff below B walks nothing
     rep = verify_main(p)
-    assert rep.status == "pass" and scanned == [24]
+    assert rep.status == "pass" and walked == [24]
     compute_G.cache_clear()
     rep = verify_main(p, cutoff=4)
-    assert rep.status == "inconclusive" and scanned == [24]
+    assert rep.status == "inconclusive" and walked == [24] and built == []
 
 
 def test_main_inconclusive_on_tiny_cutoff():
