@@ -89,6 +89,22 @@ def _not_with(args, names, reason):
         raise _Usage(f"{', '.join(given)} not used {reason}")
 
 
+def _check_printable(n, d, m, less, name):
+    """Usage error when name, d^e with e = n 2^(m-1) - less, has more than
+    the limit digits Python converts to a string.  d^e >= 2^(e (b - 1)),
+    b the bit length of d, and 2^4 > 10: so e (b - 1) > 4 limit is too
+    long without building d^e, and m - 1 past the bit length of 4 limit
+    without building 2^(m-1)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and min(n, d - 1, m) > 0 and (
+            m - 1 > (4 * limit).bit_length()
+            or (e := n * 2 ** (m - 1) - less) * (d.bit_length() - 1)
+            > 4 * limit or d ** e >= 10 ** limit):
+        raise _Usage(f"{name} d^(n*2^(m-1){'-1' if less else ''}) at n={n}, "
+                     f"d={d}, m={m} has more than {limit} digits, the most "
+                     f"Python converts to a string")
+
+
 def _emit(report, args, out):
     if args.json:
         print(report.to_json(), file=out)
@@ -156,13 +172,11 @@ def cmd_lex(args, out):
 
 
 def cmd_gtable(args, out):
-    rows = []
-    for n in args.n:
-        for d in args.d:
-            for m in args.m:
-                rows.append({"n": n, "d": d, "m": m,
-                             "G": compute_G(n, d, m),
-                             "cap": g_cap(n, d, m)})
+    shapes = [(n, d, m) for n in args.n for d in args.d for m in args.m]
+    for n, d, m in shapes:
+        _check_printable(n, d, m, 0, "the cap")
+    rows = [{"n": n, "d": d, "m": m, "G": compute_G(n, d, m),
+             "cap": g_cap(n, d, m)} for n, d, m in shapes]
     if args.json:
         print(json.dumps(rows, indent=2), file=out)
     else:
@@ -203,10 +217,12 @@ def cmd_main(args, out):
     if args.param:
         _not_with(args, ["n", "m", "d", "trials", "seed"], "with --param")
         param, _ = _load(args, "param")
+        _check_printable(param.n, param.d, param.m, 1, "the bound")
         report = verify_main(param, cutoff=args.cutoff)
     else:
         if None in (args.n, args.m, args.d):
             raise _Usage("verify main needs --param FILE or --n/--m/--d")
+        _check_printable(args.n, args.d, args.m, 1, "the bound")
         report = verify_main_trials(args.n, args.m, args.d, *_trials(args),
                                     char=args.char, cutoff=args.cutoff)
     return _emit(report, args, out)

@@ -1,19 +1,21 @@
 """Monomial ideals, Hilbert series, Macaulay lex segments, and the
 regularity constant of complete-intersection lex ideals.
 
-Lex segments are handled by closed-form arithmetic: a Macaulay
-representation is at most nvars runs of equal offset a_i - i, each sized
-by bisection on a hockey-stick sum.  One walk gives each degree's
-shadow and segment sizes: the lex ideal unranks its first new generator
-by bisection and the rest by a successor step, while G_{n,d,m} only
-counts the degrees where the two sizes differ.  A scan is complete once
-it reaches the Gotzmann bound of its series.  Strong stability is
-decided by one table of the generators' Eliahou-Kervaire heads.
+A Hilbert series streams its quotient dimensions, the numerator summed
+once per variable.  Macaulay representations are at most nvars runs of
+equal offset a_i - i, each sized by bisection on a hockey-stick sum.
+One walk of that stream gives each degree's segment and, by Macaulay's
+bound on the dimension below, its shadow: the lex ideal unranks the new
+generators between them, and G_{n,d,m} only counts the degrees where the
+two differ.  A scan is complete once it reaches the Gotzmann bound of
+its series.  Strong stability is decided by one table of the
+generators' Eliahou-Kervaire heads.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat, zip_longest
 
 from .rings import LexOrder, make_ring, mono_deg, mono_divides
 
@@ -74,22 +76,6 @@ def _pick_pivot(gens, nvars):
     return max(range(nvars), key=lambda i: counts[i])
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _k_polynomial(gens, nvars):
     """Numerator of the Hilbert series of R/I over (1-t)^nvars, as a
@@ -103,20 +89,18 @@ def _k_polynomial(gens, nvars):
     disjoint = all(not (supports[i] & supports[j])
                    for i in range(len(gens)) for j in range(i + 1, len(gens)))
     if disjoint:
-        out = (1,)
-        for g in gens:
-            factor = [0] * (mono_deg(g) + 1)
-            factor[0] = 1
-            factor[-1] = -1
-            out = _poly_mul(out, tuple(factor))
-        return out
+        out = [1]
+        for g in gens:  # times 1 - t^deg(g)
+            pad = [0] * mono_deg(g)
+            out = [a - b for a, b in zip(out + pad, pad + out)]
+        return tuple(out)
     k = _pick_pivot(gens, nvars)
     ek = tuple(1 if i == k else 0 for i in range(nvars))
     plus = tuple(sorted({ek} | {g for g in gens if g[k] == 0}))
     colon = tuple(sorted(tuple(e - 1 if i == k and e > 0 else e
                                for i, e in enumerate(g)) for g in gens))
-    return _poly_add(_k_polynomial(plus, nvars),
-                     (0,) + _k_polynomial(colon, nvars))
+    plus, colon = _k_polynomial(plus, nvars), _k_polynomial(colon, nvars)
+    return tuple(map(sum, zip_longest(plus, (0,) + colon, fillvalue=0)))
 
 
 def quotient_k_polynomial(M):
@@ -139,12 +123,17 @@ class HilbertSeries:
             num = num[:-1]
         object.__setattr__(self, "numerator", num)
 
+    def quotient_dims(self):
+        """The quotient dimensions q_0, q_1, ... as an endless stream: a
+        division by 1 - t is a running sum, nvars additions a degree."""
+        q = chain(self.numerator, repeat(0))
+        for _ in range(self.nvars):
+            q = accumulate(q)
+        return q
+
     def dims(self, D):
         """Quotient dimensions in degrees 0..D."""
-        kp, l = self.numerator, self.nvars
-        return tuple(sum(c * num_monomials(l, t - j)
-                         for j, c in enumerate(kp[:t + 1]))
-                     for t in range(D + 1))
+        return tuple(islice(self.quotient_dims(), D + 1))
 
     def scan_bound(self):
         """The degree B = max(r, t0) above which the lex ideal of this
@@ -242,21 +231,6 @@ def macaulay_growth(q, t):
                for c, s, e in _macaulay_runs(q, t))
 
 
-def lex_shadow_size(N, t, nvars):
-    """Size of the shadow of the descending-lex segment of size N in degree t.
-
-    Computed through the complement: the quotient of a lex ideal grows by
-    exactly the Macaulay bound, so |shadow| = full(t+1) - q^<t> with
-    q = full(t) - N.
-    """
-    full_t = num_monomials(nvars, t)
-    if not 0 <= N <= full_t:
-        raise ValueError("segment size out of range")
-    if t == 0:
-        return num_monomials(nvars, 1) if N == 1 else 0
-    return num_monomials(nvars, t + 1) - macaulay_growth(full_t - N, t)
-
-
 def lex_unrank(nvars, t, rank):
     """The monomial of given 0-based rank among degree-t monomials in
     descending lex order (x_l largest)."""
@@ -310,19 +284,26 @@ class MacaulayViolation(ValueError):
             f"{needed} multiples of the previous segment")
 
 
-def _segment_sizes(ideal_dims, nvars):
-    """Yield (degree t, shadow, N) for the lex ideal with the given
-    ideal-side dimensions: its degree-t generators are the ranks
-    shadow..N-1.  Raises MacaulayViolation when unachievable."""
-    prev = 0
-    for t, N in enumerate(ideal_dims):
-        if not 0 <= N <= num_monomials(nvars, t):
+def _segment_sizes(h, D):
+    """Yield (degree t, shadow, N) for t = 0..D for the lex ideal L of the
+    series h, reading its quotient dimensions q_t as they stream.  L's
+    degree-t part is the first N = full_t - q_t monomials.  The shadow of
+    its degree-(t-1) part is the first full_t - q_{t-1}^<t-1> of them, as
+    a lex quotient grows by exactly Macaulay's bound (nvars q_0 at t = 1).
+    So L has degree-t generators, the ranks shadow..N-1, iff q_t <
+    q_{t-1}^<t-1>; q_t > q_{t-1}^<t-1> raises MacaulayViolation."""
+    l, prev = h.nvars, 0
+    for t, q in enumerate(islice(h.quotient_dims(), D + 1)):
+        full = num_monomials(l, t)
+        N = full - q
+        if not 0 <= N <= full:
             raise MacaulayViolation(t, 0, N)
-        sh = lex_shadow_size(prev, t - 1, nvars) if t > 0 else 0
+        sh = 0 if t == 0 else full - (
+            l * prev if t == 1 else macaulay_growth(prev, t - 1))
         if N < sh:
             raise MacaulayViolation(t, sh, N)
         yield t, sh, N
-        prev = N
+        prev = q
 
 
 def lex_segment_ideal(h, ring, D):
@@ -336,11 +317,9 @@ def lex_segment_ideal(h, ring, D):
     """
     if ring.nvars != h.nvars:
         raise ValueError("ring does not match Hilbert series")
-    l = h.nvars
     gens = []
-    for t, sh, N in _segment_sizes(
-            [num_monomials(l, t) - q for t, q in enumerate(h.dims(D))], l):
-        gens.extend(_lex_run(l, t, sh, N))
+    for t, sh, N in _segment_sizes(h, D):
+        gens.extend(_lex_run(h.nvars, t, sh, N))
     # Minimal by construction: the degree-(t-1) part of the ideal is the
     # degree-(t-1) segment, and a degree-t generator lies outside its
     # shadow, so no element of lower degree divides it.
@@ -431,20 +410,23 @@ def ci_lex_ideal(n, d, m):
 def compute_G(n, d, m):
     """reg(Lex(J')) for J' a complete intersection of n degree-d forms in
     n+m variables, counted without building the lex ideal L: the largest
-    t <= B = scan_bound() with N > shadow in the segment-size walk.  It
+    t <= B = scan_bound() at which the quotient dimension falls below
+    Macaulay's bound, q_t < q_{t-1}^<t-1>, that is N > shadow in the
+    segment-size walk.  The walk holds O(nvars) values, whatever B is.  It
     depends only on (n, d, m), so it is computed once.  Whether G stays
     within g_cap is checked by its callers.
 
-    The count is reg(L).  (1) L's degree-t part is the first N degree-t
-    monomials, and the shadow of its degree-(t-1) part is a lex segment
-    too, the first `shadow` of them.  So L's degree-t minimal generators
-    are exactly the ranks shadow..N-1, as lex_segment_ideal builds them:
-    they lie outside that shadow, so nothing of lower degree divides
-    them.  (2) A lex ideal is strongly stable, so its regularity is its
-    largest generator degree (Eliahou and Kervaire, J. Algebra 129,
-    1990).  (3) No generator of L lies above B (Gotzmann's regularity
-    theorem; see scan_bound)."""
+    The count is reg(L).  (1) L's degree-t part is the first N = full_t -
+    q_t degree-t monomials.  The shadow of its degree-(t-1) part is a lex
+    segment too, and a lex quotient grows by exactly Macaulay's bound, so
+    it is the first full_t - q_{t-1}^<t-1> of them.  So L's
+    degree-t minimal generators are exactly the ranks shadow..N-1, as
+    lex_segment_ideal builds them: they lie outside that shadow, so
+    nothing of lower degree divides them, and there are some iff q_t <
+    q_{t-1}^<t-1>.  (2) A lex ideal is strongly stable, so its regularity
+    is its largest generator degree (Eliahou and Kervaire, J. Algebra
+    129, 1990).  (3) No generator of L lies above B (Gotzmann's
+    regularity theorem; see scan_bound)."""
     h = ci_hilbert_function(n, d, m)
-    l, dims = h.nvars, h.dims(h.scan_bound())
-    return max(t for t, sh, N in _segment_sizes(
-        [num_monomials(l, t) - q for t, q in enumerate(dims)], l) if N > sh)
+    return max(t for t, sh, N in _segment_sizes(h, h.scan_bound())
+               if N > sh)

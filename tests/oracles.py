@@ -122,7 +122,9 @@ def macaulay_growth_linear(q, t):
 
 
 def lex_shadow_size_linear(N, t, nvars):
-    """monomials.lex_shadow_size through macaulay_growth_linear."""
+    """The size of the shadow of the degree-t lex segment of size N, which
+    the segment walk of monomials._segment_sizes yields in degree t + 1,
+    through macaulay_growth_linear."""
     full_t = num_monomials(nvars, t)
     if not 0 <= N <= full_t:
         raise ValueError("segment size out of range")
@@ -171,6 +173,15 @@ def lex_scan_by_unrank(ideal_dims, nvars):
     for _, new in segment_generators_by_unrank(ideal_dims, nvars):
         gens.extend(new)
     return tuple(sorted(gens, key=LexOrder().key, reverse=True))
+
+
+def dims_by_binomials(h, D):
+    """HilbertSeries.dims as a sum over the numerator's terms: c_j t^j
+    over (1 - t)^nvars gives c_j times the degree-(t - j) monomials."""
+    kp, l = h.numerator, h.nvars
+    return tuple(sum(c * num_monomials(l, t - j)
+                     for j, c in enumerate(kp[:t + 1]))
+                 for t in range(D + 1))
 
 
 def series_of_dims(dims, nvars):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import regcert.monomials as monomials_mod
-from regcert.cli import main
+from regcert.cli import _check_printable, _Usage, main
 from regcert.monomials import (MonomialIdeal, compute_G, hilbert_function,
                                monomials_of_degree)
 from regcert.rings import make_ring
@@ -19,6 +19,8 @@ def files(tmp_path):
         "squares.txt": "ring x1 x2; char 0; gens: x1^2, x2^2",
         "nonhomog.txt": "ring x1 x2; gens: x1^2 + x2",
         "conic.txt": "param n=3 m=2 d=2; f: y1^2, y1*y2, y2^2",
+        "m15.txt": "param n=1 m=15 d=2; f: "
+                   + " + ".join(f"y{i}^2" for i in range(1, 16)),
         "cubic.txt": "param n=4 m=2 d=3; f: y1^3, y1^2*y2, y1*y2^2, y2^3",
         "elim.txt": "ring x1 x2 x3; order elim 2; "
                     "gens: x1*x2 + x2*x3, x1*x3, x3^2",
@@ -149,6 +151,52 @@ def test_gtable_rejects_an_empty_range(capsys, flag, text):
     # malformed, not LO
     code, out, err = run(capsys, "gtable", flag, text)
     assert code == 64 and out == "" and "LO <= HI" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("argv, cap", [
+    (("gtable", "--n", "1", "--d", "2", "--m", "15"), "d^(n*2^(m-1))"),
+    (("gtable", "--n", "1", "--d", "2..3", "--m", "30"), "d^(n*2^(m-1))"),
+    (("verify", "main", "--n", "1", "--m", "15", "--d", "2", "--trials", "1"),
+     "d^(n*2^(m-1)-1)"),
+    (("verify", "main", "--param", "m15.txt"), "d^(n*2^(m-1)-1)"),
+])
+def test_caps_too_long_to_print_are_usage_errors(files, capsys, argv, cap,
+                                                 json_flag):
+    # 2^16384 has 4,933 digits, more than Python converts to a string; the
+    # shape is refused before any work, and 2^(2^29) is never built
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == 64 and out == ""
+    assert cap in err and "4300 digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gtable", "--n", "1", "--d", "2", "--m", "14"),
+    ("verify", "main", "--n", "1", "--m", "14", "--d", "2", "--trials", "1"),
+])
+def test_the_largest_printable_cap_runs(capsys, argv):
+    # 2^8192 and 2^8191 have 2,467 digits
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)
+
+
+def test_printable_is_exactly_what_python_converts():
+    # 10^4299 has 4,300 digits, 10^4300 one too many
+    cases = [(n, d, m, less) for n in range(1, 5) for d in range(2, 12)
+             for m in range(1, 15) for less in (0, 1)]
+    for n, d, m, less in cases + [(4300, 10, 1, 0), (4300, 10, 1, 1)]:
+        try:
+            fits = bool(str(d ** (n * 2 ** (m - 1) - less)))
+        except ValueError:
+            fits = False
+        try:
+            _check_printable(n, d, m, less, "the cap")
+            refused = False
+        except _Usage:
+            refused = True
+        assert refused != fits, (n, d, m, less)
 
 
 @pytest.fixture

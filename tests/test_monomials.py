@@ -1,6 +1,8 @@
 """Hilbert functions, Macaulay arithmetic, lex segments, and G-values."""
 
 import math
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,12 +12,13 @@ from regcert.monomials import (HilbertSeries, MacaulayViolation, MonomialIdeal,
                                ci_hilbert_function, ci_lex_ideal,
                                compute_G, g_cap, hilbert_function,
                                is_strongly_stable, lex_segment_ideal,
-                               lex_shadow_size, lex_unrank, macaulay_growth,
+                               lex_unrank, macaulay_growth,
                                minimalize_monomials, monomials_of_degree,
                                num_monomials, stable_regularity)
 from regcert.rings import LexOrder, make_ring
 
-from oracles import (contains_by_scan, hilbert_function_incl_excl, lex_rank,
+from oracles import (contains_by_scan, dims_by_binomials,
+                     hilbert_function_incl_excl, lex_rank,
                      lex_scan_by_unrank, lex_shadow_size_linear,
                      lex_unrank_linear, macaulay_growth_linear,
                      macaulay_rep_linear, monomials_of_degree_recursive,
@@ -28,6 +31,23 @@ RINGS = {l: make_ring([f"x{i + 1}" for i in range(l)]) for l in range(1, 6)}
 
 def mi(*gens, ring=R3):
     return MonomialIdeal.from_monomials(ring, gens)
+
+
+def series_of_ideal_dims(ideal_dims, nvars):
+    """The series whose ideal-side dimensions are ideal_dims through their
+    last degree, and whose quotient is 0 above it."""
+    return series_of_dims([num_monomials(nvars, t) - N
+                           for t, N in enumerate(ideal_dims)], nvars)
+
+
+def walk_shadow(N, t, nvars):
+    """The shadow of the degree-t lex segment of size N, as the segment
+    walk yields it in degree t + 1: the ideal is 0 below t and takes every
+    monomial of degree t + 1."""
+    h = series_of_ideal_dims([0] * t + [N, num_monomials(nvars, t + 1)],
+                             nvars)
+    *_, (_, shadow, _) = _segment_sizes(h, t + 1)
+    return shadow
 
 
 def macaulay_rep(N, t):
@@ -201,6 +221,24 @@ def test_hf_of_homogeneous_matches_monomial_route():
     assert h == ci_hilbert_function(2, 2, 1)
 
 
+@given(st.integers(1, 6), st.integers(0, 12),
+       st.lists(st.integers(-50, 50), max_size=20))
+@example(3, 5, [])
+@example(2, 4, [0, 0, 0])
+@example(2, 2, [1, -2, 1, 5, -7, 3])
+@settings(max_examples=200, deadline=None)
+def test_streamed_dims_match_the_binomial_sums(nvars, D, numerator):
+    # numerators longer than D + 1, with negative coefficients, and the
+    # zero series (an empty or all-zero list)
+    h = HilbertSeries(tuple(numerator), nvars)
+    dims = h.dims(D)
+    assert dims == dims_by_binomials(h, D)
+    assert list(islice(h.quotient_dims(), D + 1)) == list(dims)
+    # series_of_dims inverts dims: the series of dims agrees with h
+    # through D and is 0 above it
+    assert series_of_dims(dims, nvars).dims(D + 3) == dims + (0, 0, 0)
+
+
 def test_ci_hilbert_function_small():
     # K[x,y]/(x^2, y^2): dims 1,2,1
     assert ci_hilbert_function(2, 2, 0).dims(4) == (1, 2, 1, 0, 0)
@@ -228,12 +266,12 @@ def test_lex_shadow_size_against_enumeration(nvars, t):
             for k in range(nvars):
                 shadow.add(tuple(e + 1 if i == k else e
                                  for i, e in enumerate(m)))
-        assert lex_shadow_size(N, t, nvars) == len(shadow)
+        assert walk_shadow(N, t, nvars) == len(shadow)
 
 
 def test_lex_shadow_degree_zero():
-    assert lex_shadow_size(1, 0, 3) == 3
-    assert lex_shadow_size(0, 0, 3) == 0
+    assert walk_shadow(1, 0, 3) == 3
+    assert walk_shadow(0, 0, 3) == 0
 
 
 def test_lex_rank_unrank_roundtrip():
@@ -307,8 +345,13 @@ def check_macaulay_arithmetic(nvars, t, N):
     assert outcome(macaulay_rep, N, t) == outcome(macaulay_rep_linear, N, t)
     if t >= 1:
         assert macaulay_growth(N, t) == macaulay_growth_linear(N, t)
-    assert outcome(lex_shadow_size, N, t, nvars) == \
-        outcome(lex_shadow_size_linear, N, t, nvars)
+    if N <= num_monomials(nvars, t):
+        assert walk_shadow(N, t, nvars) == lex_shadow_size_linear(N, t, nvars)
+    else:
+        # a segment larger than its degree is refused where it stands
+        with pytest.raises(MacaulayViolation) as exc:
+            walk_shadow(N, t, nvars)
+        assert exc.value.degree == t
 
 
 @given(st.integers(1, 7), st.integers(0, 60), st.data())
@@ -386,10 +429,24 @@ def test_lex_scan_matches_unranking_oracle_on_main_ladder(n, m, d):
     assert compute_G(n, d, m) == max(map(sum, oracle))
 
 
+def test_the_count_holds_no_list_of_the_segment_sizes():
+    # (n,d,m) = (4,3,2) walks 2,998 degrees, B = 2,997; two length-B
+    # lists of dimensions took 0.24 MB, the stream a few KB
+    assert ci_hilbert_function(4, 3, 2).scan_bound() == 2997
+    tracemalloc.start()
+    try:
+        assert compute_G.__wrapped__(4, 3, 2) == 2997
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def segment_generators(dims, nvars):
-    """The (degree, generators) pairs of the segment-size walk."""
-    return ((t, _lex_run(nvars, t, sh, N))
-            for t, sh, N in _segment_sizes(dims, nvars))
+    """The (degree, generators) pairs of the segment-size walk over the
+    series with ideal-side dimensions dims."""
+    return ((t, _lex_run(nvars, t, sh, N)) for t, sh, N in
+            _segment_sizes(series_of_ideal_dims(dims, nvars), len(dims) - 1))
 
 
 def scan_outcome(scan, dims, nvars):
@@ -413,8 +470,7 @@ def test_unachievable_ladder_series_raise_as_oracle(n, m, d):
         assert degree == t
         assert (degree, message) == \
             scan_outcome(segment_generators_by_unrank, bad, l)
-        h = series_of_dims([num_monomials(l, t) - N
-                            for t, N in enumerate(bad)], l)
+        h = series_of_ideal_dims(bad, l)
         with pytest.raises(MacaulayViolation) as exc:
             lex_segment_ideal(h, make_ring([f"x{i + 1}" for i in range(l)]),
                               len(bad) - 1)
@@ -428,6 +484,18 @@ def test_segment_generators_match_oracle_on_any_sequence(nvars, raw):
     dims = [min(x, num_monomials(nvars, t) + 1) for t, x in enumerate(raw)]
     assert scan_outcome(segment_generators, dims, nvars) == \
         scan_outcome(segment_generators_by_unrank, dims, nvars)
+
+
+def test_a_quotient_above_its_degree_is_refused_where_it_stands():
+    # q_1 = 3 exceeds the 2 monomials of degree 1, so N = -1; it is
+    # refused as a segment out of range, before the shadow 2 of the unit
+    # ideal's degree-0 part is compared
+    degree, message = scan_outcome(segment_generators, [1, -1], 2)
+    assert (degree, message) == \
+        scan_outcome(segment_generators_by_unrank, [1, -1], 2)
+    assert degree == 1 and message.endswith(
+        "size -1 at degree 1 cannot contain the 0 multiples of the "
+        "previous segment")
 
 
 def test_strong_stability():

@@ -542,9 +542,9 @@ def test_main_builds_no_lex_ideal(monkeypatch):
     walked, built = [], []
     walk = monomials_mod._segment_sizes
 
-    def counted(ideal_dims, nvars):
-        walked.append(len(ideal_dims) - 1)
-        return walk(ideal_dims, nvars)
+    def counted(h, D):
+        walked.append(D)
+        return walk(h, D)
 
     def spy(name):
         real = getattr(monomials_mod, name)
