@@ -289,10 +289,7 @@ def main(argv=None):
             return args.handler(args, sys.stdout)
         with open(args.out, "w", encoding="utf-8") as out:
             return args.handler(args, out)
-    except _Usage as exc:
-        print(f"regcert: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (_Usage, OSError, ValueError) as exc:
         print(f"regcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -121,13 +121,12 @@ class Divisors(dict):
         return None
 
 
-def normal_form(f, G, order=None):
-    """Divide f by G, a list or a Divisors: returns (remainder, quotients)
-    with f = sum q_g * g + remainder and no remainder term divisible by a
-    leading monomial of G.  Deterministic: always reduces the largest
-    reducible term by the first eligible divisor in list order."""
-    if order is None:
-        order = f.order
+def normal_form(f, G, order):
+    """Divide f by G, a list or a Divisors, under order: returns
+    (remainder, quotients) with f = sum q_g * g + remainder and no
+    remainder term divisible by a leading monomial of G.  Deterministic:
+    always reduces the largest reducible term by the first eligible
+    divisor in list order."""
     f = f.with_order(order)
     K = f.ring.field
     if not isinstance(G, Divisors):

@@ -32,14 +32,14 @@ Then if G is all monomials, I = in(I) and the monomial engine alone gives
 the table; otherwise the monomial engine gives in(I)'s table and the
 total-degree engine the ranks it leaves open.
 
-Ranks over GF(p) use Gaussian elimination in int64 or Python ints
-(rank_mod_p), over the rationals fraction-free Bareiss elimination
-(rank_exact_rational).  Sparse matrices (the Koszul differentials, and the
+One dense kernel, matrix_rank, takes every rank over every field: Gaussian
+elimination in the field's matrix_dtype, int64 or Python ints over GF(p)
+and Fractions over QQ.  Sparse matrices (the Koszul differentials, and the
 Macaulay matrices of verify.hf_direct) first go through pivot_split, which
 reduces only the pivots the other rows reach, in one np.add.reduceat per
-slice of a level batch; sparse_rank hands the dense kernels only the
-nonzero rows and columns the pivots leave.  verify.hf_direct also
-autoreduces its generators with pivot_split.
+slice of a level batch; sparse_rank hands matrix_rank only the nonzero
+rows and columns the pivots leave.  verify.hf_direct also autoreduces its
+generators with pivot_split.
 """
 
 import functools
@@ -52,17 +52,17 @@ import numpy as np
 from .groebner import Divisors, GroebnerBasis, groebner_basis, initial_ideal
 from .monomials import HilbertSeries, MonomialIdeal, monomials_of_degree
 from .rings import DegRevLexOrder, Polynomial, PolyRing, mono_deg
-from .scalars import PrimeField
 
 
 # ---------------------------------------------------------------------------
 # exact rank computation
 
 def matrix_dtype(p):
-    """The dtype of an exact matrix over the field of characteristic p:
-    int64 over GF(p) for p below 2^31, where an entry can take two or more
-    products of entries (_int64_room); Python objects (ints, or Fractions
-    over QQ) otherwise."""
+    """The dtype of every exact matrix over the field of characteristic p,
+    in matrix_rank, pivot_split and the normal-form tables: int64 over
+    GF(p) for p below 2^31, where an entry can take two or more products
+    of entries (_int64_room); Python objects otherwise, ints over GF(p)
+    and Fractions over QQ."""
     return np.int64 if 0 < p < 2 ** 31 else object
 
 
@@ -75,28 +75,35 @@ def _int64_room(p):
         return (2 ** 63 - p) // (p - 1) ** 2
 
 
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p) by right-looking Gaussian
-    elimination, column by column.  The pivot column is reduced mod p;
-    the first nonzero entry at or below the current rank is the pivot,
-    and its row is swapped into place.  Each row below with a nonzero
-    entry in the pivot column loses its multiple of the pivot row, taken
-    mod p.
+def matrix_rank(rows, field):
+    """Rank of a matrix over field by right-looking Gaussian elimination,
+    column by column, on a copy that leaves rows unchanged.  The first
+    nonzero entry of the column at or below the current rank is the
+    pivot, and its row is swapped into place.  Each row below with a
+    nonzero entry in the pivot column loses its multiple of the pivot
+    row, the multiplier being the entry times field.inv(pivot).
 
-    Exact for every prime.  An update subtracts at most (p - 1)^2 from an
-    entry, so in int64 (matrix_dtype) the trailing rows are reduced mod p
-    only after _int64_room(p) updates; Python ints (p at least 2^31) are
-    never reduced.  The kernel works on its own copy of rows, which it
-    leaves unchanged."""
+    Entries take the field's matrix_dtype.  Over GF(p) they are ints, and
+    each column is reduced mod p before its pivot is sought, as are the
+    multipliers and the pivot row.  An update subtracts at most (p - 1)^2
+    from an entry, so in int64 the trailing rows are reduced mod p only
+    after _int64_room(p) updates; Python ints (p at least 2^31) never
+    are.  Over QQ every entry is coerced by field(x) to a Fraction, so
+    int rows never meet float division."""
     if not rows:
         return 0
+    p = field.char
     A = np.array(rows, dtype=matrix_dtype(p))
-    A %= p
+    if p:
+        A %= p
+    else:
+        A = np.frompyfunc(field, 1, 1)(A)
     nr, nc = A.shape
     room = _int64_room(p)
     rank = updates = 0
     for j in range(nc):
-        A[rank:, j] %= p
+        if p:
+            A[rank:, j] %= p
         nz = rank + np.flatnonzero(A[rank:, j])
         if not nz.size:
             continue
@@ -105,8 +112,11 @@ def rank_mod_p(rows, p):
         # the row swapped down has a zero in column j
         below = nz[1:]
         if below.size:
-            mult = A[below, j] * pow(int(A[rank, j]), -1, p) % p
-            A[below, j + 1:] -= np.outer(mult, A[rank, j + 1:] % p)
+            mult = A[below, j] * field.inv(A.item(rank, j))
+            tail = A[rank, j + 1:]
+            if p:
+                mult, tail = mult % p, tail % p
+            A[below, j + 1:] -= np.outer(mult, tail)
             updates += 1
             if updates == room:
                 A[rank + 1:, j + 1:] %= p
@@ -115,45 +125,6 @@ def rank_mod_p(rows, p):
         if rank == nr:
             break
     return rank
-
-
-def rank_exact_rational(rows):
-    """Rank over the rationals by fraction-free elimination (Bareiss 1968).
-
-    Each row is scaled by the lcm of its denominators to Python ints.
-    Eliminating with pivot pv replaces each entry x of a lower row, whose
-    entry in the pivot column is a, by (pv x - a y) // prev, y the pivot
-    row's entry and prev the previous pivot (1 at first).  The division is
-    exact: every entry is then a minor of the scaled matrix (Sylvester's
-    identity), which also bounds its size."""
-    A = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            A.append(ints)
-    rank, prev = 0, 1
-    for col in range(len(A[0]) if A else 0):
-        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        pv, tail = A[rank][col], A[rank][col + 1:]
-        for row in A[rank + 1:]:
-            a = row[col]
-            row[col + 1:] = [(pv * x - a * y) // prev
-                             for x, y in zip(row[col + 1:], tail)]
-        prev = pv
-        rank += 1
-        if rank == len(A):
-            break
-    return rank
-
-
-def matrix_rank(rows, field):
-    if isinstance(field, PrimeField):
-        return rank_mod_p(rows, field.p)
-    return rank_exact_rational(rows)
 
 
 def pivot_split(shape, rows, cols, vals, field, wanted=None):

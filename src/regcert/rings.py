@@ -265,12 +265,12 @@ def apply_power_map(phi, f):
         f.ring, f.order, [(c, phi.apply_mono(m)) for c, m in f.terms])
 
 
-def s_polynomial(f, h, order=None):
-    """S-polynomial of two nonzero polynomials, merged from shifted tails."""
+def s_polynomial(f, h, order):
+    """S-polynomial of two nonzero polynomials under order, merged from
+    shifted tails."""
     if f.is_zero() or h.is_zero():
         raise ValueError("S-polynomial of zero polynomial")
-    if order is not None:
-        f, h = f.with_order(order), h.with_order(order)
+    f, h = f.with_order(order), h.with_order(order)
     K = f.ring.field
     lcm = mono_lcm(f.leading_monomial(), h.leading_monomial())
     raw = []

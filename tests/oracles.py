@@ -415,9 +415,43 @@ def buchberger_without_criteria(I, order):
     return GroebnerBasis(I.ring, tuple(G), order)
 
 
+def rank_by_bareiss(rows):
+    """Rank over the rationals by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968), independent of resolution.matrix_rank's algorithm.
+
+    Each row is scaled by the lcm of its denominators to Python ints.
+    Eliminating with pivot pv replaces each entry x of a lower row, whose
+    entry in the pivot column is a, by (pv x - a y) // prev, y the pivot
+    row's entry and prev the previous pivot (1 at first).  The division is
+    exact: every entry is then a minor of the scaled matrix (Sylvester's
+    identity), which also bounds its size."""
+    A = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            A.append(ints)
+    rank, prev = 0, 1
+    for col in range(len(A[0]) if A else 0):
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        pv, tail = A[rank][col], A[rank][col + 1:]
+        for row in A[rank + 1:]:
+            a = row[col]
+            row[col + 1:] = [(pv * x - a * y) // prev
+                             for x, y in zip(row[col + 1:], tail)]
+        prev = pv
+        rank += 1
+        if rank == len(A):
+            break
+    return rank
+
+
 def rank_by_fractions(rows):
-    """resolution.rank_exact_rational by Gaussian elimination over
-    fractions.Fraction."""
+    """resolution.matrix_rank over QQ in plain Python: Gaussian elimination
+    over fractions.Fraction, row by row."""
     A = [[Fraction(x) for x in row] for row in rows if any(row)]
     if not A:
         return 0

@@ -69,9 +69,17 @@ def test_reg_of_the_zero_ideal_is_a_usage_error(files, capsys):
     assert "regularity of the zero ideal is undefined" in err
 
 
-def test_missing_file_usage_error(capsys):
+def test_missing_file_usage_error(files, tmp_path, capsys):
     code, _, err = run(capsys, "reg", "--ideal", "/nonexistent/x.txt")
     assert code == 64
+    # a directory is no file either, to read or to write; exit 1 would
+    # mean a failed check
+    for argv in (["reg", "--ideal", str(tmp_path)],
+                 ["reg", "--ideal", files["squares.txt"], "--out",
+                  str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("regcert: ") and str(tmp_path) in err
 
 
 def test_syntax_error_usage_exit(files, capsys):

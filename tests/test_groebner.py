@@ -14,7 +14,7 @@ from regcert.groebner import (Divisors, IdealPresentation, Parametrisation,
                               passes_buchberger_criterion, reduce_basis)
 from regcert.instances import random_ideal
 from regcert.parser import parse_ideal_file
-from regcert.resolution import betti_table, regularity
+from regcert.resolution import betti_table, matrix_rank, regularity
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                            PowerMap, make_ring)
 from regcert.scalars import DEFAULT_PRIME
@@ -396,8 +396,7 @@ def kernel_by_linear_algebra(images, max_degree):
             for mm, c in v.items():
                 rows[r][cols[mm]] = int(c)
         # kernel dimension = #monos - rank
-        from regcert.resolution import rank_mod_p
-        rels.append(len(monos) - rank_mod_p(rows, p))
+        rels.append(len(monos) - matrix_rank(rows, yring.field))
     return rels
 
 

@@ -17,14 +17,14 @@ from regcert.groebner import (Divisors, IdealPresentation, groebner_basis,
                               initial_ideal, normal_form)
 from regcert.instances import random_form
 from regcert.resolution import (BettiTable, betti_table, matrix_rank,
-                                rank_exact_rational, rank_mod_p, regularity,
-                                t_invariants)
+                                regularity, t_invariants)
 from regcert.rings import DegRevLexOrder, LexOrder, Polynomial, make_ring
 from regcert.scalars import QQ, PrimeField
 from regcert.verify import verify_regflat
 
 from oracles import (contains_by_scan, koszul_betti_all_cells,
-                     monomial_quotient_betti_by_monomial, rank_by_fractions)
+                     monomial_quotient_betti_by_monomial, rank_by_bareiss,
+                     rank_by_fractions)
 
 R2 = make_ring(["x1", "x2"])
 R3 = make_ring(["x1", "x2", "x3"])
@@ -43,10 +43,11 @@ def ideal(text):
 
 def test_rank_small_matrices():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank_mod_p(rows, 32003) == 2
-    assert rank_exact_rational(rows) == 2
-    assert rank_mod_p([], 7) == 0
-    assert rank_exact_rational([[0, 0]]) == 0
+    assert matrix_rank(rows, PrimeField(32003)) == 2
+    assert matrix_rank(rows, QQ) == 2
+    assert matrix_rank([], PrimeField(7)) == 0
+    assert matrix_rank([], QQ) == 0
+    assert matrix_rank([[0, 0]], QQ) == 0
 
 
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
@@ -54,7 +55,7 @@ def test_rank_small_matrices():
 @settings(max_examples=50)
 def test_rank_routes_agree_away_from_char(rows):
     # entries are far below the prime, so ranks agree
-    assert rank_mod_p(rows, 32003) == rank_exact_rational(rows)
+    assert matrix_rank(rows, PrimeField(32003)) == matrix_rank(rows, QQ)
 
 
 @st.composite
@@ -76,7 +77,9 @@ def rational_matrices(draw):
 @given(rational_matrices())
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_rank_matches_fraction_elimination(rows):
-    assert rank_exact_rational(rows) == rank_by_fractions(rows)
+    rank = rank_by_bareiss(rows)
+    assert rank == rank_by_fractions(rows)
+    assert matrix_rank(rows, QQ) == rank
 
 
 def rank_by_python_ints(rows, p):
@@ -98,22 +101,41 @@ def rank_by_python_ints(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003, 4294967311])
-def test_rank_mod_p_exact_for_every_prime(p):
-    # 6x6 matrices whose rows combine 3 random rows: at 4294967311 the
-    # products (p-1)^2 overflow int64
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3),
+                                   PrimeField(32003), PrimeField(4294967311),
+                                   QQ], ids=repr)
+def test_matrix_rank_exact_for_every_field(field):
+    # 6x6 matrices whose rows combine 3 random rows, one of them zero: at
+    # 4294967311 the products (p-1)^2 overflow int64, and over QQ entries
+    # near 2^82 lose their low bits in floats
+    p = field.char
     rng = random.Random(p)
-    for _ in range(50):
-        base = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
-        coeffs = [[rng.randrange(p) for _ in base] for _ in range(6)]
-        rows = [[sum(c * b[j] for c, b in zip(cs, base)) % p
-                 for j in range(6)] for cs in coeffs]
-        rank = rank_mod_p(rows, p)
-        assert rank == rank_by_python_ints(rows, p)
-        assert rank <= 3
-    # an explicit rank-3 matrix with entries near p
-    rows = [[p - 1, 1, 0], [1, p - 1, 0], [0, 0, p - 2], [p - 1, 0, 1]]
-    assert rank_mod_p(rows, p) == rank_by_python_ints(rows, p)
+    top = p or 2 ** 40
+    for trial in range(50):
+        base = [[rng.randrange(top) for _ in range(6)] for _ in range(3)]
+        coeffs = [[rng.randrange(top) for _ in base] for _ in range(6)]
+        coeffs[trial % 6] = [0] * len(base)
+        rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(6)]
+                for cs in coeffs]
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        elif trial % 2:
+            # scaling a row by a fraction keeps the rank
+            rows = [[Fraction(x, 2 * r + 3) for x in row]
+                    for r, row in enumerate(rows)]
+        rank = matrix_rank(rows, field)
+        assert rank == dense_rank(rows, field) <= 3
+        assert p or rank == rank_by_bareiss(rows)
+    # an explicit rank-3 matrix with entries near p, or near 2^40 over QQ
+    rows = [[top - 1, 1, 0], [1, top - 1, 0], [0, 0, top - 2],
+            [top - 1, 0, 1]]
+    rank = matrix_rank(rows, field)
+    assert rank == dense_rank(rows, field)
+    assert p or rank == rank_by_bareiss(rows)
+    # determinant -1: rank 2 over every field, but 1 in floats
+    big = 2 ** 60
+    assert matrix_rank([[big + 1, big], [big, big - 1]], field) == 2
+    assert matrix_rank([[0] * 4] * 3, field) == 0
 
 
 def deficient_matrix(rng, p, nrows, ncols, rank, zero_cols):
@@ -156,7 +178,7 @@ def test_rank_mod_p_blocked_against_oracle(case, p):
     nrows, ncols, rank, zero_cols = BLOCKED_CASES[case]
     rows = deficient_matrix(random.Random(repr((case, p))), p, nrows, ncols,
                             rank, zero_cols)
-    assert rank_mod_p(rows, p) == rank_by_python_ints(rows, p)
+    assert matrix_rank(rows, PrimeField(p)) == rank_by_python_ints(rows, p)
 
 
 @pytest.mark.parametrize("p", [32003, 4294967311])
@@ -180,7 +202,8 @@ SPARSE_FIELDS = [PrimeField(2), PrimeField(32003), PrimeField(2 ** 31 - 1),
 
 
 def dense_rank(rows, field):
-    """The dense oracles: Gauss-Jordan over GF(p), fractions over QQ."""
+    """The dense oracles: Gauss-Jordan over GF(p), Fraction elimination
+    over QQ."""
     if not rows:
         return 0
     if field.char:
@@ -616,7 +639,7 @@ def test_normal_form_table_matches_division(J):
         assert sorted(row_of) == sorted(monos)
         for x, r in row_of.items():
             rem, _ = normal_form(Polynomial(J.ring, G.order, [(1, x)]),
-                                 G.generators)
+                                 G.generators, G.order)
             nf = rem.coeff_dict()
             assert set(nf) <= set(std)
             assert list(N[r]) == [nf.get(v, 0) for v in std]
