@@ -12,8 +12,7 @@ from .parser import ParseError, format_polynomial, parse_ideal_file
 from .reports import VerificationReport
 from .resolution import BettiTable, betti_table, regularity, t_invariants
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
-                    PolyRing, PowerMap, apply_power_map, make_ring,
-                    s_polynomial)
+                    PolyRing, PowerMap, apply_power_map, make_ring)
 from .scalars import DEFAULT_PRIME, QQ, PrimeField, field_of_characteristic
 from .verify import (verify_main, verify_main_trials, verify_poweli,
                      verify_poweli_trials, verify_regbound,
@@ -34,7 +33,7 @@ __all__ = [
     "kernel_of_map", "lex_segment_ideal",
     "make_ring", "normal_form",
     "passes_buchberger_criterion", "parse_ideal_file", "regularity",
-    "s_polynomial", "stable_regularity",
+    "stable_regularity",
     "t_invariants", "verify_main", "verify_main_trials", "verify_poweli",
     "verify_poweli_trials", "verify_regbound", "verify_regbound_trials",
     "verify_regflat",

@@ -8,6 +8,7 @@ out of memory, which proves nothing either way), 64 usage error.
 """
 
 import argparse
+import io
 import json
 import sys
 
@@ -285,10 +286,16 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if not args.out:
-            return args.handler(args, sys.stdout)
-        with open(args.out, "w", encoding="utf-8") as out:
-            return args.handler(args, out)
+        # the handler writes to a buffer, so that a usage error raised
+        # while it runs leaves an existing --out file as it was
+        out = io.StringIO()
+        code = args.handler(args, out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        else:
+            sys.stdout.write(out.getvalue())
+        return code
     except (_Usage, OSError, ValueError) as exc:
         print(f"regcert: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,9 +7,18 @@ Division keeps the live terms in a heap keyed by the negated order key
 (order keys are flat tuples of ints, so one map of neg reverses them); a
 term that cancels stays in the heap with coefficient zero and is skipped
 when popped.  A Divisors holds one divisor list, which may grow at its
-end, and memoises each monomial's heap entry and reducer for as long as
-the call that made it, so Buchberger, reduce_basis and the normal-form
-tables of a Koszul rank find each monomial's reducer once.
+end, with each divisor's tail coefficients stored once as -c / lc, and
+memoises each monomial's heap entry and reducer for as long as the call
+that made it, so Buchberger, reduce_basis and the normal-form tables of a
+Koszul rank find each monomial's reducer once.  An S-pair's terms come
+straight from the two shifted tails in the Divisors, with no
+S-polynomial built and sorted first.
+
+A term's coefficient is summed exactly as Python ints or Fractions while
+it waits in the heap and reduced into the field once, when it is popped
+(as in Monagan and Pearce's heap division, CASC 2007): reducing a sum
+gives the same field element as summing reduced terms, so the remainder
+and the quotients are those of reducing after every update.
 
 The pair queue uses the normal strategy (smallest lcm degree, ties broken
 by the term order on lcms, then by the pair's indices): a heap of
@@ -24,7 +33,7 @@ from operator import add, le, neg, sub
 from .monomials import MonomialIdeal
 from .rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
                     PolyRing, apply_power_map, is_homogeneous, mono_deg,
-                    mono_divides, mono_lcm, mono_mul, s_polynomial)
+                    mono_divides, mono_lcm, mono_mul)
 
 
 @dataclass(frozen=True)
@@ -85,11 +94,15 @@ class Parametrisation:
 
 class Divisors(dict):
     """A divisor list that may grow at its end, with each divisor's lead,
-    inverse leading coefficient and tail.  As a dict it maps each monomial
-    m met to its heap entry (negated order key, m).  found[m] is m's
-    reducer (j, q, heap entries of q * tail(g_j)) for the first g_j in
-    list order whose lead divides m = q lm(g_j), or else the number of
-    divisors checked, so that after an append only the new ones are."""
+    inverse leading coefficient and tail, kept as (-c / lc, m) for each
+    tail term c m, and the ring of the divisors (None while there are
+    none).  As a dict it maps each monomial m met to its heap entry
+    (negated order key, m).  found[m] is m's reducer (j, q, heap entries
+    of q * tail(g_j)) for the first g_j in list order whose lead divides
+    m = q lm(g_j), or else the number of divisors checked, so that after
+    an append only the new ones are."""
+
+    ring = None
 
     def __init__(self, polys, order):
         self.order, self.found = order, {}
@@ -103,9 +116,12 @@ class Divisors(dict):
 
     def append(self, g):
         g = g.with_order(self.order)
+        self.ring = g.ring
+        K = g.ring.field
+        inv = K.inv(g.leading_coefficient())
         self.leads.append(g.leading_monomial())
-        self.invs.append(g.ring.field.inv(g.leading_coefficient()))
-        self.tails.append(g.terms[1:])
+        self.invs.append(inv)
+        self.tails.append(tuple([(K(-c * inv), m) for c, m in g.terms[1:]]))
 
     def reducer(self, m):
         found = self.found.get(m, 0)
@@ -120,30 +136,60 @@ class Divisors(dict):
         self.found[m] = len(self.leads)
         return None
 
+    def s_pair(self, i, j):
+        """The S-polynomial (l / lm_i) g_i / lc_i - (l / lm_j) g_j / lc_j of
+        divisors i and j, l the lcm of their leads, as {monomial:
+        coefficient} without the terms that cancel.  The coefficients are
+        exact but not reduced into the field: over GF(p) each lies in
+        (-p, p), so a term cancels iff its sum is 0."""
+        leads, tails = self.leads, self.tails
+        lcm = mono_lcm(leads[i], leads[j])
+        q = tuple(map(sub, lcm, leads[i]))
+        work = {tuple(map(add, m, q)): -t for t, m in tails[i]}
+        q = tuple(map(sub, lcm, leads[j]))
+        for t, m in tails[j]:
+            mm = tuple(map(add, m, q))
+            c = work.pop(mm, 0) + t
+            if c:
+                work[mm] = c
+        return work
+
 
 def normal_form(f, G, order):
     """Divide f by G, a list or a Divisors, under order: returns
     (remainder, quotients) with f = sum q_g * g + remainder and no
-    remainder term divisible by a leading monomial of G.  Deterministic:
-    always reduces the largest reducible term by the first eligible
-    divisor in list order."""
-    f = f.with_order(order)
-    K = f.ring.field
+    remainder term divisible by a leading monomial of G.  f is a
+    Polynomial, or a dict {monomial: exact coefficient} such as
+    Divisors.s_pair makes, which the division consumes; the results of a
+    dict are in the ring of G, which must then be nonempty.
+    Deterministic: always reduces the largest reducible term by the first
+    eligible divisor in list order.
+
+    Updates add c * (-g / lc) term by term without reducing; a coefficient
+    is reduced into the field once, when its term is popped.  The sum of
+    Python ints or Fractions is exact, and reducing it gives the field
+    element that reducing after every update would, so the remainder and
+    quotients are the same over every field."""
     if not isinstance(G, Divisors):
         G = Divisors(G, order)
+    if isinstance(f, Polynomial):
+        ring, work = f.ring, f.coeff_dict()
+    else:
+        ring, work = G.ring, f
+    K = ring.field
     invs, tails, reducer = G.invs, G.tails, G.reducer
     quotients = [[] for _ in invs]
     remainder = []
-    # work maps each monomial still in the heap to its coefficient, zero
-    # once it has cancelled; a popped monomial is the largest left and
-    # never comes back, so the remainder and every quotient come out with
-    # nonzero terms in strictly decreasing order
-    work = f.coeff_dict()
+    # work maps each monomial still in the heap to its unreduced
+    # coefficient, zero in the field once it has cancelled; a popped
+    # monomial is the largest left and never comes back, so the remainder
+    # and every quotient come out with nonzero terms in strictly
+    # decreasing order
     heap = [G[m] for m in work]
     heapq.heapify(heap)
     while heap:
         m = heapq.heappop(heap)[1]
-        c = work.pop(m)
+        c = K(work.pop(m))
         if not c:
             continue
         found = reducer(m)
@@ -151,17 +197,16 @@ def normal_form(f, G, order):
             remainder.append((c, m))
             continue
         j, q, shifted = found
-        coeff = K(c * invs[j])
-        quotients[j].append((coeff, q))
-        for (gc, _), entry in zip(tails[j], shifted):
+        quotients[j].append((K(c * invs[j]), q))
+        for (t, _), entry in zip(tails[j], shifted):
             mm = entry[1]
             old = work.get(mm)
             if old is None:
                 heapq.heappush(heap, entry)
                 old = 0
-            work[mm] = K(old - coeff * gc)
-    return (Polynomial(f.ring, order, remainder),
-            [Polynomial(f.ring, order, q) for q in quotients])
+            work[mm] = old + c * t
+    return (Polynomial(ring, order, remainder),
+            [Polynomial(ring, order, q) for q in quotients])
 
 
 def _chain_criterion(i, j, lms, pairs_done, lcm_ij):
@@ -203,8 +248,7 @@ def buchberger(I, order):
             continue  # coprime leading monomials
         if _chain_criterion(i, j, lms, done, lcm):
             continue
-        s = s_polynomial(G[i], G[j], order)
-        rem, _ = normal_form(s, divisors, order)
+        rem, _ = normal_form(divisors.s_pair(i, j), divisors, order)
         if not rem.is_zero():
             G.append(rem.monic())
             divisors.append(G[-1])
@@ -236,16 +280,15 @@ def groebner_basis(I, order):
 
 
 def passes_buchberger_criterion(polys, order):
-    """True iff every S-polynomial of the list reduces to zero against it."""
-    polys = list(polys)
+    """(True, None) iff every S-polynomial of the list reduces to zero
+    against it, else (False, (i, j)) for the first pair (i, j), i < j,
+    whose does not.  An S-polynomial whose terms all cancel is skipped."""
     divisors = Divisors(polys, order)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = s_polynomial(polys[i], polys[j], order)
-            if s.is_zero():
-                continue
-            rem, _ = normal_form(s, divisors, order)
-            if not rem.is_zero():
+    n = len(divisors.leads)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = divisors.s_pair(i, j)
+            if s and not normal_form(s, divisors, order)[0].is_zero():
                 return False, (i, j)
     return True, None
 

@@ -381,18 +381,18 @@ def _nf_table(G, divisors, std, t):
     increasing term order.  A standard monomial gets a unit row; any other
     x = q lm(g), g the first element of divisors (a Divisors over G) whose
     lead divides x, gets NF(x) = -sum (c / lc(g)) NF(q m) over the tail
-    terms c m of g, whose rows are already filled (same degree, smaller).
+    terms c m of g, whose rows are already filled (same degree, smaller);
+    divisors holds each -c / lc(g).
     Rows have the matrix_dtype of the field, and the sum is one product; in
     int64 it is taken in chunks of _int64_room(p) tail terms, each reduced
     mod p."""
-    K, p = G.ring.field, G.ring.char
+    p = G.ring.char
     dtype = matrix_dtype(p)
     col = {v: c for c, v in enumerate(std)}
     monos = sorted(monomials_of_degree(G.ring.nvars, t), key=G.order.key)
     row_of = {x: r for r, x in enumerate(monos)}
     room = _int64_room(p) or len(monos)  # no tail is longer
-    coeffs = [np.array([K(-c * inv) for c, _ in tail], dtype)
-              for inv, tail in zip(divisors.invs, divisors.tails)]
+    coeffs = [np.array([c for c, _ in tail], dtype) for tail in divisors.tails]
     N = np.zeros((len(monos), len(col)), dtype)
     for r, x in enumerate(monos):
         if x in col:

@@ -33,17 +33,6 @@ def mono_divides(a, b):
     return all(map(operator.le, a, b))
 
 
-def mono_div(a, b):
-    """Quotient a / b; b must divide a."""
-    if not all(map(operator.le, b, a)):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(map(operator.sub, a, b))
-
-
-def mono_one(nvars):
-    return (0,) * nvars
-
-
 # ---------------------------------------------------------------------------
 # term orders: frozen values; key(m), a flat tuple of ints, sorts monomials
 # increasing with the order, and eliminates(keep, nvars) is true iff the
@@ -192,16 +181,12 @@ class Polynomial:
                for c1, m1 in self.terms for c2, m2 in other.terms]
         return Polynomial.from_terms(self.ring, self.order, raw)
 
-    def mul_term(self, coeff, mono):
+    def scale(self, coeff):
         K = self.ring.field
         if not coeff:
             return Polynomial.zero(self.ring, self.order)
         return Polynomial(self.ring, self.order,
-                          [(K(c * coeff), mono_mul(m, mono))
-                           for c, m in self.terms])
-
-    def scale(self, coeff):
-        return self.mul_term(coeff, mono_one(self.ring.nvars))
+                          [(K(c * coeff), m) for c, m in self.terms])
 
     def monic(self):
         if self.is_zero():
@@ -263,19 +248,3 @@ def apply_power_map(phi, f):
         raise ValueError("power map dimension does not match ring")
     return Polynomial.from_terms(
         f.ring, f.order, [(c, phi.apply_mono(m)) for c, m in f.terms])
-
-
-def s_polynomial(f, h, order):
-    """S-polynomial of two nonzero polynomials under order, merged from
-    shifted tails."""
-    if f.is_zero() or h.is_zero():
-        raise ValueError("S-polynomial of zero polynomial")
-    f, h = f.with_order(order), h.with_order(order)
-    K = f.ring.field
-    lcm = mono_lcm(f.leading_monomial(), h.leading_monomial())
-    raw = []
-    for g, sign in ((f, 1), (h, -1)):
-        a = sign * K.inv(g.leading_coefficient())
-        q = mono_div(lcm, g.leading_monomial())
-        raw += [(a * c, mono_mul(m, q)) for c, m in g.terms[1:]]
-    return Polynomial.from_terms(f.ring, f.order, raw)

@@ -16,8 +16,8 @@ from regcert.parser import _TOKEN_RE, ParseError
 from regcert.resolution import (_koszul_ranks, _reduced_homology, matrix_rank,
                                 monomial_quotient_betti)
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
-                           make_ring, mono_deg, mono_div, mono_divides,
-                           mono_lcm, mono_mul, s_polynomial)
+                           make_ring, mono_deg, mono_divides, mono_lcm,
+                           mono_mul)
 from regcert.scalars import DEFAULT_PRIME, check_characteristic
 
 
@@ -34,11 +34,29 @@ def mono_divides_by_zip(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div_by_zip(a, b):
+def mono_div(a, b):
+    """Quotient a / b; b must divide a."""
     q = tuple(x - y for x, y in zip(a, b))
     if any(e < 0 for e in q):
         raise ValueError(f"{b} does not divide {a}")
     return q
+
+
+def s_polynomial(f, h, order):
+    """S-polynomial of two nonzero polynomials under order, built as a
+    Polynomial from the shifted tails scaled by the inverse leading
+    coefficients; groebner.Divisors.s_pair makes its terms another way."""
+    if f.is_zero() or h.is_zero():
+        raise ValueError("S-polynomial of zero polynomial")
+    f, h = f.with_order(order), h.with_order(order)
+    K = f.ring.field
+    lcm = mono_lcm(f.leading_monomial(), h.leading_monomial())
+    raw = []
+    for g, sign in ((f, 1), (h, -1)):
+        a = sign * K.inv(g.leading_coefficient())
+        q = mono_div(lcm, g.leading_monomial())
+        raw += [(a * c, mono_mul(m, q)) for c, m in g.terms[1:]]
+    return Polynomial.from_terms(f.ring, f.order, raw)
 
 
 def order_key_by_genexpr(order, m):
@@ -398,6 +416,17 @@ def normal_form_by_max(f, G, order):
             remainder.append((c, m))
     return (Polynomial(ring, order, remainder),
             [Polynomial(ring, order, q) for q in quotients])
+
+
+def buchberger_criterion_by_s_polynomials(polys, order):
+    """groebner.passes_buchberger_criterion through s_polynomial and
+    normal_form_by_max, skipping an S-polynomial that is zero."""
+    for i, j in combinations(range(len(polys)), 2):
+        s = s_polynomial(polys[i], polys[j], order)
+        if not (s.is_zero()
+                or normal_form_by_max(s, polys, order)[0].is_zero()):
+            return False, (i, j)
+    return True, None
 
 
 def buchberger_without_criteria(I, order):

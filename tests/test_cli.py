@@ -80,6 +80,14 @@ def test_missing_file_usage_error(files, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, "")
         assert err.startswith("regcert: ") and str(tmp_path) in err
+    # a usage error leaves an existing --out file as it was
+    report = tmp_path / "out.json"
+    report.write_text('{"regularity": 3}\n')
+    for argv in (["reg", "--ideal", "/nonexistent/x.txt"],
+                 ["lex", "--ideal", files["nonhomog.txt"]]):
+        code, out, err = run(capsys, *argv, "--out", str(report))
+        assert (code, out) == (64, "") and err.startswith("regcert: ")
+        assert report.read_text() == '{"regularity": 3}\n'
 
 
 def test_syntax_error_usage_exit(files, capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from itertools import combinations, cycle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,8 +21,9 @@ from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial,
 from regcert.scalars import DEFAULT_PRIME
 from regcert.verify import verify_poweli, verify_regflat
 
-from oracles import (buchberger_without_criteria, contains_by_scan,
-                     normal_form_by_max, substitute)
+from oracles import (buchberger_criterion_by_s_polynomials,
+                     buchberger_without_criteria, contains_by_scan,
+                     normal_form_by_max, s_polynomial, substitute)
 
 
 def ideal(text):
@@ -57,7 +59,8 @@ def test_normal_form_division_identity():
         assert not any(mono_divides(lm, m) for lm in lms)
 
 
-FIELD_CHARS = [2, 32003, 0]
+# 2^61 - 1: division sums unreduced coefficients as bigints
+FIELD_CHARS = [2, 32003, 2305843009213693951, 0]
 ORDERS = [LexOrder(), DegRevLexOrder(), BlockOrder(1), BlockOrder(2)]
 raw_polys = st.lists(
     st.tuples(st.integers(-50, 50), st.sampled_from([1, 3, 5, 7]),
@@ -166,6 +169,55 @@ def test_divisors_memo_sees_a_divisor_appended_later(char, order):
     after = _same_division(f, memo, G, order)
     assert after.terms == normal_form(f, G[:2], order)[0].terms
     assert after.terms != normal_form(f, [G[0], G[2]], order)[0].terms
+
+
+@pytest.mark.parametrize("char", [2, 32003, 2305843009213693951])
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_a_sum_past_p_is_reduced_when_its_term_is_popped(char, order):
+    # f = -(the 7 sextics L in x2, x3) divided by the L + x1^6: each of
+    # the 7 reductions adds (-1) * (-1) to x1^6, whose unreduced sum
+    # 7 (p - 1)^2 passes p several times (7 over GF(2)) before x1^6 is
+    # popped, reduced to 7 mod p and kept in the remainder
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    leads = [(0, a, 6 - a) for a in range(7)]
+    G = [Polynomial.from_terms(ring, order, [(1, L), (1, (6, 0, 0))])
+         for L in leads]
+    f = Polynomial.from_terms(ring, order, [(-1, L) for L in leads])
+    rem, quots = normal_form(f, G, order)
+    rem_o, quots_o = normal_form_by_max(f, G, order)
+    assert rem.terms == rem_o.terms == ((7 % char, (6, 0, 0)),)
+    assert [q.terms for q in quots] == [q.terms for q in quots_o]
+    assert all(0 <= c < char for p in [rem] + quots for c, _ in p.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(char=st.sampled_from([2, 32003, 0]), order=st.sampled_from(ORDERS),
+       gens=st.lists(raw_polys, min_size=2, max_size=3),
+       scales=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+       basis=st.booleans())
+def test_s_pairs_from_the_memo_match_the_s_polynomial_oracle(
+        char, order, gens, scales, basis):
+    # non-monic polynomials, or, so that both verdicts come up, a reduced
+    # basis of the ideal of binomials cut from them, scaled: each S-pair
+    # dict is the oracle's S-polynomial with no cancelled term, and
+    # passes_buchberger_criterion gives the verdict and witness of a loop
+    # of the oracle's s_polynomial and normal_form_by_max
+    ring = make_ring(["x1", "x2", "x3"], char=char)
+    K = ring.field
+    G = [_poly(ring, order, g[:2] if basis else g) for g in gens]
+    assume(all(not g.is_zero() for g in G))
+    if basis:
+        G = [g.scale(K(s) or K.one) for g, s in zip(groebner_basis(
+            IdealPresentation(ring, tuple(G)), order).generators,
+            cycle(scales))]
+    divisors = Divisors(G, order)
+    for i, j in combinations(range(len(G)), 2):
+        pair = divisors.s_pair(i, j)
+        assert all(K(c) for c in pair.values())
+        assert ({m: K(c) for m, c in pair.items()}
+                == s_polynomial(G[i], G[j], order).coeff_dict())
+    assert (passes_buchberger_criterion(G, order)
+            == buchberger_criterion_by_s_polynomials(G, order))
 
 
 def test_no_division_memo_outlives_its_call():
