@@ -155,8 +155,8 @@ class Divisors(dict):
         return work
 
 
-def normal_form(f, G, order):
-    """Divide f by G, a list or a Divisors, under order: returns
+def normal_form(f, divisors):
+    """Divide f by divisors, a Divisors G, under G's order: returns
     (remainder, quotients) with f = sum q_g * g + remainder and no
     remainder term divisible by a leading monomial of G.  f is a
     Polynomial, or a dict {monomial: exact coefficient} such as
@@ -170,14 +170,12 @@ def normal_form(f, G, order):
     Python ints or Fractions is exact, and reducing it gives the field
     element that reducing after every update would, so the remainder and
     quotients are the same over every field."""
-    if not isinstance(G, Divisors):
-        G = Divisors(G, order)
     if isinstance(f, Polynomial):
         ring, work = f.ring, f.coeff_dict()
     else:
-        ring, work = G.ring, f
-    K = ring.field
-    invs, tails, reducer = G.invs, G.tails, G.reducer
+        ring, work = divisors.ring, f
+    K, order = ring.field, divisors.order
+    invs, tails, reducer = divisors.invs, divisors.tails, divisors.reducer
     quotients = [[] for _ in invs]
     remainder = []
     # work maps each monomial still in the heap to its unreduced
@@ -185,7 +183,7 @@ def normal_form(f, G, order):
     # monomial is the largest left and never comes back, so the remainder
     # and every quotient come out with nonzero terms in strictly
     # decreasing order
-    heap = [G[m] for m in work]
+    heap = [divisors[m] for m in work]
     heapq.heapify(heap)
     while heap:
         m = heapq.heappop(heap)[1]
@@ -248,7 +246,7 @@ def buchberger(I, order):
             continue  # coprime leading monomials
         if _chain_criterion(i, j, lms, done, lcm):
             continue
-        rem, _ = normal_form(divisors.s_pair(i, j), divisors, order)
+        rem, _ = normal_form(divisors.s_pair(i, j), divisors)
         if not rem.is_zero():
             G.append(rem.monic())
             divisors.append(G[-1])
@@ -265,7 +263,7 @@ def reduce_basis(G):
         # g is minimal iff no lead before it divides lm(g); no lead divides
         # a smaller monomial, so the minimal ones before g are all others
         if divisors.reducer(g.leading_monomial()) is None:
-            reduced.append(normal_form(g, divisors, order)[0].monic())
+            reduced.append(normal_form(g, divisors)[0].monic())
             divisors.append(g)
     reduced.sort(key=lambda g: order.key(g.leading_monomial()), reverse=True)
     return GroebnerBasis(G.ring, tuple(reduced), order, reduced=True)
@@ -288,7 +286,7 @@ def passes_buchberger_criterion(polys, order):
     for i in range(n):
         for j in range(i + 1, n):
             s = divisors.s_pair(i, j)
-            if s and not normal_form(s, divisors, order)[0].is_zero():
+            if s and not normal_form(s, divisors)[0].is_zero():
                 return False, (i, j)
     return True, None
 
@@ -300,29 +298,26 @@ def initial_ideal(G):
 
 
 def eliminate(G, keep):
-    """Elements of G lying in the kept subring, as a Groebner basis of the
-    elimination ideal over R.  Requires an elimination order."""
-    if not G.order.eliminates(keep, G.ring.nvars):
-        raise ValueError(f"{G.order!r} does not eliminate the last "
-                         f"{G.ring.nvars - keep} variables")
+    """Elements of G lying in the kept subring R of the first keep
+    variables, as a Groebner basis of the elimination ideal over R.  With
+    keep = nvars that is G; otherwise lex restricts to lex on R and
+    BlockOrder(keep) to degrevlex, and no other order eliminates."""
     if keep == G.ring.nvars:
         return G
+    if isinstance(G.order, LexOrder):
+        sub_order = G.order
+    elif G.order == BlockOrder(keep):
+        sub_order = DegRevLexOrder()
+    else:
+        raise ValueError(f"{G.order!r} does not eliminate the last "
+                         f"{G.ring.nvars - keep} variables")
     R = PolyRing(G.ring.names[:keep], G.ring.field)
-    sub_order = _restrict_order(G.order, keep)
     kept = []
     for g in G.generators:
         if all(all(e == 0 for e in m[keep:]) for _, m in g.terms):
             kept.append(Polynomial.from_terms(
                 R, sub_order, [(c, m[:keep]) for c, m in g.terms]))
     return GroebnerBasis(R, tuple(kept), sub_order, reduced=G.reduced)
-
-
-def _restrict_order(order, keep):
-    if isinstance(order, LexOrder):
-        return order
-    if isinstance(order, BlockOrder) and order.keep == keep:
-        return DegRevLexOrder()
-    raise ValueError("cannot restrict order to the kept subring")
 
 
 def image_ideal(phi, I):
@@ -358,14 +353,11 @@ def graph_ideal(param, power, order):
     return IdealPresentation(S, tuple(gens))
 
 
-def kernel_of_map(param, order=None):
+def kernel_of_map(param, order):
     """Defining ideal of the image of the map y -> (f_1(y), ..., f_n(y)) of
     a parametrisation: eliminates the y variables from the graph ideal
-    (x_i - f_i).
+    (x_i - f_i) under order, LexOrder() or the faster BlockOrder(n).
 
-    Returns a Groebner basis over R = K[x_1..x_n].  Pure lex by default;
-    pass BlockOrder(n) for the faster block elimination variant."""
-    if order is None:
-        order = LexOrder()
+    Returns a Groebner basis over R = K[x_1..x_n]."""
     return eliminate(groebner_basis(graph_ideal(param, 1, order), order),
                      param.n)

@@ -35,8 +35,7 @@ def mono_divides(a, b):
 
 # ---------------------------------------------------------------------------
 # term orders: frozen values; key(m), a flat tuple of ints, sorts monomials
-# increasing with the order, and eliminates(keep, nvars) is true iff the
-# order eliminates the last nvars-keep variables
+# increasing with the order
 
 @dataclass(frozen=True)
 class LexOrder:
@@ -44,9 +43,6 @@ class LexOrder:
 
     def key(self, m):
         return m[::-1]
-
-    def eliminates(self, keep, nvars):
-        return True
 
     def __repr__(self):
         return "lex"
@@ -58,9 +54,6 @@ class DegRevLexOrder:
 
     def key(self, m):
         return (sum(m), *map(operator.neg, m))
-
-    def eliminates(self, keep, nvars):
-        return keep == nvars
 
     def __repr__(self):
         return "degrevlex"
@@ -77,9 +70,6 @@ class BlockOrder:
         hi, lo = m[self.keep:], m[:self.keep]
         return (sum(hi), *map(operator.neg, hi),
                 sum(lo), *map(operator.neg, lo))
-
-    def eliminates(self, keep, nvars):
-        return keep == self.keep
 
     def __repr__(self):
         return f"elim({self.keep})"
@@ -141,10 +131,6 @@ class Polynomial:
         terms.sort(key=lambda t: order.key(t[1]), reverse=True)
         return cls(ring, order, terms)
 
-    @classmethod
-    def zero(cls, ring, order):
-        return cls(ring, order, ())
-
     def is_zero(self):
         return not self.terms
 
@@ -162,29 +148,8 @@ class Polynomial:
     def coeff_dict(self):
         return {m: c for c, m in self.terms}
 
-    def __add__(self, other):
-        return Polynomial.from_terms(self.ring, self.order,
-                                     list(self.terms) + list(other.terms))
-
-    def __sub__(self, other):
-        return Polynomial.from_terms(
-            self.ring, self.order,
-            list(self.terms) + [(-c, m) for c, m in other.terms])
-
-    def __neg__(self):
-        K = self.ring.field
-        return Polynomial(self.ring, self.order,
-                          [(K(-c), m) for c, m in self.terms])
-
-    def __mul__(self, other):
-        raw = [(c1 * c2, mono_mul(m1, m2))
-               for c1, m1 in self.terms for c2, m2 in other.terms]
-        return Polynomial.from_terms(self.ring, self.order, raw)
-
     def scale(self, coeff):
         K = self.ring.field
-        if not coeff:
-            return Polynomial.zero(self.ring, self.order)
         return Polynomial(self.ring, self.order,
                           [(K(c * coeff), m) for c, m in self.terms])
 

@@ -2,7 +2,7 @@
 
 A field K is a coercion: K(x) reduces a Python number into the field, and
 callers do arithmetic with Python's operators plus one K(...).  With
-K.inv, K.zero, K.one and K.char that is the whole field protocol."""
+K.inv and K.char that is the whole field protocol."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,9 +59,6 @@ class PrimeField:
 
     p: int
 
-    zero = 0
-    one = 1
-
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
@@ -88,8 +85,6 @@ class RationalField:
     Fraction(x)."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def __call__(self, x):
         return Fraction(x)

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from regcert.groebner import (GroebnerBasis, IdealPresentation,
+from regcert.groebner import (Divisors, GroebnerBasis, IdealPresentation,
                               Parametrisation, initial_ideal, normal_form)
 from regcert.monomials import (HilbertSeries, MacaulayViolation,
                                monomials_of_degree, num_monomials)
@@ -40,6 +40,35 @@ def mono_div(a, b):
     if any(e < 0 for e in q):
         raise ValueError(f"{b} does not divide {a}")
     return q
+
+
+def poly_zero(ring, order):
+    return Polynomial(ring, order, ())
+
+
+def poly_add(f, *rest):
+    """f + sum(rest), under f's order."""
+    raw = [t for g in (f, *rest) for t in g.terms]
+    return Polynomial.from_terms(f.ring, f.order, raw)
+
+
+def poly_neg(f):
+    K = f.ring.field
+    return Polynomial(f.ring, f.order, [(K(-c), m) for c, m in f.terms])
+
+
+def poly_sub(f, g):
+    return poly_add(f, poly_neg(g))
+
+
+def poly_mul(f, *rest):
+    """The product of f and rest, under f's order."""
+    for g in rest:
+        f = Polynomial.from_terms(
+            f.ring, f.order,
+            [(c1 * c2, mono_mul(m1, m2))
+             for c1, m1 in f.terms for c2, m2 in g.terms])
+    return f
 
 
 def s_polynomial(f, h, order):
@@ -258,14 +287,14 @@ def substitute(g, images):
     """Evaluate g(f_1, ..., f_n) for polynomials f_i in another ring."""
     yring = images[0].ring
     order = images[0].order
-    out = Polynomial.zero(yring, order)
+    out = poly_zero(yring, order)
     for c, mexp in g.terms:
         term = Polynomial.from_terms(yring, order,
                                      [(c, (0,) * yring.nvars)])
         for i, e in enumerate(mexp):
             for _ in range(e):
-                term = term * images[i]
-        out = out + term
+                term = poly_mul(term, images[i])
+        out = poly_add(out, term)
     return out
 
 
@@ -437,7 +466,8 @@ def buchberger_without_criteria(I, order):
     pairs = list(combinations(range(len(G)), 2))
     while pairs:
         i, j = pairs.pop(0)
-        rem, _ = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        rem, _ = normal_form(s_polynomial(G[i], G[j], order),
+                             Divisors(G, order))
         if not rem.is_zero():
             pairs += [(k, len(G)) for k in range(len(G))]
             G.append(rem.monic())

@@ -23,7 +23,8 @@ from regcert.verify import verify_poweli, verify_regflat
 
 from oracles import (buchberger_criterion_by_s_polynomials,
                      buchberger_without_criteria, contains_by_scan,
-                     normal_form_by_max, s_polynomial, substitute)
+                     normal_form_by_max, poly_add, poly_mul, s_polynomial,
+                     substitute)
 
 
 def ideal(text):
@@ -46,10 +47,10 @@ def test_normal_form_division_identity():
     J = ideal("ring x1 x2 x3; char 0; gens: x1*x2 - x3, x2^2 - x1")
     f = polys("ring x1 x2 x3; char 0; gens: x1^2*x2^2 + x2*x3")[0]
     order = DegRevLexOrder()
-    rem, quots = normal_form(f, list(J.generators), order)
+    rem, quots = normal_form(f, Divisors(J.generators, order))
     recombined = rem
     for q, g in zip(quots, J.generators):
-        recombined = recombined + q * g.with_order(order)
+        recombined = poly_add(recombined, poly_mul(q, g.with_order(order)))
     assert recombined == f.with_order(order)
     # no remainder term reducible
     lms = [g.leading_monomial() for g in
@@ -86,10 +87,10 @@ def test_normal_form_results_are_normalized(char, order, f, divisors):
     f = _poly(ring, order, f)
     G = [_poly(ring, order, g) for g in divisors]
     assume(all(not g.is_zero() for g in G))
-    rem, quots = normal_form(f, G, order)
+    rem, quots = normal_form(f, Divisors(G, order))
     recombined = rem
     for q, g in zip(quots, G):
-        recombined = recombined + q * g
+        recombined = poly_add(recombined, poly_mul(q, g))
     assert recombined == f
     for p in [rem] + quots:
         assert all(c for c, _ in p.terms)
@@ -109,14 +110,14 @@ def test_normal_form_heap_matches_max_per_step_oracle(char, order, f,
     f = _poly(ring, order, f)
     G = [_poly(ring, order, g) for g in divisors]
     assume(all(not g.is_zero() for g in G))
-    rem, quots = normal_form(f, G, order)
+    rem, quots = normal_form(f, Divisors(G, order))
     rem_o, quots_o = normal_form_by_max(f, G, order)
     assert rem.terms == rem_o.terms
     assert [q.terms for q in quots] == [q.terms for q in quots_o]
 
 
 def _same_division(f, divisors, G, order):
-    rem, quots = normal_form(f, divisors, order)
+    rem, quots = normal_form(f, divisors)
     rem_o, quots_o = normal_form_by_max(f, G, order)
     assert rem.terms == rem_o.terms
     assert [q.terms for q in quots] == [q.terms for q in quots_o]
@@ -167,8 +168,9 @@ def test_divisors_memo_sees_a_divisor_appended_later(char, order):
         G.append(p.with_order(order))
         memo.append(p)
     after = _same_division(f, memo, G, order)
-    assert after.terms == normal_form(f, G[:2], order)[0].terms
-    assert after.terms != normal_form(f, [G[0], G[2]], order)[0].terms
+    assert after.terms == normal_form(f, Divisors(G[:2], order))[0].terms
+    assert (after.terms
+            != normal_form(f, Divisors([G[0], G[2]], order))[0].terms)
 
 
 @pytest.mark.parametrize("char", [2, 32003, 2305843009213693951])
@@ -183,7 +185,7 @@ def test_a_sum_past_p_is_reduced_when_its_term_is_popped(char, order):
     G = [Polynomial.from_terms(ring, order, [(1, L), (1, (6, 0, 0))])
          for L in leads]
     f = Polynomial.from_terms(ring, order, [(-1, L) for L in leads])
-    rem, quots = normal_form(f, G, order)
+    rem, quots = normal_form(f, Divisors(G, order))
     rem_o, quots_o = normal_form_by_max(f, G, order)
     assert rem.terms == rem_o.terms == ((7 % char, (6, 0, 0)),)
     assert [q.terms for q in quots] == [q.terms for q in quots_o]
@@ -207,7 +209,7 @@ def test_s_pairs_from_the_memo_match_the_s_polynomial_oracle(
     G = [_poly(ring, order, g[:2] if basis else g) for g in gens]
     assume(all(not g.is_zero() for g in G))
     if basis:
-        G = [g.scale(K(s) or K.one) for g, s in zip(groebner_basis(
+        G = [g.scale(K(s) or K(1)) for g, s in zip(groebner_basis(
             IdealPresentation(ring, tuple(G)), order).generators,
             cycle(scales))]
     divisors = Divisors(G, order)
@@ -237,8 +239,8 @@ def _count_divisions(monkeypatch):
     """[remainder is zero] for each normal_form call buchberger makes."""
     zero, divide = [], groebner.normal_form
 
-    def counted(f, G, order=None):
-        rem, quots = divide(f, G, order)
+    def counted(f, divisors):
+        rem, quots = divide(f, divisors)
         zero.append(rem.is_zero())
         return rem, quots
     monkeypatch.setattr(groebner, "normal_form", counted)
@@ -279,7 +281,7 @@ def test_normal_form_computes_each_order_key_once(monkeypatch):
     seen = []
     monkeypatch.setattr(LexOrder, "key",
                         lambda self, m: seen.append(m) or tuple(reversed(m)))
-    rem, (q,) = normal_form(f, [g], order)
+    rem, (q,) = normal_form(f, Divisors([g], order))
     assert rem.is_zero() and len(q.terms) == 3
     assert len(seen) == len(set(seen))
     assert set(seen) == {(3, 0), (0, 3), (2, 1), (1, 2)}
@@ -288,11 +290,11 @@ def test_normal_form_computes_each_order_key_once(monkeypatch):
 def test_normal_form_zero_in_ideal():
     gens = polys("ring x1 x2; char 0; gens: x1^2 - x2, x2^2 - x1")
     order = LexOrder()
-    f = gens[0] * gens[1] + gens[1]
-    rem, _ = normal_form(f, gens + [gens[0]], order)
+    f = poly_add(poly_mul(gens[0], gens[1]), gens[1])
+    rem, _ = normal_form(f, Divisors(gens + [gens[0]], order))
     # f is in the ideal generated by a Groebner basis of it
     G = groebner_basis(IdealPresentation(gens[0].ring, tuple(gens)), order)
-    rem, _ = normal_form(f, list(G.generators), order)
+    rem, _ = normal_form(f, Divisors(G.generators, order))
     assert rem.is_zero()
 
 
@@ -463,7 +465,7 @@ def kernel_hilbert_ideal_side(G, max_degree):
 
 def test_kernel_of_conic_parametrisation():
     p = param(CONIC)
-    G = kernel_of_map(p)
+    G = kernel_of_map(p, LexOrder())
     assert len(G) == 1
     g = G.generators[0]
     # x1*x3 - x2^2 up to sign/scaling
@@ -489,7 +491,7 @@ def test_kernel_twisted_cubic():
 def test_kernel_generic_forms_is_zero():
     from regcert.instances import random_parametrisation
     p = random_parametrisation(2, 2, 2, seed=5)
-    G = kernel_of_map(p)
+    G = kernel_of_map(p, LexOrder())
     assert len(G.generators) == 0
 
 
@@ -538,9 +540,9 @@ def test_graph_ideal():
     with pytest.raises(ValueError, match="must be positive"):
         Parametrisation(0, 2, 2, (), p.ring)
     with pytest.raises(ValueError, match="homogeneous of degree d"):
-        Parametrisation(3, 2, 2, (f0, f1, f0 * f1), p.ring)
+        Parametrisation(3, 2, 2, (f0, f1, poly_mul(f0, f1)), p.ring)
     with pytest.raises(ValueError, match="homogeneous of degree d"):
-        Parametrisation(1, 2, 2, (f0 + f0 * f0,), p.ring)
+        Parametrisation(1, 2, 2, (poly_add(f0, poly_mul(f0, f0)),), p.ring)
     # m and the images' ring must be the ring's: a shape that disagrees
     # would certify the series of another m
     with pytest.raises(ValueError, match="ring of m variables"):
@@ -553,7 +555,7 @@ def test_kernel_rejects_bad_images():
     p = param(CONIC)
     f = p.f
     with pytest.raises(ValueError, match="homogeneous of degree d"):
-        Parametrisation(3, 2, 2, f[:2] + (f[0] * f[1],), p.ring)
+        Parametrisation(3, 2, 2, f[:2] + (poly_mul(f[0], f[1]),), p.ring)
     # an order that does not eliminate y is refused by eliminate
     with pytest.raises(ValueError, match="does not eliminate"):
         kernel_of_map(p, order=DegRevLexOrder())
@@ -575,7 +577,7 @@ def test_verify_poweli_on_paper_style_ideal():
 def test_substitute():
     g, = polys("ring x1 x2; char 0; gens: x1*x2")
     y, = polys("ring y1; char 0; gens: y1")
-    val = substitute(g, [y, y * y])
+    val = substitute(g, [y, poly_mul(y, y)])
     assert val.coeff_dict() == {(3,): 1}
 
 

@@ -639,7 +639,7 @@ def test_normal_form_table_matches_division(J):
         assert sorted(row_of) == sorted(monos)
         for x, r in row_of.items():
             rem, _ = normal_form(Polynomial(J.ring, G.order, [(1, x)]),
-                                 G.generators, G.order)
+                                 Divisors(G.generators, G.order))
             nf = rem.coeff_dict()
             assert set(nf) <= set(std)
             assert list(N[r]) == [nf.get(v, 0) for v in std]

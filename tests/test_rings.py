@@ -1,16 +1,19 @@
-"""Term orders, polynomial arithmetic, and power maps."""
+"""Term orders, elimination, polynomial arithmetic, and power maps."""
 
 import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
 
+from regcert.groebner import IdealPresentation, eliminate, groebner_basis
+from regcert.parser import parse_ideal_file
 from regcert.rings import (BlockOrder, DegRevLexOrder, LexOrder, Polynomial, PowerMap, apply_power_map,
                            is_homogeneous, make_ring,
                            mono_divides, mono_lcm, mono_mul)
 
 from oracles import (mono_div, mono_divides_by_zip, mono_lcm_by_zip,
-                     mono_mul_by_zip, order_key_by_genexpr, s_polynomial)
+                     mono_mul_by_zip, order_key_by_genexpr, poly_add,
+                     poly_mul, poly_neg, poly_sub, poly_zero, s_polynomial)
 
 ORDERS = [LexOrder(), DegRevLexOrder(), BlockOrder(2)]
 
@@ -18,7 +21,7 @@ ORDERS = [LexOrder(), DegRevLexOrder(), BlockOrder(2)]
 def variable(ring, order, index):
     """The variable with the given index, as a polynomial."""
     e = tuple(int(k == index) for k in range(ring.nvars))
-    return Polynomial.from_terms(ring, order, [(ring.field.one, e)])
+    return Polynomial.from_terms(ring, order, [(1, e)])
 
 monos3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
@@ -53,14 +56,37 @@ def test_degrevlex_classic_comparison():
     assert drl.key((1, 0, 1)) < drl.key((0, 2, 0))
 
 
-def test_block_order_eliminates():
-    b = BlockOrder(2)
-    assert b.eliminates(2, 4)
-    assert not b.eliminates(1, 4)
+def test_eliminate_accepts_lex_and_the_matching_block_order_only():
     # any monomial with an eliminated variable beats any kept monomial
-    assert b.key((0, 0, 1, 0)) > b.key((9, 9, 0, 0))
-    assert LexOrder().eliminates(1, 3)
-    assert not DegRevLexOrder().eliminates(1, 3)
+    assert BlockOrder(2).key((0, 0, 1, 0)) > BlockOrder(2).key((9, 9, 0, 0))
+    J = parse_ideal_file("ring x1 x2 x3 x4; gens: x4^2 - x1*x3, "
+                         "x3*x4 - x2^2, x3^3 - x1^2*x2, x2^3 - x1^3")[1]
+    nvars, sizes = J.ring.nvars, {}
+    for order in [LexOrder(), DegRevLexOrder(),
+                  *(BlockOrder(k) for k in range(nvars + 1))]:
+        G = groebner_basis(J, order)
+        for keep in range(nvars + 1):
+            if keep == nvars:
+                # nothing is eliminated, whatever the order
+                assert eliminate(G, keep) is G
+                continue
+            if order != LexOrder() and order != BlockOrder(keep):
+                with pytest.raises(ValueError, match="does not eliminate"):
+                    eliminate(G, keep)
+                continue
+            sub = LexOrder() if order == LexOrder() else DegRevLexOrder()
+            R = make_ring(J.ring.names[:keep])
+            kept = [Polynomial.from_terms(R, sub,
+                                          [(c, m[:keep]) for c, m in g.terms])
+                    for g in G.generators
+                    if not any(any(m[keep:]) for _, m in g.terms)]
+            I = eliminate(G, keep)
+            assert (I.ring, I.order, I.reduced) == (R, sub, True)
+            assert [g.terms for g in I.generators] == [g.terms for g in kept]
+            sizes[order, keep] = len(I)
+    # J meets K[x1, x2] and K[x1, x2, x3]: both routes keep those elements
+    assert ([sizes[LexOrder(), k] for k in range(nvars)]
+            == [sizes[BlockOrder(k), k] for k in range(nvars)] == [0, 0, 1, 2])
 
 
 def test_orders_are_frozen_values():
@@ -124,11 +150,11 @@ def ring():
 
 def test_polynomial_normalization(ring):
     o = LexOrder()
-    f = Polynomial.from_terms(ring, o, [(ring.field.one, (1, 0, 0)),
-                                        (ring.field.one, (1, 0, 0)),
+    f = Polynomial.from_terms(ring, o, [(ring.field(1), (1, 0, 0)),
+                                        (ring.field(1), (1, 0, 0)),
                                         (ring.field(-1),
                                          (0, 1, 0)),
-                                        (ring.field.one, (0, 1, 0))])
+                                        (ring.field(1), (0, 1, 0))])
     assert f.coeff_dict() == {(1, 0, 0): 2}
     # terms strictly decreasing under the order
     keys = [o.key(m) for _, m in f.terms]
@@ -138,29 +164,30 @@ def test_polynomial_normalization(ring):
 def test_arithmetic_ring_laws(ring):
     o = DegRevLexOrder()
     x1, x2, x3 = (variable(ring, o, i) for i in range(3))
-    f = x1 * x2 + x3
-    g = x2 - Polynomial.from_terms(ring, o,
-                                   [(ring.field(3), (0, 0, 0))])
-    h = x1 + x3 * x3
-    assert (f + g) * h == f * h + g * h
-    assert f - f == Polynomial.zero(ring, o)
-    assert -(-f) == f
-    assert f * g == g * f
+    f = poly_add(poly_mul(x1, x2), x3)
+    g = poly_sub(x2, Polynomial.from_terms(ring, o,
+                                           [(ring.field(3), (0, 0, 0))]))
+    h = poly_add(x1, poly_mul(x3, x3))
+    assert (poly_mul(poly_add(f, g), h)
+            == poly_add(poly_mul(f, h), poly_mul(g, h)))
+    assert poly_sub(f, f) == poly_zero(ring, o)
+    assert poly_neg(poly_neg(f)) == f
+    assert poly_mul(f, g) == poly_mul(g, f)
 
 
 def test_monic_and_leading(ring):
     o = LexOrder()
     x1, x2, _ = (variable(ring, o, i) for i in range(3))
-    f = (x2 * x2).scale(ring.field(4)) + x1
+    f = poly_add(poly_mul(x2, x2).scale(ring.field(4)), x1)
     assert f.leading_monomial() == (0, 2, 0)
-    assert f.monic().leading_coefficient() == ring.field.one
+    assert f.monic().leading_coefficient() == ring.field(1)
     assert f.degree() == 2
 
 
 def test_with_order_is_identity_on_coefficients(ring):
     o1, o2 = LexOrder(), DegRevLexOrder()
     x1, x2, x3 = (variable(ring, o1, i) for i in range(3))
-    f = x1 * x3 + x2 * x2
+    f = poly_add(poly_mul(x1, x3), poly_mul(x2, x2))
     assert f.with_order(o2).coeff_dict() == f.coeff_dict()
     assert f.with_order(o2).leading_monomial() == (0, 2, 0)
     assert f.leading_monomial() == (1, 0, 1)
@@ -169,9 +196,10 @@ def test_with_order_is_identity_on_coefficients(ring):
 def test_is_homogeneous(ring):
     o = LexOrder()
     x1, x2, _ = (variable(ring, o, i) for i in range(3))
-    assert is_homogeneous(x1 * x1 + x2 * x2) == (True, 2)
-    assert is_homogeneous(x1 + x2 * x2) == (False, None)
-    assert is_homogeneous(Polynomial.zero(ring, o)) == (True, None)
+    assert is_homogeneous(poly_add(poly_mul(x1, x1),
+                                   poly_mul(x2, x2))) == (True, 2)
+    assert is_homogeneous(poly_add(x1, poly_mul(x2, x2))) == (False, None)
+    assert is_homogeneous(poly_zero(ring, o)) == (True, None)
 
 
 def test_power_map(ring):
@@ -179,7 +207,7 @@ def test_power_map(ring):
     assert phi.apply_mono((1, 2, 0)) == (2, 4, 0)
     o = LexOrder()
     x1, x2, _ = (variable(ring, o, i) for i in range(3))
-    f = x1 * x2 + x2
+    f = poly_add(poly_mul(x1, x2), x2)
     img = apply_power_map(phi, f)
     assert img.coeff_dict() == {(2, 2, 0): 1, (0, 2, 0): 1}
     with pytest.raises(ValueError):
@@ -199,8 +227,8 @@ def test_power_map_respects_lex_leading_term(a, b):
 def test_s_polynomial_cancels_leading_terms(ring):
     o = DegRevLexOrder()
     x1, x2, x3 = (variable(ring, o, i) for i in range(3))
-    f = x1 * x2 + x3
-    g = x2 * x3 + x1
+    f = poly_add(poly_mul(x1, x2), x3)
+    g = poly_add(poly_mul(x2, x3), x1)
     s = s_polynomial(f, g, o)
     lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
     assert all(m != lcm for _, m in s.terms)
@@ -210,8 +238,8 @@ def test_phi_of_s_polynomial_is_s_polynomial_of_phi(ring):
     # the identity behind the power-substitution lemma, on a sample
     o = LexOrder()
     x1, x2, x3 = (variable(ring, o, i) for i in range(3))
-    f = x3 * x1 + x2 * x2
-    g = x3 * x2 + x1
+    f = poly_add(poly_mul(x3, x1), poly_mul(x2, x2))
+    g = poly_add(poly_mul(x3, x2), x1)
     phi = PowerMap.uniform(3, 2)
     lhs = apply_power_map(phi, s_polynomial(f, g, o))
     rhs = s_polynomial(apply_power_map(phi, f), apply_power_map(phi, g), o)
@@ -219,12 +247,11 @@ def test_phi_of_s_polynomial_is_s_polynomial_of_phi(ring):
 
 
 def test_restrict_and_kept():
-    from regcert.groebner import IdealPresentation, eliminate, groebner_basis
     ring = make_ring(["x1", "x2", "x3", "x4"])
     assert ring.nvars == 4
     x1, _, x3, _ = (variable(ring, LexOrder(), i) for i in range(4))
     # elimination restricts to the subring of the kept variables
-    R = eliminate(groebner_basis(IdealPresentation(ring, (x1 * x3,)),
+    R = eliminate(groebner_basis(IdealPresentation(ring, (poly_mul(x1, x3),)),
                                  LexOrder()), 2).ring
     assert R.names == ("x1", "x2")
     assert R.nvars == 2
